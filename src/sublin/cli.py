@@ -62,6 +62,18 @@ def _gxl_config(args) -> GxlAttrConfig | None:
     return None
 
 
+def _read_config(path, required):
+    """The JSON object in `path`, which must hold every key in `required`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path} must hold a JSON object")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValidationError(f"{path} is missing required key(s) {missing}")
+    return doc
+
+
 def _write_json(doc, path=None):
     text = json.dumps(doc, indent=2)
     if path:
@@ -92,8 +104,7 @@ def _cmd_dot(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg_doc = json.load(fh)
+    cfg_doc = _read_config(args.config, ("data",))
     dataset = read_jsonl(cfg_doc["data"])
     split = cfg_doc.get("split", "train")
     examples = dataset.split(split)
@@ -221,8 +232,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_protocol(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_config(args.config, ("dataset", "algorithm"))
     dataset = read_jsonl(doc["dataset"])
     matcher = MatcherConfig.from_json(doc["matcher"]) if "matcher" in doc else _matcher_from_args(args)
     cfg = ProtocolConfig(

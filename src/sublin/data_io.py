@@ -242,20 +242,10 @@ GXL_PRESETS = {
     "letter": GxlAttrConfig(node_attr_names=("x", "y")),
 }
 
-_NUMERIC_TAGS = {"float", "double", "int", "integer", "num"}
-
 
 def _attr_value(attr_el, path) -> float:
     for child in attr_el:
-        tag = child.tag.lower()
         text = (child.text or "").strip()
-        if tag in _NUMERIC_TAGS:
-            try:
-                return float(text)
-            except ValueError as exc:
-                raise DatasetFormatError(
-                    f"non-numeric value {text!r} for attribute {attr_el.get('name')!r}", path
-                ) from exc
         try:
             return float(text)
         except ValueError as exc:

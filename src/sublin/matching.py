@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 import numpy as np
 
@@ -137,23 +137,19 @@ class MatcherConfig:
         return {
             "method": self.method,
             "exact_max_order": self.exact_max_order,
-            "ga_params": {
-                "beta_start": self.ga_params.beta_start,
-                "beta_rate": self.ga_params.beta_rate,
-                "beta_max": self.ga_params.beta_max,
-                "sinkhorn_max_iters": self.ga_params.sinkhorn_max_iters,
-                "sinkhorn_tol": self.ga_params.sinkhorn_tol,
-                "assignment_rounds_max": self.ga_params.assignment_rounds_max,
-            },
+            "ga_params": asdict(self.ga_params),
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "MatcherConfig":
         ga = doc.get("ga_params", {})
+        unknown = sorted(set(ga) - {f.name for f in fields(GaParams)})
+        if unknown:
+            raise ValidationError(f"unknown ga_params key(s) {unknown}")
         return cls(
             method=doc.get("method", "exact"),
             exact_max_order=int(doc.get("exact_max_order", DEFAULT_EXACT_MAX_ORDER)),
-            ga_params=GaParams(**ga) if ga else GaParams(),
+            ga_params=GaParams(**ga),
         )
 
 
@@ -262,43 +258,73 @@ def exact_sdp(x: AttributedGraph, y: AttributedGraph, max_order: int = DEFAULT_E
     return MatchResult(kernel_value(rx, ry, match), match, True)
 
 
-def _ga_soft_pairs(cx: np.ndarray, cy: np.ndarray, params: GaParams):
-    """Graduated assignment core on raw cell arrays; returns assigned (row, col) pairs.
+def _ga_soft(cx: np.ndarray, cy: np.ndarray, params: GaParams) -> np.ndarray:
+    """Graduated assignment on raw cell arrays of orders m, n >= 1; returns the
+    final (m, n) soft matrix over the real rows and columns.
 
     Softassign with one slack row and one slack column: compatibilities
     Q_ir = sum_js M_js dot(x_ij, y_rs) + dot(x_ii, y_rr) are exponentiated at
     inverse temperature beta, row/column-balanced by Sinkhorn iterations over the
-    real rows and columns, and beta grows geometrically. The final soft matrix is
-    discretized by greedy maximum selection down to min(m, n) pairs.
+    real rows and columns, and beta grows geometrically.
+
+    A Sinkhorn pass stops after the first sweep whose row sums and column sums
+    all lie within `sinkhorn_tol` of one (a NaN row error never passes; a NaN
+    column error does not hold the pass open), or after `sinkhorn_max_iters`
+    sweeps. The row sums that test a sweep are the divisors of the next sweep's
+    row step, and column sums are taken for the test only once the rows pass.
+    A round is a deterministic function of Q at a fixed beta, so once a round's
+    Q equals the previous round's bit for bit, the soft matrix already in the
+    buffer is what every remaining round at that beta would produce, and they
+    are skipped.
+    """
+    m, n = cx.shape[0], cy.shape[0]
+    compat = np.tensordot(cx, cy, axes=([2], [2]))  # (m, m, n, n)
+    node_comp = np.einsum("iirr->ir", compat)
+    soft = np.full((m + 1, n + 1), 1.0 / (max(m, n) + 1.0))
+    real, rows, cols = soft[:m, :n], soft[:m], soft[:, :n]
+    q, q_prev = np.empty((m, n)), np.empty((m, n))
+    tol = params.sinkhorn_tol
+    beta = params.beta_start
+    while beta <= params.beta_max * (1 + 1e-12):
+        last_shift = None
+        for _ in range(params.assignment_rounds_max):
+            q, q_prev = q_prev, q
+            np.einsum("ijrs,js->ir", compat, real, out=q)
+            q += node_comp
+            shift = max(float(q.max()), 0.0)
+            if shift == last_shift and (q == q_prev).all():
+                break
+            last_shift = shift
+            np.subtract(q, shift, out=real)
+            real *= beta
+            np.exp(real, out=real)
+            slack = math.exp(-beta * shift) if beta * shift < 700 else 0.0
+            soft[m, :] = slack
+            soft[:, n] = slack
+            np.maximum(soft, 1e-300, out=soft)
+            row_sums = rows.sum(axis=1, keepdims=True)
+            for _ in range(params.sinkhorn_max_iters):
+                rows /= row_sums
+                cols /= cols.sum(axis=0)
+                row_sums = rows.sum(axis=1, keepdims=True)
+                if (np.abs(row_sums - 1.0).max() <= tol
+                        and not np.abs(cols.sum(axis=0) - 1.0).max() > tol):
+                    break
+        beta *= params.beta_rate
+    return real
+
+
+def _ga_soft_pairs(cx: np.ndarray, cy: np.ndarray, params: GaParams):
+    """Graduated assignment core on raw cell arrays; returns assigned (row, col) pairs.
+
+    The soft matrix of `_ga_soft` is discretized by greedy maximum selection
+    down to min(m, n) pairs.
     """
     _note_solver_call()
     m, n = cx.shape[0], cy.shape[0]
     if min(m, n) == 0:
         return ()
-    compat = np.tensordot(cx, cy, axes=([2], [2]))  # (m, m, n, n)
-    node_comp = np.einsum("iirr->ir", compat)
-    soft = np.full((m + 1, n + 1), 1.0 / (max(m, n) + 1.0))
-    beta = params.beta_start
-    while beta <= params.beta_max * (1 + 1e-12):
-        for _ in range(params.assignment_rounds_max):
-            q = np.einsum("ijrs,js->ir", compat, soft[:m, :n]) + node_comp
-            shift = max(float(q.max()), 0.0)
-            work = np.empty((m + 1, n + 1))
-            work[:m, :n] = np.exp(beta * (q - shift))
-            slack = math.exp(-beta * shift) if beta * shift < 700 else 0.0
-            work[m, :] = slack
-            work[:, n] = slack
-            np.maximum(work, 1e-300, out=work)
-            for _ in range(params.sinkhorn_max_iters):
-                work[:m] /= work[:m].sum(axis=1, keepdims=True)
-                work[:, :n] /= work[:, :n].sum(axis=0, keepdims=True)
-                row_err = np.abs(work[:m].sum(axis=1) - 1.0).max(initial=0.0)
-                col_err = np.abs(work[:, :n].sum(axis=0) - 1.0).max(initial=0.0)
-                if max(row_err, col_err) <= params.sinkhorn_tol:
-                    break
-            soft = work
-        beta *= params.beta_rate
-    pick = soft[:m, :n].copy()
+    pick = _ga_soft(cx, cy, params).copy()
     pairs = []
     for _ in range(min(m, n)):
         i, r = np.unravel_index(int(np.argmax(pick)), pick.shape)

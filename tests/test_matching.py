@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import permuted_graph, rand_graph, rand_sym_cells, rel_close
-from sublin import (AttributedGraph, CapacityError, MatcherConfig, MatchMatrix,
+from sublin import (AttributedGraph, CapacityError, GaParams, MatcherConfig, MatchMatrix,
                     Representation, ValidationError, exact_sdp, ga_sdp, induced_distance,
                     kernel_value, optimal_align, sdp, to_representation)
+from sublin.matching import _ga_soft
 
 EXACT = MatcherConfig()
 GRADUATED = MatcherConfig(method="graduated")
@@ -119,6 +120,94 @@ class TestGaSdp:
         bad = AttributedGraph([[np.nan], [1.0]], [(0, 1, [1.0])])
         with pytest.raises(ValidationError):
             ga_sdp(bad, GX)
+
+
+def _reference_ga(cx, cy, params):
+    """Graduated assignment as first written: a fresh buffer per round, both
+    Sinkhorn errors every sweep, every round run. Returns the soft matrix and
+    the greedy pairs; the oracle the production loop must match bit for bit."""
+    m, n = cx.shape[0], cy.shape[0]
+    compat = np.tensordot(cx, cy, axes=([2], [2]))
+    node_comp = np.einsum("iirr->ir", compat)
+    soft = np.full((m + 1, n + 1), 1.0 / (max(m, n) + 1.0))
+    beta = params.beta_start
+    while beta <= params.beta_max * (1 + 1e-12):
+        for _ in range(params.assignment_rounds_max):
+            q = np.einsum("ijrs,js->ir", compat, soft[:m, :n]) + node_comp
+            shift = max(float(q.max()), 0.0)
+            work = np.empty((m + 1, n + 1))
+            work[:m, :n] = np.exp(beta * (q - shift))
+            slack = math.exp(-beta * shift) if beta * shift < 700 else 0.0
+            work[m, :] = slack
+            work[:, n] = slack
+            np.maximum(work, 1e-300, out=work)
+            for _ in range(params.sinkhorn_max_iters):
+                work[:m] /= work[:m].sum(axis=1, keepdims=True)
+                work[:, :n] /= work[:, :n].sum(axis=0, keepdims=True)
+                row_err = np.abs(work[:m].sum(axis=1) - 1.0).max(initial=0.0)
+                col_err = np.abs(work[:, :n].sum(axis=0) - 1.0).max(initial=0.0)
+                if max(row_err, col_err) <= params.sinkhorn_tol:
+                    break
+            soft = work
+        beta *= params.beta_rate
+    pick = soft[:m, :n].copy()
+    pairs = []
+    for _ in range(min(m, n)):
+        i, r = np.unravel_index(int(np.argmax(pick)), pick.shape)
+        pairs.append((int(i), int(r)))
+        pick[i, :] = -np.inf
+        pick[:, r] = -np.inf
+    return soft[:m, :n], tuple(sorted(pairs))
+
+
+def _signed(graph, sign):
+    """The graph with every attribute replaced by `sign` times its magnitude."""
+    return AttributedGraph(sign * np.abs(graph.node_attrs),
+                           [(i, j, sign * np.abs(v)) for (i, j), v in graph.edge_items()])
+
+
+class TestGaBitIdentity:
+    # (m, n) covering orders 1-10 with m < n, m > n and m == n
+    ORDERS = ((1, 3), (3, 1), (2, 9), (9, 2), (4, 7), (7, 4), (10, 6), (5, 5))
+
+    @pytest.mark.parametrize("scale, seed", [(1e-6, 1), (1.0, 2), (1e6, 3)])
+    @pytest.mark.parametrize("params", [GaParams(), GaParams(sinkhorn_max_iters=3),
+                                        GaParams(sinkhorn_tol=1e-16)],
+                             ids=["default", "sweep-cap", "tol-1e-16"])
+    def test_matches_reference_loop(self, params, scale, seed):
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for m, n in self.ORDERS:
+            d = int(rng.integers(1, 4))
+            pairs.append((rand_graph(rng, m, d, scale=scale), rand_graph(rng, n, d, scale=scale)))
+        # all compatibilities negative: the shift stays 0 while Q still moves
+        x, y = rand_graph(rng, 6, 2, scale=scale), rand_graph(rng, 4, 2, scale=scale)
+        pairs.append((_signed(x, 1.0), _signed(y, -1.0)))
+        for x, y in pairs:
+            m, n = x.order, y.order
+            rx, ry = to_representation(x), to_representation(y)
+            want_soft, want_pairs = _reference_ga(rx.cells, ry.cells, params)
+            assert _ga_soft(rx.cells, ry.cells, params).tobytes() == want_soft.tobytes()
+            want = MatchMatrix(m, n, want_pairs)
+            got = ga_sdp(x, y, params)
+            assert got.match == want
+            assert got.value == kernel_value(rx, ry, want)
+
+
+class TestMatcherConfig:
+    def test_json_round_trip(self):
+        cfg = MatcherConfig(method="graduated", exact_max_order=6,
+                            ga_params=GaParams(beta_start=0.25, sinkhorn_max_iters=7,
+                                               sinkhorn_tol=1e-4, assignment_rounds_max=2))
+        doc = cfg.to_json()
+        assert list(doc["ga_params"]) == ["beta_start", "beta_rate", "beta_max",
+                                          "sinkhorn_max_iters", "sinkhorn_tol",
+                                          "assignment_rounds_max"]
+        assert MatcherConfig.from_json(doc) == cfg
+
+    def test_unknown_ga_params_key_rejected(self):
+        with pytest.raises(ValidationError, match="bogus"):
+            MatcherConfig.from_json({"method": "graduated", "ga_params": {"bogus": 1}})
 
 
 class TestDispatch:

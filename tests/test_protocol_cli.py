@@ -193,6 +193,15 @@ class TestCli:
         proc = run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("command, key", [("train", "data"), ("protocol", "dataset")])
+    def test_config_missing_key_is_validation_error(self, tmp_path, command, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("{}")
+        proc = run_cli(command, "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1
+        assert repr(key) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_infeasible_spec_exit_code(self, tmp_path):
         spec = {"n_examples": {"train": 5}, "order_range": [2, 3], "attr_dim": 1,
                 "planted_order": 2, "planted_margin": 500.0, "edge_density": 0.5,
