@@ -16,7 +16,7 @@ import numpy as np
 from . import data_io, matching, protocol
 from .data_io import (GXL_PRESETS, GxlAttrConfig, SyntheticSpec, binary_examples,
                       generate_synthetic, read_examples_jsonl, read_jsonl, write_jsonl)
-from .exceptions import InfeasibleSpecError, ValidationError
+from .exceptions import InfeasibleSpecError, ValidationError, config_value
 from .learning import TrainConfig, train_binary, train_one_vs_all, write_trace_jsonl
 from .matching import MatcherConfig, exact_sdp, ga_sdp, sdp
 from .model import OvaModel, classify, load_model, predict_multiclass, save_model
@@ -57,21 +57,23 @@ def _gxl_config(args) -> GxlAttrConfig | None:
                 f"unknown GXL preset {args.gxl_preset!r}; available: {sorted(GXL_PRESETS)}"
             )
     if getattr(args, "gxl_config", None):
-        with open(args.gxl_config, "r", encoding="utf-8") as fh:
-            return GxlAttrConfig.from_json(json.load(fh))
+        return GxlAttrConfig.from_json(_read_json(args.gxl_config))
     return None
 
 
-def _read_config(path, required):
-    """The JSON object in `path`, which must hold every key in `required`."""
+def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path} must hold a JSON object")
-    missing = [key for key in required if key not in doc]
-    if missing:
-        raise ValidationError(f"{path} is missing required key(s) {missing}")
-    return doc
+        return json.load(fh)
+
+
+def _numbers(values):
+    if not all(isinstance(v, (int, float)) for v in values):
+        raise TypeError(f"expected a list of numbers, got {values!r}")
+    return tuple(values)
+
+
+def _int_or_none(value):
+    return None if value is None else int(value)
 
 
 def _write_json(doc, path=None):
@@ -104,21 +106,20 @@ def _cmd_dot(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg_doc = _read_config(args.config, ("data",))
-    dataset = read_jsonl(cfg_doc["data"])
+    cfg_doc = _read_json(args.config)
+    tc = TrainConfig(
+        learning_rate=config_value(cfg_doc, "eta", float, 0.1),
+        margin=config_value(cfg_doc, "lambda", float, 0.0),
+        max_epochs=config_value(cfg_doc, "max_epochs", int, 200),
+        weight_order=config_value(cfg_doc, "weight_order", _int_or_none, None),
+        seed=config_value(cfg_doc, "seed", int, args.seed),
+        matcher=config_value(cfg_doc, "matcher", MatcherConfig.from_json, _matcher_from_args(args)),
+    )
+    dataset = read_jsonl(config_value(cfg_doc, "data", str))
     split = cfg_doc.get("split", "train")
     examples = dataset.split(split)
     if not examples:
         raise ValidationError(f"split {split!r} of {dataset.name!r} is empty")
-    matcher = MatcherConfig.from_json(cfg_doc["matcher"]) if "matcher" in cfg_doc else _matcher_from_args(args)
-    tc = TrainConfig(
-        learning_rate=float(cfg_doc.get("eta", 0.1)),
-        margin=float(cfg_doc.get("lambda", 0.0)),
-        max_epochs=int(cfg_doc.get("max_epochs", 200)),
-        weight_order=cfg_doc.get("weight_order"),
-        seed=int(cfg_doc.get("seed", args.seed)),
-        matcher=matcher,
-    )
     task = cfg_doc.get("task", "auto")
     if task == "auto":
         task = "binary" if len(dataset.class_set) == 2 else "ova"
@@ -180,8 +181,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = SyntheticSpec.from_json(json.load(fh))
+    spec = SyntheticSpec.from_json(_read_json(args.spec))
     dataset, planted = generate_synthetic(spec)
     write_jsonl(dataset, args.out)
     save_model(planted, os.path.join(args.out, "planted_model.json"))
@@ -198,9 +198,9 @@ def _cmd_bench(args) -> int:
     attained = 0
     for _ in range(args.pairs):
         order = int(rng.integers(args.min_order, args.max_order + 1))
-        a = data_io._random_graph(rng, order, args.attr_dim, 0.5, 1.0)
-        b = data_io._random_graph(rng, int(rng.integers(args.min_order, args.max_order + 1)),
-                                  args.attr_dim, 0.5, 1.0)
+        a = data_io.random_graph(rng, order, args.attr_dim, 0.5, 1.0)
+        b = data_io.random_graph(rng, int(rng.integers(args.min_order, args.max_order + 1)),
+                                 args.attr_dim, 0.5, 1.0)
         t0 = time.perf_counter()
         exact = exact_sdp(a, b, max_order=max(args.max_order, 8))
         times["exact"] += time.perf_counter() - t0
@@ -232,19 +232,17 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_protocol(args) -> int:
-    doc = _read_config(args.config, ("dataset", "algorithm"))
-    dataset = read_jsonl(doc["dataset"])
-    matcher = MatcherConfig.from_json(doc["matcher"]) if "matcher" in doc else _matcher_from_args(args)
+    doc = _read_json(args.config)
     cfg = ProtocolConfig(
-        dataset=dataset,
-        algorithm=doc["algorithm"],
-        eta_grid=tuple(doc.get("eta_grid", protocol.DEFAULT_ETA_GRID)),
-        lambda_grid=tuple(doc.get("lambda_grid", protocol.DEFAULT_LAMBDA_GRID)),
-        repeats=int(doc.get("repeats", 10)),
-        seed=int(doc.get("seed", args.seed)),
-        matcher=matcher,
-        max_epochs=int(doc.get("max_epochs", 200)),
-        weight_order=doc.get("weight_order"),
+        dataset=read_jsonl(config_value(doc, "dataset", str)),
+        algorithm=config_value(doc, "algorithm", str),
+        eta_grid=config_value(doc, "eta_grid", _numbers, protocol.DEFAULT_ETA_GRID),
+        lambda_grid=config_value(doc, "lambda_grid", _numbers, protocol.DEFAULT_LAMBDA_GRID),
+        repeats=config_value(doc, "repeats", int, 10),
+        seed=config_value(doc, "seed", int, args.seed),
+        matcher=config_value(doc, "matcher", MatcherConfig.from_json, _matcher_from_args(args)),
+        max_epochs=config_value(doc, "max_epochs", int, 200),
+        weight_order=config_value(doc, "weight_order", _int_or_none, None),
     )
     report = run_protocol(cfg)
     print(report.to_text())

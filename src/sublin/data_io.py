@@ -17,12 +17,12 @@ import json
 import math
 import os
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exceptions import DatasetFormatError, InfeasibleSpecError, ValidationError
+from .exceptions import DatasetFormatError, InfeasibleSpecError, ValidationError, config_value
 from .graphs import AttributedGraph
 from .learning import LabeledExample
 from .matching import DEFAULT_EXACT_MAX_ORDER, MatcherConfig, sdp
@@ -230,8 +230,8 @@ class GxlAttrConfig:
     @classmethod
     def from_json(cls, doc: dict) -> "GxlAttrConfig":
         return cls(
-            node_attr_names=tuple(doc.get("node_attr_names", ())),
-            edge_attr_names=tuple(doc.get("edge_attr_names", ())),
+            node_attr_names=config_value(doc, "node_attr_names", tuple, ()),
+            edge_attr_names=config_value(doc, "edge_attr_names", tuple, ()),
             append_edge_flag=doc.get("append_edge_flag"),
         )
 
@@ -469,32 +469,34 @@ class SyntheticSpec:
             raise ValidationError("n_examples must request at least one example")
 
     def to_json(self) -> dict:
-        return {
-            "n_examples": dict(self.n_examples),
-            "order_range": list(self.order_range),
-            "attr_dim": self.attr_dim,
-            "planted_order": self.planted_order,
-            "planted_margin": self.planted_margin,
-            "edge_density": self.edge_density,
-            "attribute_scale": self.attribute_scale,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "order_range": list(self.order_range)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "SyntheticSpec":
         return cls(
-            n_examples=doc["n_examples"],
-            order_range=tuple(doc["order_range"]),
-            attr_dim=int(doc["attr_dim"]),
-            planted_order=int(doc["planted_order"]),
-            planted_margin=float(doc["planted_margin"]),
-            edge_density=float(doc["edge_density"]),
-            attribute_scale=float(doc.get("attribute_scale", 1.0)),
-            seed=int(doc.get("seed", 0)),
+            n_examples=config_value(doc, "n_examples", _split_counts),
+            order_range=config_value(doc, "order_range", _int_pair),
+            attr_dim=config_value(doc, "attr_dim", int),
+            planted_order=config_value(doc, "planted_order", int),
+            planted_margin=config_value(doc, "planted_margin", float),
+            edge_density=config_value(doc, "edge_density", float),
+            attribute_scale=config_value(doc, "attribute_scale", float, 1.0),
+            seed=config_value(doc, "seed", int, 0),
         )
 
 
-def _random_graph(rng, order, attr_dim, density, scale) -> AttributedGraph:
+def _split_counts(doc) -> Dict[str, int]:
+    return {split: int(n) for split, n in dict(doc).items()}
+
+
+def _int_pair(doc) -> Tuple[int, int]:
+    lo, hi = doc
+    return int(lo), int(hi)
+
+
+def random_graph(rng, order, attr_dim, density, scale) -> AttributedGraph:
+    """Attributes uniform on [-scale, scale]; each edge present with probability
+    `density` and never carrying the zero vector."""
     nodes = rng.uniform(-scale, scale, size=(order, attr_dim))
     edges = []
     for i in range(order):
@@ -552,12 +554,12 @@ def generate_synthetic(spec: SyntheticSpec):
                             exact_max_order=max(DEFAULT_EXACT_MAX_ORDER,
                                                 spec.planted_order, spec.order_range[1]))
 
-    planted_graph = _random_graph(rng, spec.planted_order, spec.attr_dim,
-                                  spec.edge_density, spec.attribute_scale)
+    planted_graph = random_graph(rng, spec.planted_order, spec.attr_dim,
+                                 spec.edge_density, spec.attribute_scale)
     w_norm = math.sqrt(sdp(planted_graph, planted_graph, matcher).value)
     while w_norm == 0.0:
-        planted_graph = _random_graph(rng, spec.planted_order, spec.attr_dim,
-                                      spec.edge_density, spec.attribute_scale)
+        planted_graph = random_graph(rng, spec.planted_order, spec.attr_dim,
+                                     spec.edge_density, spec.attribute_scale)
         w_norm = math.sqrt(sdp(planted_graph, planted_graph, matcher).value)
 
     def raw_score(g: AttributedGraph) -> float:
@@ -565,7 +567,7 @@ def generate_synthetic(spec: SyntheticSpec):
 
     def sample_graph() -> AttributedGraph:
         order = int(rng.integers(spec.order_range[0], spec.order_range[1] + 1))
-        return _random_graph(rng, order, spec.attr_dim, spec.edge_density, spec.attribute_scale)
+        return random_graph(rng, order, spec.attr_dim, spec.edge_density, spec.attribute_scale)
 
     # Recenters the bias on a pilot of raw scores so both classes stay frequent.
     pilot = [raw_score(sample_graph()) for _ in range(120)]

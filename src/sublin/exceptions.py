@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that reads config values."""
+
+_REQUIRED = object()
 
 
 class ValidationError(ValueError):
@@ -33,3 +35,19 @@ class DatasetFormatError(ValidationError):
 
 class InfeasibleSpecError(RuntimeError):
     """A synthetic data spec that cannot be satisfied within the sampling budget."""
+
+
+def config_value(doc, key, kind, default=_REQUIRED):
+    """`kind(doc[key])`, or `default` when the key is absent. A non-object `doc`, a
+    missing required key or a TypeError/ValueError from `kind` (nested reads
+    included, so the message holds the key path) raises ValidationError."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"expected a JSON object, got {doc!r}")
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ValidationError(f"missing required key {key!r}")
+        return default
+    try:
+        return kind(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{key!r}: {exc}") from None

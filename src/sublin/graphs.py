@@ -32,7 +32,7 @@ class AttributedGraph:
     with :func:`attach_edge_flag`.
     """
 
-    __slots__ = ("node_attrs", "edge_attrs", "label")
+    __slots__ = ("node_attrs", "edge_attrs", "label", "_rep")
 
     def __init__(self, node_attrs, edges=(), label=None):
         nodes = np.asarray(node_attrs, dtype=np.float64)
@@ -72,6 +72,7 @@ class AttributedGraph:
         object.__setattr__(self, "node_attrs", nodes)
         object.__setattr__(self, "edge_attrs", stored)
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_rep", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AttributedGraph is immutable")
@@ -119,7 +120,7 @@ class Representation:
     """Dense symmetric encoding of a graph: an (n, n, d) array of attribute vectors.
 
     The diagonal holds node attributes, off-diagonal cells hold edge attributes,
-    and a zero off-diagonal cell means no edge.
+    and a zero off-diagonal cell means no edge. Every cell must be finite.
     """
 
     __slots__ = ("cells",)
@@ -130,6 +131,8 @@ class Representation:
             raise ValidationError(f"cells must have shape (n, n, d), got {arr.shape}")
         if arr.shape[2] < 1:
             raise ValidationError("attribute dimension must be at least 1")
+        if not np.isfinite(arr).all():
+            raise ValidationError("graph attributes must be finite")
         if not np.array_equal(arr, arr.transpose(1, 0, 2)):
             raise ValidationError("representation cells must be symmetric")
         arr = arr.copy()
@@ -244,15 +247,17 @@ def attach_edge_flag(graph: AttributedGraph) -> AttributedGraph:
 
 
 def to_representation(graph: AttributedGraph) -> Representation:
-    """Dense symmetric encoding of the graph under its stored node order.
+    """Dense symmetric encoding of the graph under its stored node order,
+    computed once per graph and kept on it.
 
-    Raises if any stored edge attribute is a zero vector, since that edge would
-    silently disappear (use :func:`attach_edge_flag` first).
+    Raises, on every call, if any stored edge attribute is a zero vector, since
+    that edge would silently disappear (use :func:`attach_edge_flag` first).
     """
+    if graph._rep is not None:
+        return graph._rep
     n, d = graph.order, graph.attr_dim
     cells = np.zeros((n, n, d))
-    for i in range(n):
-        cells[i, i] = graph.node_attrs[i]
+    cells[np.arange(n), np.arange(n)] = graph.node_attrs
     for (i, j), v in graph.edge_attrs.items():
         if not np.any(v):
             raise ValidationError(
@@ -261,7 +266,8 @@ def to_representation(graph: AttributedGraph) -> Representation:
             )
         cells[i, j] = v
         cells[j, i] = v
-    return Representation(cells)
+    object.__setattr__(graph, "_rep", Representation(cells))
+    return graph._rep
 
 
 def from_representation(rep: Representation, label=None) -> AttributedGraph:

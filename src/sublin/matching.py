@@ -2,8 +2,10 @@
 
 The similarity of two graphs is the maximum, over one-to-one node
 correspondences, of the summed dot products between corresponding node and
-induced edge attributes. Two solvers are provided: exhaustive permutation
-enumeration (exact, small orders) and graduated assignment (heuristic, any
+induced edge attributes. `sdp`, `exact_sdp`, `ga_sdp` and `optimal_align` all
+reach one core, `_match`, which takes the dense cells of two graphs and returns
+the assigned node pairs from one of two solvers: exhaustive permutation
+enumeration (exact, small orders) or graduated assignment (heuristic, any
 order). Values returned to callers are always recomputed from the hard
 correspondence, never taken from solver internals.
 """
@@ -15,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 import numpy as np
 
-from .exceptions import CapacityError, SizeError, ValidationError
+from .exceptions import CapacityError, SizeError, ValidationError, config_value
 from .graphs import AttributedGraph, Representation, to_representation
 
 DEFAULT_EXACT_MAX_ORDER = 8
@@ -134,23 +136,22 @@ class MatcherConfig:
             raise ValidationError("exact_max_order must be at least 1")
 
     def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "exact_max_order": self.exact_max_order,
-            "ga_params": asdict(self.ga_params),
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "MatcherConfig":
-        ga = doc.get("ga_params", {})
-        unknown = sorted(set(ga) - {f.name for f in fields(GaParams)})
-        if unknown:
-            raise ValidationError(f"unknown ga_params key(s) {unknown}")
         return cls(
-            method=doc.get("method", "exact"),
-            exact_max_order=int(doc.get("exact_max_order", DEFAULT_EXACT_MAX_ORDER)),
-            ga_params=GaParams(**ga),
+            method=config_value(doc, "method", str, "exact"),
+            exact_max_order=config_value(doc, "exact_max_order", int, DEFAULT_EXACT_MAX_ORDER),
+            ga_params=config_value(doc, "ga_params", _ga_params_from_json, GaParams()),
         )
+
+
+def _ga_params_from_json(doc: dict) -> GaParams:
+    unknown = sorted(set(doc) - {f.name for f in fields(GaParams)})
+    if unknown:
+        raise ValidationError(f"unknown ga_params key(s) {unknown}")
+    return GaParams(**doc)
 
 
 @dataclass(frozen=True)
@@ -168,30 +169,23 @@ def kernel_value(rx: Representation, ry: Representation, match: MatchMatrix) -> 
     each undirected edge pair.
 
     Summed with `math.fsum`, so the value does not depend on pair enumeration
-    order.
+    order. Each term is a (1 x d)(d x 1) matrix product, which rounds exactly as
+    `np.dot` of the two vectors does.
     """
     if match.rows != rx.order or match.cols != ry.order:
         raise SizeError(
             f"match is {match.rows}x{match.cols} but representations have orders "
             f"{rx.order} and {ry.order}"
         )
-    cx, cy = rx.cells, ry.cells
-    pairs = match.pairs
-    terms = [
-        float(np.dot(cx[i, j], cy[r, s]))
-        for i, r in pairs
-        for j, s in pairs
-    ]
-    return math.fsum(terms)
+    rows, cols = np.array(match.pairs, dtype=np.intp).reshape(-1, 2).T
+    ax = rx.cells[rows[:, None], rows][..., None, :]
+    ay = ry.cells[cols[:, None], cols][..., :, None]
+    return math.fsum(np.matmul(ax, ay).ravel().tolist())
 
 
 @lru_cache(maxsize=16)
 def _permutations(n: int) -> np.ndarray:
     """All permutations of 0..n-1 in lexicographic order, one per row."""
-    if n > _HARD_ENUM_LIMIT:
-        raise CapacityError(f"will not enumerate permutations beyond order {_HARD_ENUM_LIMIT}")
-    if n == 0:
-        return np.zeros((1, 0), dtype=np.intp)
     return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
 
 
@@ -207,12 +201,9 @@ def _pad_cells(cells: np.ndarray, n: int) -> np.ndarray:
 def _best_permutation(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     """Lexicographically smallest permutation maximizing sum_ij dot(x_ij, y_p(i)p(j)).
 
-    Both cell arrays must share the same order. Counts as one solver call.
+    Both cell arrays must share the same order, at least 1.
     """
-    _note_solver_call()
     n = cx.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.intp)
     compat = np.tensordot(cx, cy, axes=([2], [2]))  # compat[i, j, r, s] = dot(x_ij, y_rs)
     perms = _permutations(n)
     ii = np.arange(n).reshape(1, n, 1)
@@ -228,34 +219,6 @@ def _best_permutation(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
             best_score = float(scores[k])
             best_perm = block[k]
     return best_perm
-
-
-def _restrict_to_real(perm: np.ndarray, m: int, n: int):
-    """Drop padded rows/cols from a full permutation over the common order."""
-    return tuple((i, int(perm[i])) for i in range(m) if perm[i] < n)
-
-
-def exact_sdp(x: AttributedGraph, y: AttributedGraph, max_order: int = DEFAULT_EXACT_MAX_ORDER) -> MatchResult:
-    """Exact dot product by enumerating all node correspondences.
-
-    The smaller graph is padded with isolated zero nodes to the larger order,
-    every permutation of that order is scored, and the lexicographically
-    smallest maximizer wins ties.
-    """
-    if x.attr_dim != y.attr_dim:
-        raise ValidationError(f"attribute dimensions differ: {x.attr_dim} vs {y.attr_dim}")
-    n = max(x.order, y.order)
-    if n > max_order:
-        raise CapacityError(
-            f"orders ({x.order}, {y.order}) exceed the exact cap {max_order}; "
-            "use the graduated matcher"
-        )
-    rx, ry = to_representation(x), to_representation(y)
-    cx = _pad_cells(rx.cells, n)
-    cy = _pad_cells(ry.cells, n)
-    perm = _best_permutation(cx, cy)
-    match = MatchMatrix(x.order, y.order, _restrict_to_real(perm, x.order, y.order))
-    return MatchResult(kernel_value(rx, ry, match), match, True)
 
 
 def _ga_soft(cx: np.ndarray, cy: np.ndarray, params: GaParams) -> np.ndarray:
@@ -315,15 +278,13 @@ def _ga_soft(cx: np.ndarray, cy: np.ndarray, params: GaParams) -> np.ndarray:
 
 
 def _ga_soft_pairs(cx: np.ndarray, cy: np.ndarray, params: GaParams):
-    """Graduated assignment core on raw cell arrays; returns assigned (row, col) pairs.
+    """Graduated assignment core on raw cell arrays of orders m, n >= 1; returns
+    assigned (row, col) pairs.
 
     The soft matrix of `_ga_soft` is discretized by greedy maximum selection
     down to min(m, n) pairs.
     """
-    _note_solver_call()
     m, n = cx.shape[0], cy.shape[0]
-    if min(m, n) == 0:
-        return ()
     pick = _ga_soft(cx, cy, params).copy()
     pairs = []
     for _ in range(min(m, n)):
@@ -334,27 +295,59 @@ def _ga_soft_pairs(cx: np.ndarray, cy: np.ndarray, params: GaParams):
     return tuple(sorted(pairs))
 
 
+def _match(cx: np.ndarray, cy: np.ndarray, cfg: MatcherConfig):
+    """Assigned (row, col) pairs of a best correspondence between two cell arrays.
+
+    Exact enumeration pads both arrays with isolated zero nodes to the larger
+    order, so it raises CapacityError above `cfg.exact_max_order` (and above
+    the enumerator's own limit); graduated assignment works on the arrays as
+    they are. Counts as one solver call.
+    """
+    m, n = cx.shape[0], cy.shape[0]
+    k = max(m, n)
+    cap = min(cfg.exact_max_order, _HARD_ENUM_LIMIT)
+    if cfg.method == "exact" and k > cap:
+        raise CapacityError(
+            f"orders ({m}, {n}) exceed the exact cap {cap}; use the graduated matcher"
+        )
+    _note_solver_call()
+    if min(m, n) == 0:
+        return ()
+    if cfg.method == "graduated":
+        return _ga_soft_pairs(cx, cy, cfg.ga_params)
+    perm = _best_permutation(_pad_cells(cx, k), _pad_cells(cy, k))
+    return tuple((i, int(perm[i])) for i in range(m) if perm[i] < n)  # drop padded nodes
+
+
+def _check_dims(a, b) -> None:
+    if a.attr_dim != b.attr_dim:
+        raise ValidationError(f"attribute dimensions differ: {a.attr_dim} vs {b.attr_dim}")
+
+
+def _sdp(x: AttributedGraph, y: AttributedGraph, cfg: MatcherConfig) -> MatchResult:
+    _check_dims(x, y)
+    rx, ry = to_representation(x), to_representation(y)
+    match = MatchMatrix(x.order, y.order, _match(rx.cells, ry.cells, cfg))
+    return MatchResult(kernel_value(rx, ry, match), match, cfg.method == "exact")
+
+
+def exact_sdp(x: AttributedGraph, y: AttributedGraph, max_order: int = DEFAULT_EXACT_MAX_ORDER) -> MatchResult:
+    """Exact dot product by enumerating all node correspondences.
+
+    The smaller graph is padded with isolated zero nodes to the larger order,
+    every permutation of that order is scored, and the lexicographically
+    smallest maximizer wins ties.
+    """
+    return _sdp(x, y, MatcherConfig(exact_max_order=max_order))
+
+
 def ga_sdp(x: AttributedGraph, y: AttributedGraph, params: GaParams | None = None) -> MatchResult:
     """Heuristic dot product via graduated assignment.
 
     Always returns a feasible correspondence, so the value is a lower bound on
     the exact optimum; it is recomputed from the hard match.
     """
-    params = params or GaParams()
-    if x.attr_dim != y.attr_dim:
-        raise ValidationError(f"attribute dimensions differ: {x.attr_dim} vs {y.attr_dim}")
-    rx, ry = to_representation(x), to_representation(y)
-    if not (np.isfinite(rx.cells).all() and np.isfinite(ry.cells).all()):
-        raise ValidationError("graph attributes must be finite")
-    pairs = _ga_soft_pairs(rx.cells, ry.cells, params)
-    match = MatchMatrix(x.order, y.order, pairs)
-    return MatchResult(kernel_value(rx, ry, match), match, False)
-
-
-def _identity_self_product(x: AttributedGraph) -> MatchResult:
-    rep = to_representation(x)
-    match = MatchMatrix.identity(x.order)
-    return MatchResult(kernel_value(rep, rep, match), match, True)
+    return _sdp(x, y, MatcherConfig("graduated", ga_params=params or GaParams()))
 
 
 def sdp(x: AttributedGraph, y: AttributedGraph, cfg: MatcherConfig | None = None) -> MatchResult:
@@ -364,10 +357,9 @@ def sdp(x: AttributedGraph, y: AttributedGraph, cfg: MatcherConfig | None = None
     identity correspondence is optimal, so no matching problem is solved.
     """
     cfg = cfg or MatcherConfig()
-    if x.attr_dim != y.attr_dim:
-        raise ValidationError(f"attribute dimensions differ: {x.attr_dim} vs {y.attr_dim}")
     if x is y:
-        return _identity_self_product(x)
+        rep, match = to_representation(x), MatchMatrix.identity(x.order)
+        return MatchResult(kernel_value(rep, rep, match), match, True)
     if cfg.method == "exact":
         return exact_sdp(x, y, cfg.exact_max_order)
     return ga_sdp(x, y, cfg.ga_params)
@@ -380,33 +372,12 @@ def optimal_align(rw: Representation, x: AttributedGraph, cfg: MatcherConfig | N
     nodes, if larger only the best-matching nodes are kept. The flattened dot
     product of `rw` with the result equals the (dispatched) dot product value.
     """
-    cfg = cfg or MatcherConfig()
+    _check_dims(rw, x)
     rx = to_representation(x)
-    if rw.attr_dim != rx.attr_dim:
-        raise ValidationError(f"attribute dimensions differ: {rw.attr_dim} vs {rx.attr_dim}")
-    nw, nx = rw.order, rx.order
-    n = max(nw, nx)
-    if n == 0:
-        return Representation.zeros(0, rw.attr_dim)
-    if cfg.method == "exact":
-        if n > cfg.exact_max_order:
-            raise CapacityError(
-                f"orders ({nw}, {nx}) exceed the exact cap {cfg.exact_max_order}; "
-                "use the graduated matcher"
-            )
-        cw = _pad_cells(rw.cells, n)
-        cxp = _pad_cells(rx.cells, n)
-        perm = _best_permutation(cw, cxp)
-        rows = perm[:nw]
-        return Representation(cxp[np.ix_(rows, rows)])
-    if not (np.isfinite(rw.cells).all() and np.isfinite(rx.cells).all()):
-        raise ValidationError("attributes must be finite")
-    pairs = _ga_soft_pairs(rw.cells, rx.cells, cfg.ga_params)
-    aligned = np.zeros((nw, nw, rw.attr_dim))
-    if pairs:
-        rows = np.array([i for i, _ in pairs], dtype=np.intp)
-        cols = np.array([r for _, r in pairs], dtype=np.intp)
-        aligned[np.ix_(rows, rows)] = rx.cells[np.ix_(cols, cols)]
+    aligned = np.zeros((rw.order, rw.order, rw.attr_dim))
+    pairs = _match(rw.cells, rx.cells, cfg or MatcherConfig())
+    rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    aligned[rows[:, None], rows] = rx.cells[cols[:, None], cols]
     return Representation(aligned)
 
 

@@ -83,8 +83,6 @@ class OvaModel:
 
 def evaluate(model: SublinearModel, x: AttributedGraph) -> float:
     """Discriminant value W.X + b via optimal alignment against the stored weights."""
-    if x.attr_dim != model.attr_dim:
-        raise ValidationError(f"attribute dimensions differ: {model.attr_dim} vs {x.attr_dim}")
     aligned = optimal_align(model.weight_rep, x, model.matcher)
     return float(np.vdot(model.weight_rep.cells, aligned.cells)) + model.bias
 

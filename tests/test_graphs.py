@@ -105,6 +105,18 @@ class TestRepresentation:
         # after attaching the flag the graph is representable
         to_representation(attach_edge_flag(g))
 
+    def test_encoding_computed_once_per_graph(self):
+        g = running_graph()
+        assert to_representation(g) is to_representation(g)
+
+    def test_failed_encoding_raises_on_every_call(self):
+        zero_edge = AttributedGraph([[1.0], [1.0]], [(0, 1, [0.0])])
+        not_finite = AttributedGraph([[np.inf], [1.0]], [(0, 1, [1.0])])
+        for g, message in ((zero_edge, "zero attribute"), (not_finite, "finite")):
+            for _ in range(2):
+                with pytest.raises(ValidationError, match=message):
+                    to_representation(g)
+
     def test_asymmetric_cells_rejected(self):
         cells = np.zeros((2, 2, 1))
         cells[0, 1, 0] = 1.0

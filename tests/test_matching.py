@@ -58,6 +58,27 @@ class TestKernelValue:
         with pytest.raises(ValidationError):
             kernel_value(to_representation(GX), to_representation(GY), MatchMatrix.identity(3))
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_matches_reference_loop(self, scale):
+        # every order pair 0..8 both ways (m<n, m>n, m=n), d cycling over 1..5
+        rng = np.random.default_rng(17)
+        for m in range(9):
+            for n in range(9):
+                d = 1 + (m * 9 + n) % 5
+                rx = to_representation(rand_graph(rng, m, d, 0.6, scale))
+                ry = to_representation(rand_graph(rng, n, d, 0.6, scale))
+                k = min(m, n)
+                match = MatchMatrix(m, n, zip(rng.permutation(m)[:k], rng.permutation(n)[:k]))
+                assert kernel_value(rx, ry, match) == _reference_kernel_value(rx, ry, match)
+
+
+def _reference_kernel_value(rx, ry, match):
+    """kernel_value as first written: one np.dot per pair of assigned pairs; the
+    oracle the vectorized sum must equal bit for bit."""
+    cx, cy = rx.cells, ry.cells
+    terms = [float(np.dot(cx[i, j], cy[r, s])) for i, r in match.pairs for j, s in match.pairs]
+    return math.fsum(terms)
+
 
 class TestExactSdp:
     def test_self_product_is_squared_norm(self):
@@ -116,10 +137,13 @@ class TestGaSdp:
             b = rand_graph(rng, 5, 1)
             assert ga_sdp(a, b).value <= exact_sdp(a, b).value + 1e-9
 
-    def test_non_finite_rejected(self):
+    @pytest.mark.parametrize("solve", [
+        ga_sdp, exact_sdp, lambda bad, g: optimal_align(to_representation(g), bad),
+    ], ids=["ga_sdp", "exact_sdp", "optimal_align"])
+    def test_non_finite_rejected(self, solve):
         bad = AttributedGraph([[np.nan], [1.0]], [(0, 1, [1.0])])
-        with pytest.raises(ValidationError):
-            ga_sdp(bad, GX)
+        with pytest.raises(ValidationError, match="finite"):
+            solve(bad, GX)
 
 
 def _reference_ga(cx, cy, params):
@@ -205,9 +229,16 @@ class TestMatcherConfig:
                                           "assignment_rounds_max"]
         assert MatcherConfig.from_json(doc) == cfg
 
-    def test_unknown_ga_params_key_rejected(self):
-        with pytest.raises(ValidationError, match="bogus"):
-            MatcherConfig.from_json({"method": "graduated", "ga_params": {"bogus": 1}})
+    @pytest.mark.parametrize("doc, match", [
+        ({"method": "graduated", "ga_params": {"bogus": 1}}, "bogus"),
+        ("graduated", "JSON object"),
+        ({"ga_params": {"beta_start": "x"}}, "'ga_params'"),
+        ({"ga_params": [["beta_start", 1]]}, "'ga_params'"),
+        ({"exact_max_order": "x"}, "'exact_max_order'"),
+    ], ids=["bogus", "not-an-object", "ga_params-type", "ga_params-list", "exact_max_order-type"])
+    def test_unknown_ga_params_key_rejected(self, doc, match):
+        with pytest.raises(ValidationError, match=match):
+            MatcherConfig.from_json(doc)
 
 
 class TestDispatch:

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import sublin
 from sublin import (AttributedGraph, Dataset, LabeledExample, MatcherConfig,
                     SyntheticSpec, ValidationError, generate_synthetic,
                     knn_classify, matcher_call_count, predict_multiclass,
@@ -104,9 +106,12 @@ class TestCallAccounting:
 
 
 def run_cli(*args):
+    # the CLI runs from the same sources as the tests, installed or not
+    src = os.path.dirname(os.path.dirname(sublin.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "sublin.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -193,11 +198,29 @@ class TestCli:
         proc = run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
         assert proc.returncode == 1
 
-    @pytest.mark.parametrize("command, key", [("train", "data"), ("protocol", "dataset")])
-    def test_config_missing_key_is_validation_error(self, tmp_path, command, key):
+    @pytest.mark.parametrize("command, key", [
+        ("train", "data"), ("protocol", "dataset"), ("train", "matcher"),
+        ("train", "ga_params"), ("train", "exact_max_order"), ("train", "eta"),
+        ("train", "max_epochs"), ("synth", "attr_dim"), ("synth", "order_range"),
+    ])
+    def test_config_missing_key_is_validation_error(self, tmp_path, dataset_dir, command, key):
+        data = {"data": str(dataset_dir)}
+        spec = {"n_examples": {"train": 4}, "order_range": [2, 3], "attr_dim": 1,
+                "planted_order": 2, "planted_margin": 0.1, "edge_density": 0.5}
+        docs = {
+            "data": {}, "dataset": {},
+            "matcher": {**data, "matcher": "graduated"},
+            "ga_params": {**data, "matcher": {"ga_params": {"beta_start": "x"}}},
+            "exact_max_order": {**data, "matcher": {"exact_max_order": "x"}},
+            "eta": {**data, "eta": "fast"},
+            "max_epochs": {**data, "max_epochs": [1]},
+            "attr_dim": {**spec, "attr_dim": "x"},
+            "order_range": {k: v for k, v in spec.items() if k != "order_range"},
+        }
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text("{}")
-        proc = run_cli(command, "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        cfg_path.write_text(json.dumps(docs[key]))
+        flag = "--spec" if command == "synth" else "--config"
+        proc = run_cli(command, flag, str(cfg_path), "--out", str(tmp_path / "o"))
         assert proc.returncode == 1
         assert repr(key) in proc.stderr
         assert "Traceback" not in proc.stderr
