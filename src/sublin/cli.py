@@ -17,6 +17,7 @@ from . import data_io, matching, protocol
 from .data_io import (GXL_PRESETS, GxlAttrConfig, SyntheticSpec, binary_examples,
                       generate_synthetic, read_examples_jsonl, read_jsonl, write_jsonl)
 from .exceptions import InfeasibleSpecError, ValidationError, config_value
+from .files import atomic_write
 from .learning import TrainConfig, train_binary, train_one_vs_all, write_trace_jsonl
 from .matching import MatcherConfig, exact_sdp, ga_sdp, sdp
 from .model import OvaModel, classify, load_model, predict_multiclass, save_model
@@ -79,7 +80,7 @@ def _int_or_none(value):
 def _write_json(doc, path=None):
     text = json.dumps(doc, indent=2)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write(text)
             fh.write("\n")
     else:

@@ -23,6 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .exceptions import DatasetFormatError, InfeasibleSpecError, ValidationError, config_value
+from .files import atomic_write
 from .graphs import AttributedGraph
 from .learning import LabeledExample
 from .matching import DEFAULT_EXACT_MAX_ORDER, MatcherConfig, sdp
@@ -139,11 +140,11 @@ def write_jsonl(dataset: Dataset, dirpath) -> None:
         "splits": {name: f"{name}.jsonl" for name in dataset.splits},
         "provenance": dataset.provenance,
     }
-    with open(os.path.join(dirpath, META_FILENAME), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(dirpath, META_FILENAME)) as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
     for name, examples in dataset.splits.items():
-        with open(os.path.join(dirpath, meta["splits"][name]), "w", encoding="utf-8") as fh:
+        with atomic_write(os.path.join(dirpath, meta["splits"][name])) as fh:
             for k, ex in enumerate(examples):
                 fh.write(json.dumps(_graph_to_doc(ex, f"{name}-{k:06d}")))
                 fh.write("\n")

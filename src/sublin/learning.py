@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exceptions import ValidationError
+from .files import atomic_write
 from .graphs import AttributedGraph, Representation
 from .matching import MatcherConfig, induced_distance, optimal_align
 from .model import OvaModel, SublinearModel
@@ -232,7 +233,7 @@ def knn_classify(train: Sequence[LabeledExample], x: AttributedGraph, k: int = 1
 
 def write_trace_jsonl(trace: TrainTrace, path) -> None:
     """One JSON record per epoch: {epoch, updates, errors, risk}."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for s in trace.epochs:
             fh.write(json.dumps(
                 {"epoch": s.epoch, "updates": s.updates, "errors": s.errors, "risk": s.risk}

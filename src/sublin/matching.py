@@ -21,7 +21,15 @@ from .exceptions import CapacityError, SizeError, ValidationError, config_value
 from .graphs import AttributedGraph, Representation, to_representation
 
 DEFAULT_EXACT_MAX_ORDER = 8
-_HARD_ENUM_LIMIT = 9  # 9! permutations is the most the enumerator will materialize
+# Orders above this are never enumerated. The enumerator keeps, for the life of
+# the process, one uint16 table of n! x n x n flat positions per order it has
+# seen (`_pair_index`, 2 n! n^2 bytes): 52 kB at order 6, 0.49 MB at 7, 5.2 MB
+# at 8 and 59 MB at 9, plus about 20 MB of temporaries while the order-9 table
+# is built.
+_HARD_ENUM_LIMIT = 9
+# Permutations scored per gather; bounds the per-call buffers (0.3 MB of terms
+# at order 7). 720 = 6! divides n! from order 6 up, so every chunk is full.
+_ENUM_CHUNK = 720
 
 # Count of hard matching problems actually solved (enumeration or annealing).
 # Identity self-products are closed-form and do not count. Not thread-safe;
@@ -115,8 +123,10 @@ class GaParams:
             raise ValidationError("beta_rate must exceed 1")
         if self.beta_max <= self.beta_start:
             raise ValidationError("beta_max must exceed beta_start")
-        if self.sinkhorn_max_iters < 1 or self.assignment_rounds_max < 1:
-            raise ValidationError("iteration counts must be at least 1")
+        for name in ("sinkhorn_max_iters", "assignment_rounds_max"):
+            count = getattr(self, name)
+            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+                raise ValidationError(f"{name!r} must be an integer of at least 1, got {count!r}")
         if self.sinkhorn_tol <= 0:
             raise ValidationError("sinkhorn_tol must be positive")
 
@@ -184,9 +194,17 @@ def kernel_value(rx: Representation, ry: Representation, match: MatchMatrix) -> 
 
 
 @lru_cache(maxsize=16)
-def _permutations(n: int) -> np.ndarray:
-    """All permutations of 0..n-1 in lexicographic order, one per row."""
-    return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+def _pair_index(n: int) -> np.ndarray:
+    """Flat positions into an order-n compatibility array laid out as (i, r, j, s):
+    row k holds table[k, i, j] = ((i*n + p(i))*n + j)*n + p(j) for the k-th
+    permutation p of 0..n-1 in lexicographic order. Read-only, n! x n x n uint16
+    (the largest position, n**4 - 1, is 6,560 at order 9)."""
+    perms = np.fromiter(itertools.permutations(range(n)), dtype=np.dtype((np.uint16, n)),
+                        count=math.factorial(n))
+    row = np.arange(n, dtype=np.uint16) * n + perms  # i*n + p(i)
+    table = (row * (n * n))[:, :, None] + row[:, None, :]
+    table.flags.writeable = False
+    return table
 
 
 def _pad_cells(cells: np.ndarray, n: int) -> np.ndarray:
@@ -201,24 +219,30 @@ def _pad_cells(cells: np.ndarray, n: int) -> np.ndarray:
 def _best_permutation(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     """Lexicographically smallest permutation maximizing sum_ij dot(x_ij, y_p(i)p(j)).
 
-    Both cell arrays must share the same order, at least 1.
+    Both cell arrays must share the same order n, at least 1. The n x n terms of
+    `_ENUM_CHUNK` permutations at a time are gathered through the cached
+    `_pair_index(n)` table into one buffer and summed in that (i, j) layout; the
+    first maximizer of a chunk wins, and a later chunk only on a strictly larger
+    score. The winning permutation is decoded from its table row.
     """
     n = cx.shape[0]
-    compat = np.tensordot(cx, cy, axes=([2], [2]))  # compat[i, j, r, s] = dot(x_ij, y_rs)
-    perms = _permutations(n)
-    ii = np.arange(n).reshape(1, n, 1)
-    jj = np.arange(n).reshape(1, 1, n)
+    # compat[((i*n + r)*n + j)*n + s] = dot(x_ij, y_rs)
+    compat = np.tensordot(cx, cy, axes=([2], [2])).transpose(0, 2, 1, 3).ravel()
+    table = _pair_index(n)
+    rows = min(_ENUM_CHUNK, table.shape[0])
+    # one buffer per call: a fresh array per chunk costs page faults once the
+    # allocator returns it to the system; "clip" lets take fill it directly, and
+    # every position is in range by construction
+    terms = np.empty((rows, n, n))
     best_score = -np.inf
-    best_perm = perms[0]
-    chunk = 5040
-    for start in range(0, perms.shape[0], chunk):
-        block = perms[start : start + chunk]
-        scores = compat[ii, jj, block[:, :, None], block[:, None, :]].sum(axis=(1, 2))
+    best_row = table[0]
+    for block in table.reshape(-1, rows, n, n):
+        scores = np.take(compat, block, out=terms, mode="clip").sum(axis=(1, 2))
         k = int(np.argmax(scores))
         if scores[k] > best_score:
             best_score = float(scores[k])
-            best_perm = block[k]
-    return best_perm
+            best_row = block[k]
+    return best_row[:, 0] // (n * n) - np.arange(n) * n
 
 
 def _ga_soft(cx: np.ndarray, cy: np.ndarray, params: GaParams) -> np.ndarray:

@@ -14,6 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from .exceptions import DegenerateModelError, ValidationError
+from .files import atomic_write
 from .graphs import AttributedGraph, Representation, from_representation, to_representation
 from .matching import MatcherConfig, optimal_align
 
@@ -170,7 +171,7 @@ def save_model(model, path) -> None:
         }
     else:
         doc = _model_doc(model)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh)
         fh.write("\n")
 

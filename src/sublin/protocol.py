@@ -55,6 +55,8 @@ class ProtocolConfig:
             raise ValidationError("hyperparameter grids must be non-empty")
         if self.repeats < 1:
             raise ValidationError("repeats must be at least 1")
+        if not isinstance(self.knn_k, int) or isinstance(self.knn_k, bool) or self.knn_k < 1:
+            raise ValidationError(f"knn_k must be an integer of at least 1, got {self.knn_k!r}")
 
 
 @dataclass
@@ -202,8 +204,6 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
     selected_lambda = None
 
     if cfg.algorithm == "knn":
-        if isinstance(cfg.knn_k, int) and cfg.knn_k < 1:
-            raise ValidationError("knn_k must be at least 1")
         hits = sum(
             knn_classify(trainval, ex.graph, cfg.knn_k, cfg.matcher) == ex.y for ex in test
         )

@@ -1,11 +1,12 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from conftest import permuted_graph, rand_graph, rand_sym_cells
-from sublin import (AttributedGraph, LabeledExample, MatcherConfig, Representation,
-                    TrainConfig, ValidationError, classify, derive_seed, empirical_risk,
+from sublin import (AttributedGraph, EpochStats, LabeledExample, MatcherConfig, Representation,
+                    TrainConfig, TrainTrace, ValidationError, classify, derive_seed, empirical_risk,
                     evaluate, hinge_loss, knn_classify, optimal_align, subgradient_step,
                     to_representation, train_binary, train_one_vs_all, write_trace_jsonl)
 
@@ -354,3 +355,13 @@ class TestTraceOutput:
         assert len(records) == len(trace.epochs)
         assert records[0].keys() == {"epoch", "updates", "errors", "risk"}
         assert records[-1]["updates"] == 0
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        # the second record cannot be serialized, after the first was written
+        path = tmp_path / "trace.jsonl"
+        path.write_text("previous\n")
+        bad = TrainTrace((EpochStats(1, 1, 1, 0.5), EpochStats(2, 0, 0, object())), 1, False, 2)
+        with pytest.raises(TypeError):
+            write_trace_jsonl(bad, path)
+        assert path.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["trace.jsonl"]

@@ -1,4 +1,6 @@
+import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from conftest import permuted_graph, rand_graph, rand_sym_cells, rel_close
 from sublin import (AttributedGraph, CapacityError, GaParams, MatcherConfig, MatchMatrix,
                     Representation, ValidationError, exact_sdp, ga_sdp, induced_distance,
                     kernel_value, optimal_align, sdp, to_representation)
-from sublin.matching import _ga_soft
+from sublin.matching import _best_permutation, _ga_soft, _pad_cells
 
 EXACT = MatcherConfig()
 GRADUATED = MatcherConfig(method="graduated")
@@ -146,6 +148,96 @@ class TestGaSdp:
             solve(bad, GX)
 
 
+@lru_cache(maxsize=None)
+def _reference_permutations(n):
+    return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+
+
+def _reference_best_permutation(cx, cy):
+    """The exact scorer as first written: a 4-D fancy-index gather over the
+    (i, j, r, s) compatibility array, 5,040 permutations at a time; the oracle
+    the flat-index scorer must match exactly."""
+    n = cx.shape[0]
+    compat = np.tensordot(cx, cy, axes=([2], [2]))
+    perms = _reference_permutations(n)
+    ii = np.arange(n).reshape(1, n, 1)
+    jj = np.arange(n).reshape(1, 1, n)
+    best_score = -np.inf
+    best_perm = perms[0]
+    for start in range(0, perms.shape[0], 5040):
+        block = perms[start : start + 5040]
+        scores = compat[ii, jj, block[:, :, None], block[:, None, :]].sum(axis=(1, 2))
+        k = int(np.argmax(scores))
+        if scores[k] > best_score:
+            best_score = float(scores[k])
+            best_perm = block[k]
+    return best_perm
+
+
+def _reference_pairs(cx, cy):
+    m, n = cx.shape[0], cy.shape[0]
+    perm = _reference_best_permutation(_pad_cells(cx, max(m, n)), _pad_cells(cy, max(m, n)))
+    return [(i, int(perm[i])) for i in range(m) if perm[i] < n]
+
+
+class TestExactBitIdentity:
+    @staticmethod
+    def _cell_pairs(rng, scale):
+        """(cx, cy) of one order: random, padded, all-zero, all-equal, integer-valued
+        and relabeling-invariant."""
+        def cells(n, d):
+            return rand_sym_cells(rng, n, d, scale)
+
+        for n in range(1, 8):
+            for _ in range(3):
+                d = int(rng.integers(1, 5))
+                yield cells(n, d), cells(n, d)
+        yield cells(8, 2), cells(8, 2)
+        for m, n in ((2, 5), (3, 6), (4, 7), (6, 7)):  # padded x, then padded y
+            yield _pad_cells(cells(m, 2), n), cells(n, 2)
+            yield cells(n, 3), _pad_cells(cells(m, 3), n)
+        for n in (4, 7):  # every permutation ties, across chunks at order 7
+            yield np.zeros((n, n, 2)), cells(n, 2)
+            yield np.full((n, n, 2), scale), np.full((n, n, 2), scale)
+        for n in (5, 6, 7):  # integer-valued cells: many exact or near ties
+            yield (np.round(rand_sym_cells(rng, n, 2) * 2) * scale,
+                   np.round(rand_sym_cells(rng, n, 2) * 2) * scale)
+        for n in (4, 5, 6, 7) * 2:
+            # x invariant under a node relabeling t (summed over t's powers): p and
+            # p o t score the same terms in other positions, so they tie up to rounding
+            t = rng.permutation(n)
+            c = cells(n, 2)
+            x, u = c.copy(), t
+            while not np.array_equal(u, np.arange(n)):
+                x += c[u][:, u]
+                u = u[t]
+            yield x, cells(n, 2)
+
+    @pytest.mark.parametrize("scale, seed", [(1e-6, 1), (1.0, 2), (1e6, 3)])
+    def test_matches_reference_scorer(self, scale, seed):
+        rng = np.random.default_rng(seed)
+        for cx, cy in self._cell_pairs(rng, scale):
+            assert np.array_equal(_best_permutation(cx, cy), _reference_best_permutation(cx, cy))
+
+    @pytest.mark.parametrize("scale, seed", [(1e-6, 4), (1.0, 5), (1e6, 6)])
+    def test_exact_results_unchanged(self, scale, seed):
+        # orders 1-7 both ways; value, match and aligned cells follow the oracle's pairs
+        rng = np.random.default_rng(seed)
+        for m, n in ((1, 3), (3, 1), (4, 4), (2, 6), (6, 2), (5, 7), (7, 5), (7, 7)):
+            d = int(rng.integers(1, 4))
+            x, y = rand_graph(rng, m, d, scale=scale), rand_graph(rng, n, d, scale=scale)
+            rx, ry = to_representation(x), to_representation(y)
+            pairs = _reference_pairs(rx.cells, ry.cells)
+            want = MatchMatrix(m, n, pairs)
+            got = exact_sdp(x, y)
+            assert got.match == want
+            assert got.value == kernel_value(rx, ry, want)
+            aligned = np.zeros_like(rx.cells)
+            rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+            aligned[rows[:, None], rows] = ry.cells[cols[:, None], cols]
+            assert optimal_align(rx, y).cells.tobytes() == aligned.tobytes()
+
+
 def _reference_ga(cx, cy, params):
     """Graduated assignment as first written: a fresh buffer per round, both
     Sinkhorn errors every sweep, every round run. Returns the soft matrix and
@@ -235,7 +327,11 @@ class TestMatcherConfig:
         ({"ga_params": {"beta_start": "x"}}, "'ga_params'"),
         ({"ga_params": [["beta_start", 1]]}, "'ga_params'"),
         ({"exact_max_order": "x"}, "'exact_max_order'"),
-    ], ids=["bogus", "not-an-object", "ga_params-type", "ga_params-list", "exact_max_order-type"])
+        ({"method": "graduated", "ga_params": {"sinkhorn_max_iters": 3.5}},
+         "'sinkhorn_max_iters' must be an integer"),
+        ({"ga_params": {"assignment_rounds_max": True}}, "'assignment_rounds_max' must be an integer"),
+    ], ids=["bogus", "not-an-object", "ga_params-type", "ga_params-list", "exact_max_order-type",
+            "sinkhorn_max_iters-float", "assignment_rounds_max-bool"])
     def test_unknown_ga_params_key_rejected(self, doc, match):
         with pytest.raises(ValidationError, match=match):
             MatcherConfig.from_json(doc)

@@ -88,6 +88,11 @@ class TestRunProtocol:
         with pytest.raises(ValidationError):
             ProtocolConfig(dataset=synth(), algorithm="svm")
 
+    @pytest.mark.parametrize("k", [1.5, 0, True])
+    def test_knn_k_must_be_positive_integer(self, k):
+        with pytest.raises(ValidationError, match="knn_k must be an integer"):
+            ProtocolConfig(dataset=synth(), algorithm="knn", knn_k=k)
+
 
 class TestCallAccounting:
     def test_one_vs_all_prediction_costs_one_call_per_class(self):
@@ -202,6 +207,7 @@ class TestCli:
         ("train", "data"), ("protocol", "dataset"), ("train", "matcher"),
         ("train", "ga_params"), ("train", "exact_max_order"), ("train", "eta"),
         ("train", "max_epochs"), ("synth", "attr_dim"), ("synth", "order_range"),
+        ("train", "sinkhorn_max_iters"),
     ])
     def test_config_missing_key_is_validation_error(self, tmp_path, dataset_dir, command, key):
         data = {"data": str(dataset_dir)}
@@ -216,6 +222,8 @@ class TestCli:
             "max_epochs": {**data, "max_epochs": [1]},
             "attr_dim": {**spec, "attr_dim": "x"},
             "order_range": {k: v for k, v in spec.items() if k != "order_range"},
+            "sinkhorn_max_iters": {**data, "matcher": {"method": "graduated",
+                                                       "ga_params": {"sinkhorn_max_iters": 3.5}}},
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(docs[key]))
