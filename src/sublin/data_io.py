@@ -26,8 +26,8 @@ from .exceptions import DatasetFormatError, InfeasibleSpecError, ValidationError
 from .files import atomic_write
 from .graphs import AttributedGraph
 from .learning import LabeledExample
-from .matching import DEFAULT_EXACT_MAX_ORDER, MatcherConfig, sdp
-from .model import SublinearModel, evaluate
+from .matching import _HARD_ENUM_LIMIT, DEFAULT_EXACT_MAX_ORDER, MatcherConfig, sdp
+from .model import SublinearModel, margin_lower_bound
 
 META_FILENAME = "meta.json"
 
@@ -187,15 +187,17 @@ def read_jsonl(dirpath) -> Dataset:
             meta = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"invalid JSON ({exc.msg})", meta_path) from exc
-    splits = {}
-    for name, filename in meta.get("splits", {}).items():
-        splits[name] = read_examples_jsonl(os.path.join(dirpath, filename))
-    ds = Dataset(meta.get("name", os.path.basename(os.path.normpath(dirpath))),
-                 splits, meta.get("classes", []), meta.get("provenance", {}))
-    dims = {ex.graph.attr_dim for exs in ds.splits.values() for ex in exs}
-    if len(dims) > 1:
-        raise DatasetFormatError(f"splits disagree on attr_dim: {sorted(dims)}", dirpath)
-    return ds
+    splits = {name: read_examples_jsonl(os.path.join(dirpath, filename))
+              for name, filename in config_value(meta, "splits", _split_files, {}).items()}
+    return Dataset(config_value(meta, "name", str, os.path.basename(os.path.normpath(dirpath))),
+                   splits, config_value(meta, "classes", tuple, ()),
+                   config_value(meta, "provenance", dict, {}))
+
+
+def _split_files(doc) -> Dict[str, str]:
+    if not isinstance(doc, dict) or not all(isinstance(f, str) for f in doc.values()):
+        raise TypeError(f"expected an object mapping split names to file names, got {doc!r}")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +460,11 @@ class SyntheticSpec:
             raise ValidationError(
                 f"n_max {n_max} exceeds the exact matcher cap {DEFAULT_EXACT_MAX_ORDER}"
             )
-        if self.attr_dim < 1 or self.planted_order < 1:
-            raise ValidationError("attr_dim and planted_order must be at least 1")
+        if self.attr_dim < 1:
+            raise ValidationError("attr_dim must be at least 1")
+        if not 1 <= self.planted_order <= _HARD_ENUM_LIMIT:
+            raise ValidationError(f"planted_order must lie in 1..{_HARD_ENUM_LIMIT}, "
+                                  "the orders the exact matcher enumerates")
         if self.planted_margin <= 0:
             raise ValidationError("planted_margin must be positive")
         if not 0 < self.edge_density <= 1:
@@ -552,12 +557,9 @@ def generate_synthetic(spec: SyntheticSpec):
     """
     rng = np.random.default_rng(spec.seed)
     matcher = MatcherConfig(method="exact",
-                            exact_max_order=max(DEFAULT_EXACT_MAX_ORDER,
-                                                spec.planted_order, spec.order_range[1]))
+                            exact_max_order=max(DEFAULT_EXACT_MAX_ORDER, spec.planted_order))
 
-    planted_graph = random_graph(rng, spec.planted_order, spec.attr_dim,
-                                 spec.edge_density, spec.attribute_scale)
-    w_norm = math.sqrt(sdp(planted_graph, planted_graph, matcher).value)
+    w_norm = 0.0
     while w_norm == 0.0:
         planted_graph = random_graph(rng, spec.planted_order, spec.attr_dim,
                                      spec.edge_density, spec.attribute_scale)
@@ -640,12 +642,9 @@ def generate_synthetic(spec: SyntheticSpec):
 
 def margin_certificate(dataset: Dataset, planted: SublinearModel) -> float:
     """Smallest normalized margin y * f*(X) / ||W*|| over all examples."""
-    from .model import weight_norm
-
-    wn = weight_norm(planted)
     worst = math.inf
     for exs in dataset.splits.values():
         for ex in exs:
             y = 1 if ex.y == POSITIVE_CLASS else -1
-            worst = min(worst, y * evaluate(planted, ex.graph) / wn)
+            worst = min(worst, y * margin_lower_bound(planted, ex.graph))
     return worst

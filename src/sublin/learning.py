@@ -19,8 +19,8 @@ import numpy as np
 from .exceptions import ValidationError
 from .files import atomic_write
 from .graphs import AttributedGraph, Representation
-from .matching import MatcherConfig, induced_distance, optimal_align
-from .model import OvaModel, SublinearModel
+from .matching import MatcherConfig, induced_distance
+from .model import OvaModel, SublinearModel, _score
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,7 @@ def subgradient_step(w: Representation, b: float, example: LabeledExample,
     loss is the hinge value at the incoming state.
     """
     y = int(example.y)
-    aligned = optimal_align(w, example.graph, matcher)
-    y_hat = float(np.vdot(w.cells, aligned.cells)) + b
+    y_hat, aligned = _score(w, b, example.graph, matcher)
     loss = hinge_loss(y_hat, y, margin)
     if y * y_hat <= margin:
         w_new = Representation(w.cells + learning_rate * y * aligned.cells)
@@ -105,8 +104,7 @@ def _split_metrics(w: Representation, b: float, data, margin, matcher):
     risk = 0.0
     errors = 0
     for ex in data:
-        aligned = optimal_align(w, ex.graph, matcher)
-        y_hat = float(np.vdot(w.cells, aligned.cells)) + b
+        y_hat = _score(w, b, ex.graph, matcher)[0]
         risk += hinge_loss(y_hat, int(ex.y), margin)
         pred = 1 if y_hat >= 0.0 else -1
         errors += pred != int(ex.y)
@@ -160,7 +158,7 @@ def train_binary(data: Sequence[LabeledExample], cfg: TrainConfig):
             if cfg.stop_when_separated:
                 break
     trace = TrainTrace(tuple(stats), total_updates, converged, stats[-1].epoch)
-    model = SublinearModel.from_weight_rep(
+    model = SublinearModel(
         w, b, cfg.matcher,
         metadata={
             "algorithm": "margin_perceptron" if cfg.margin > 0 else "perceptron",
@@ -201,14 +199,10 @@ def train_one_vs_all(data: Sequence[LabeledExample], cfg: TrainConfig):
 
 def empirical_risk(model: SublinearModel, data: Sequence[LabeledExample], margin: float) -> float:
     """Mean hinge loss of the model over a labeled sample."""
-    from .model import evaluate
-
     data = list(data)
     if not data:
         raise ValidationError("cannot compute risk of an empty sample")
-    return sum(
-        hinge_loss(evaluate(model, ex.graph), int(ex.y), margin) for ex in data
-    ) / len(data)
+    return _split_metrics(model.weight_rep, model.bias, data, margin, model.matcher)[0]
 
 
 def knn_classify(train: Sequence[LabeledExample], x: AttributedGraph, k: int = 1,

@@ -180,7 +180,8 @@ def kernel_value(rx: Representation, ry: Representation, match: MatchMatrix) -> 
 
     Summed with `math.fsum`, so the value does not depend on pair enumeration
     order. Each term is a (1 x d)(d x 1) matrix product, which rounds exactly as
-    `np.dot` of the two vectors does.
+    `np.dot` of the two vectors does. Raises ValidationError when finite
+    attributes give a value outside the float range.
     """
     if match.rows != rx.order or match.cols != ry.order:
         raise SizeError(
@@ -190,7 +191,13 @@ def kernel_value(rx: Representation, ry: Representation, match: MatchMatrix) -> 
     rows, cols = np.array(match.pairs, dtype=np.intp).reshape(-1, 2).T
     ax = rx.cells[rows[:, None], rows][..., None, :]
     ay = ry.cells[cols[:, None], cols][..., :, None]
-    return math.fsum(np.matmul(ax, ay).ravel().tolist())
+    try:
+        value = math.fsum(np.matmul(ax, ay).ravel().tolist())
+    except (OverflowError, ValueError):  # a partial sum overflowed, or inf - inf
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValidationError("the dot product is not finite: attribute products overflow")
+    return value
 
 
 @lru_cache(maxsize=16)

@@ -1,40 +1,34 @@
 """Classifiers of the form f(X) = W.X + b with a weight graph W.
 
-The model keeps one working representation of W; evaluation aligns the input
-graph against that representation and takes a plain dot product, so the score
-is invariant under relabeling of the input's nodes.
+The model stores W only as one representation (`from_representation` recovers
+the graph); evaluation aligns the input graph against it and takes a plain dot
+product, so the score is invariant under relabeling of the input's nodes.
 """
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .exceptions import DegenerateModelError, ValidationError
+from .exceptions import DegenerateModelError, ValidationError, config_value
 from .files import atomic_write
-from .graphs import AttributedGraph, Representation, from_representation, to_representation
+from .graphs import AttributedGraph, Representation, to_representation
 from .matching import MatcherConfig, optimal_align
 
 MODEL_FORMAT_VERSION = 1
 
 
 class SublinearModel:
-    """Weight graph, working weight representation, bias, and matcher settings."""
+    """Weight representation, bias, and matcher settings."""
 
-    __slots__ = ("weight_graph", "weight_rep", "bias", "matcher", "metadata")
+    __slots__ = ("weight_rep", "bias", "matcher", "metadata")
 
-    def __init__(self, weight_graph: AttributedGraph, weight_rep: Representation,
-                 bias: float, matcher: MatcherConfig | None = None, metadata: dict | None = None):
-        if weight_rep.order != weight_graph.order or weight_rep.attr_dim != weight_graph.attr_dim:
-            raise ValidationError("weight representation shape does not match the weight graph")
-        rep_norm = weight_rep.norm()
-        graph_norm = to_representation(weight_graph).norm()
-        if not math.isclose(rep_norm, graph_norm, rel_tol=1e-9, abs_tol=1e-12):
-            raise ValidationError("weight representation does not represent the weight graph")
-        self.weight_graph = weight_graph
+    def __init__(self, weight_rep: Representation, bias: float = 0.0,
+                 matcher: MatcherConfig | None = None, metadata: dict | None = None):
         self.weight_rep = weight_rep
         self.bias = float(bias)
         self.matcher = matcher or MatcherConfig()
@@ -43,12 +37,7 @@ class SublinearModel:
     @classmethod
     def from_weight_graph(cls, graph: AttributedGraph, bias: float = 0.0,
                           matcher: MatcherConfig | None = None, metadata: dict | None = None):
-        return cls(graph, to_representation(graph), bias, matcher, metadata)
-
-    @classmethod
-    def from_weight_rep(cls, rep: Representation, bias: float = 0.0,
-                        matcher: MatcherConfig | None = None, metadata: dict | None = None):
-        return cls(from_representation(rep), rep, bias, matcher, metadata)
+        return cls(to_representation(graph), bias, matcher, metadata)
 
     @property
     def attr_dim(self) -> int:
@@ -82,10 +71,16 @@ class OvaModel:
             raise ValidationError(f"member models disagree on attr_dim: {sorted(dims)}")
 
 
+def _score(w: Representation, b: float, x: AttributedGraph, matcher: MatcherConfig | None):
+    """(w.aligned + b, aligned): the discriminant of weights (w, b) at `x`, with `x`
+    optimally aligned against `w`. Every discriminant in the package is this one."""
+    aligned = optimal_align(w, x, matcher)
+    return float(np.vdot(w.cells, aligned.cells)) + b, aligned
+
+
 def evaluate(model: SublinearModel, x: AttributedGraph) -> float:
     """Discriminant value W.X + b via optimal alignment against the stored weights."""
-    aligned = optimal_align(model.weight_rep, x, model.matcher)
-    return float(np.vdot(model.weight_rep.cells, aligned.cells)) + model.bias
+    return _score(model.weight_rep, model.bias, x, model.matcher)[0]
 
 
 def classify(model: SublinearModel, x: AttributedGraph) -> int:
@@ -140,19 +135,22 @@ def _model_doc(model: SublinearModel) -> dict:
 
 
 def _model_from_doc(doc: dict) -> SublinearModel:
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValidationError(f"unsupported model format version {doc.get('format_version')!r}")
-    cells = np.asarray(doc["weight_cells"], dtype=np.float64)
-    if cells.size == 0:
-        cells = cells.reshape(doc["order"], doc["order"], doc["attr_dim"])
+    version = config_value(doc, "format_version", lambda v: v, None)
+    if version != MODEL_FORMAT_VERSION:
+        raise ValidationError(f"unsupported model format version {version!r}")
+    order = config_value(doc, "order", operator.index)
+    attr_dim = config_value(doc, "attr_dim", operator.index)
+    cells = config_value(doc, "weight_cells", lambda v: np.asarray(v, dtype=np.float64))
+    if cells.size == 0:  # an order-0 weight is written as []
+        cells = cells.reshape(0, 0, max(attr_dim, 1))
     rep = Representation(cells)
-    if rep.order != doc["order"] or rep.attr_dim != doc["attr_dim"]:
+    if rep.order != order or rep.attr_dim != attr_dim:
         raise ValidationError("weight cell array does not match the declared order/attr_dim")
-    return SublinearModel.from_weight_rep(
+    return SublinearModel(
         rep,
-        bias=float(doc["bias"]),
-        matcher=MatcherConfig.from_json(doc.get("matcher_config", {})),
-        metadata=doc.get("training_metadata", {}),
+        bias=config_value(doc, "bias", float),
+        matcher=config_value(doc, "matcher_config", MatcherConfig.from_json, None),
+        metadata=config_value(doc, "training_metadata", dict, None),
     )
 
 
@@ -180,7 +178,7 @@ def load_model(path):
     """Load a model document written by :func:`save_model`."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("kind") == "ova":
-        members = tuple(_model_from_doc(m) for m in doc["members"])
-        return OvaModel(tuple(doc["classes"]), members)
+    if config_value(doc, "kind", str, None) == "ova":
+        members = config_value(doc, "members", lambda docs: tuple(map(_model_from_doc, docs)))
+        return OvaModel(config_value(doc, "classes", tuple), members)
     return _model_from_doc(doc)

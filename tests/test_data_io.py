@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from sublin import (AttributedGraph, Dataset, DatasetFormatError, GXL_PRESETS,
-                    GxlAttrConfig, InfeasibleSpecError, LabeledExample, MatcherConfig,
-                    SyntheticSpec, ValidationError, binary_examples, classify, evaluate,
+from sublin import (AttributedGraph, Dataset, DatasetFormatError, DegenerateModelError,
+                    GXL_PRESETS, GxlAttrConfig, InfeasibleSpecError, LabeledExample,
+                    MatcherConfig, Representation, SublinearModel, SyntheticSpec,
+                    ValidationError, binary_examples, classify, evaluate,
                     generate_synthetic, margin_certificate, parse_cxl, parse_gxl,
                     read_examples_jsonl, read_jsonl, standardize_dataset, weight_norm,
                     write_jsonl)
@@ -68,6 +69,19 @@ class TestJsonl:
         )
         with pytest.raises(DatasetFormatError, match="attr_dim"):
             read_examples_jsonl(path)
+
+    def test_splits_disagreeing_on_attr_dim_rejected(self, tmp_path):
+        (tmp_path / "meta.json").write_text(
+            '{"classes": ["a"], "splits": {"train": "train.jsonl", "test": "test.jsonl"}}'
+        )
+        (tmp_path / "train.jsonl").write_text(
+            '{"id": "g0", "class": "a", "nodes": [[1.0]], "edges": []}\n'
+        )
+        (tmp_path / "test.jsonl").write_text(
+            '{"id": "g1", "class": "a", "nodes": [[1.0, 2.0]], "edges": []}\n'
+        )
+        with pytest.raises(ValidationError, match="attr_dim"):
+            read_jsonl(tmp_path)
 
     def test_edge_index_order_enforced(self, tmp_path):
         path = tmp_path / "order.jsonl"
@@ -213,6 +227,11 @@ class TestSyntheticGenerator:
         assert cert >= spec.planted_margin
         assert margin_certificate(ds, planted) == pytest.approx(cert)
 
+    def test_certificate_of_zero_planted_model_is_degenerate(self):
+        planted = SublinearModel(Representation.zeros(2, 1), 0.5, EXACT)
+        with pytest.raises(DegenerateModelError):
+            margin_certificate(small_dataset(), planted)
+
     def test_planted_model_has_zero_training_errors(self):
         spec = SyntheticSpec(n_examples={"train": 15}, seed=7, **self.SPEC)
         ds, planted = generate_synthetic(spec)
@@ -246,6 +265,11 @@ class TestSyntheticGenerator:
         with pytest.raises(ValidationError):
             SyntheticSpec(n_examples={"train": 5}, order_range=(2, 12), attr_dim=1,
                           planted_order=2, planted_margin=0.1, edge_density=0.5)
+
+    def test_planted_order_beyond_enumeration_rejected(self):
+        assert SyntheticSpec(n_examples={"train": 5}, **{**self.SPEC, "planted_order": 9})
+        with pytest.raises(ValidationError, match="planted_order"):
+            SyntheticSpec(n_examples={"train": 5}, **{**self.SPEC, "planted_order": 10})
 
     def test_spec_json_round_trip(self):
         spec = SyntheticSpec(n_examples={"train": 5}, seed=3, **self.SPEC)

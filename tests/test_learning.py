@@ -211,7 +211,7 @@ class TestEmpiricalRisk:
             [single_node(1.0, 1)], TrainConfig(learning_rate=0.1, max_epochs=1, matcher=EXACT)
         )
         from sublin import SublinearModel
-        zero = SublinearModel.from_weight_rep(Representation.zeros(1, 1), 0.0, EXACT)
+        zero = SublinearModel(Representation.zeros(1, 1), 0.0, EXACT)
         data = [single_node(1.0, 1), single_node(-1.0, -1)]
         assert empirical_risk(zero, data, 0.0) == 0.0
         assert empirical_risk(zero, data, 1.0) == 1.0
@@ -227,6 +227,16 @@ class TestEmpiricalRisk:
         lam = 0.3
         direct = np.mean([hinge_loss(evaluate(model, ex.graph), ex.y, lam) for ex in data])
         assert empirical_risk(model, data, lam) == pytest.approx(float(direct))
+
+    @pytest.mark.parametrize("margin", [0.0, 0.7])
+    def test_equals_final_epoch_risk(self, margin):
+        rng = np.random.default_rng(13)
+        data = [LabeledExample(rand_graph(rng, int(rng.integers(2, 5)), 2), 1 if i % 3 else -1)
+                for i in range(12)]
+        model, trace = train_binary(data, TrainConfig(learning_rate=0.3, margin=margin,
+                                                      max_epochs=4, seed=1, matcher=EXACT))
+        assert trace.epochs[-1].risk > 0.0
+        assert empirical_risk(model, data, margin) == trace.epochs[-1].risk
 
 
 class TestKnn:

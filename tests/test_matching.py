@@ -73,6 +73,16 @@ class TestKernelValue:
                 match = MatchMatrix(m, n, zip(rng.permutation(m)[:k], rng.permutation(n)[:k]))
                 assert kernel_value(rx, ry, match) == _reference_kernel_value(rx, ry, match)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("x, y", [
+        ([[1e200], [-1e200], [1.0]], [[1e200], [1e200], [2.0]]),  # inf - inf in fsum
+        ([[1.3e154], [1.3e154]], [[1.3e154], [1.3e154]]),  # finite terms, sum overflows
+        ([[1e200]], [[1e200]]),  # one infinite term
+    ], ids=["inf-minus-inf", "sum-overflow", "inf-term"])
+    def test_overflowing_value_rejected(self, x, y):
+        with pytest.raises(ValidationError, match="finite"):
+            sdp(AttributedGraph(x), AttributedGraph(y))
+
 
 def _reference_kernel_value(rx, ry, match):
     """kernel_value as first written: one np.dot per pair of assigned pairs; the

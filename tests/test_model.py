@@ -22,7 +22,7 @@ def model_from(graph, bias=0.0):
 
 class TestEvaluate:
     def test_zero_weights_return_bias(self):
-        m = SublinearModel.from_weight_rep(Representation.zeros(3, 1), bias=0.5)
+        m = SublinearModel(Representation.zeros(3, 1), bias=0.5)
         rng = np.random.default_rng(0)
         for _ in range(5):
             assert evaluate(m, rand_graph(rng, int(rng.integers(1, 5)), 1)) == 0.5
@@ -44,21 +44,21 @@ class TestEvaluate:
 
 class TestClassify:
     def test_boundary_is_positive(self):
-        m = SublinearModel.from_weight_rep(Representation.zeros(2, 1), bias=0.0)
+        m = SublinearModel(Representation.zeros(2, 1), bias=0.0)
         assert classify(m, GX) == 1
 
     def test_negative(self):
-        m = SublinearModel.from_weight_rep(Representation.zeros(2, 1), bias=-0.1)
+        m = SublinearModel(Representation.zeros(2, 1), bias=-0.1)
         assert classify(m, GX) == -1
 
     def test_positive(self):
-        m = SublinearModel.from_weight_rep(Representation.zeros(2, 1), bias=2.0)
+        m = SublinearModel(Representation.zeros(2, 1), bias=2.0)
         assert classify(m, GX) == 1
 
 
 class TestGeometry:
     def test_weight_norm_cases(self):
-        assert weight_norm(SublinearModel.from_weight_rep(Representation.zeros(2, 1))) == 0.0
+        assert weight_norm(SublinearModel(Representation.zeros(2, 1))) == 0.0
         assert weight_norm(model_from(AttributedGraph([[3.0]]))) == 3.0
         assert weight_norm(model_from(GX)) == pytest.approx(math.sqrt(7.0), rel=1e-12)
 
@@ -71,7 +71,7 @@ class TestGeometry:
         assert origin_distance(model_from(AttributedGraph([[2.0]]), bias=-3.0)) == -1.5
 
     def test_degenerate_model(self):
-        zero = SublinearModel.from_weight_rep(Representation.zeros(2, 1), bias=1.0)
+        zero = SublinearModel(Representation.zeros(2, 1), bias=1.0)
         with pytest.raises(DegenerateModelError):
             origin_distance(zero)
         with pytest.raises(DegenerateModelError):
@@ -128,8 +128,8 @@ class TestInvariance:
             w = rand_graph(rng, 4, 2)
             rep = to_representation(w)
             moved = apply_permutation(rep, Permutation(rng.permutation(4)))
-            m1 = SublinearModel(w, rep, 0.3, EXACT)
-            m2 = SublinearModel.from_weight_rep(moved, 0.3, EXACT)
+            m1 = SublinearModel(rep, 0.3, EXACT)
+            m2 = SublinearModel(moved, 0.3, EXACT)
             g = rand_graph(rng, int(rng.integers(1, 6)), 2)
             assert evaluate(m1, g) == pytest.approx(evaluate(m2, g), rel=1e-12, abs=1e-12)
 
@@ -152,7 +152,7 @@ class TestInvariance:
 
 class TestMulticlass:
     def _const_model(self, bias, dim=1):
-        return SublinearModel.from_weight_rep(Representation.zeros(1, dim), bias=bias)
+        return SublinearModel(Representation.zeros(1, dim), bias=bias)
 
     def test_argmax(self):
         ova = OvaModel(("a", "b"), (self._const_model(3.0), self._const_model(1.0)))
@@ -191,9 +191,8 @@ class TestPersistence:
         assert loaded.matcher == m.matcher
         assert loaded.metadata == m.metadata
         g = rand_graph(rng, 4, 2)
-        assert evaluate(loaded.__class__(loaded.weight_graph, loaded.weight_rep,
-                                         loaded.bias, EXACT), g) == evaluate(
-            SublinearModel(m.weight_graph, m.weight_rep, m.bias, EXACT), g)
+        assert evaluate(loaded.__class__(loaded.weight_rep, loaded.bias, EXACT), g) == evaluate(
+            SublinearModel(m.weight_rep, m.bias, EXACT), g)
 
     def test_ova_round_trip(self, tmp_path):
         rng = np.random.default_rng(31)

@@ -233,6 +233,51 @@ class TestCli:
         assert repr(key) in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("case", [
+        "model-bias", "model-weight_cells", "model-weight_cells-string",
+        "model-weight_cells-ragged", "model-list", "ova-members",
+        "meta-list", "meta-splits-list", "meta-classes-number", "meta-splits-number",
+    ])
+    def test_malformed_model_or_meta_is_validation_error(self, tmp_path, dataset_dir, case):
+        model = {"format_version": 1, "kind": "binary", "attr_dim": 1, "order": 1,
+                 "weight_cells": [[[0.5]]], "bias": 0.0}
+        models = {
+            "model-bias": {k: v for k, v in model.items() if k != "bias"},
+            "model-weight_cells": {k: v for k, v in model.items() if k != "weight_cells"},
+            "model-weight_cells-string": {**model, "weight_cells": "x"},
+            "model-weight_cells-ragged": {**model, "weight_cells": [[[0.5]], [[0.5], [1.0]]]},
+            "model-list": [model],
+            "ova-members": {"format_version": 1, "kind": "ova", "classes": ["a", "b"]},
+        }
+        metas = {
+            "meta-list": [{"splits": {}}],
+            "meta-splits-list": {"splits": ["train.jsonl"]},
+            "meta-classes-number": {"classes": 3},
+            "meta-splits-number": {"splits": {"train": 5}},
+        }
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(models.get(case, model)))
+        data = dataset_dir
+        if case in metas:
+            data = tmp_path / "data"
+            data.mkdir()
+            (data / "meta.json").write_text(json.dumps(metas[case]))
+        proc = run_cli("eval", "--model", str(model_path), "--data", str(data))
+        assert proc.returncode == 1
+        top_level = case in ("model-list", "meta-list")
+        assert ("expected a JSON object" if top_level else repr(case.split("-")[1])) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_overflowing_dot_is_validation_error(self, tmp_path):
+        a = tmp_path / "a.jsonl"
+        b = tmp_path / "b.jsonl"
+        a.write_text('{"id": "x", "class": "?", "nodes": [[1e200], [-1e200], [1.0]]}\n')
+        b.write_text('{"id": "y", "class": "?", "nodes": [[1e200], [1e200], [2.0]]}\n')
+        proc = run_cli("dot", str(a), str(b))
+        assert proc.returncode == 1
+        assert "finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_infeasible_spec_exit_code(self, tmp_path):
         spec = {"n_examples": {"train": 5}, "order_range": [2, 3], "attr_dim": 1,
                 "planted_order": 2, "planted_margin": 500.0, "edge_density": 0.5,
