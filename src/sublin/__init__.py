@@ -8,8 +8,8 @@ on the lifted hinge risk.
 
 from .exceptions import (CapacityError, DatasetFormatError, DegenerateModelError,
                          InfeasibleSpecError, SizeError, ValidationError)
-from .graphs import (AttributedGraph, Permutation, Representation, apply_permutation,
-                     attach_edge_flag, from_representation, pad_to_order, to_representation)
+from .graphs import (AttributedGraph, Representation, attach_edge_flag, from_representation,
+                     to_representation)
 from .matching import (DEFAULT_EXACT_MAX_ORDER, GaParams, MatchMatrix, MatchResult,
                        MatcherConfig, exact_sdp, ga_sdp, induced_distance, kernel_value,
                        matcher_call_count, optimal_align, reset_matcher_call_count, sdp)

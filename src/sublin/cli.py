@@ -73,6 +73,18 @@ def _numbers(values):
     return tuple(values)
 
 
+def _text(value):
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _task(value):
+    if value not in ("auto", "binary", "ova"):
+        raise ValueError(f"expected 'auto', 'binary' or 'ova', got {value!r}")
+    return value
+
+
 def _int_or_none(value):
     return None if value is None else int(value)
 
@@ -117,21 +129,18 @@ def _cmd_train(args) -> int:
         matcher=config_value(cfg_doc, "matcher", MatcherConfig.from_json, _matcher_from_args(args)),
     )
     dataset = read_jsonl(config_value(cfg_doc, "data", str))
-    split = cfg_doc.get("split", "train")
+    split = config_value(cfg_doc, "split", _text, "train")
     examples = dataset.split(split)
     if not examples:
         raise ValidationError(f"split {split!r} of {dataset.name!r} is empty")
-    task = cfg_doc.get("task", "auto")
+    task = config_value(cfg_doc, "task", _task, "auto")
     if task == "auto":
         task = "binary" if len(dataset.class_set) == 2 else "ova"
     os.makedirs(args.out, exist_ok=True)
     if task == "binary":
-        trained, trace = train_binary(
-            binary_examples(dataset, split, cfg_doc.get("positive_class")), tc
-        )
-        trained.metadata["positive_class"] = str(
-            cfg_doc.get("positive_class") or dataset.class_set[0]
-        )
+        positive = config_value(cfg_doc, "positive_class", _text, dataset.class_set[0])
+        trained, trace = train_binary(binary_examples(dataset, split, positive), tc)
+        trained.metadata["positive_class"] = str(positive)
         write_trace_jsonl(trace, os.path.join(args.out, "trace.jsonl"))
         converged = trace.converged
     else:
@@ -307,7 +316,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # overflow is reported as a "finite" ValidationError where the value is checked
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except InfeasibleSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

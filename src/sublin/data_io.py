@@ -25,7 +25,7 @@ import numpy as np
 from .exceptions import DatasetFormatError, InfeasibleSpecError, ValidationError, config_value
 from .files import atomic_write
 from .graphs import AttributedGraph
-from .learning import LabeledExample
+from .learning import LabeledExample, _signed
 from .matching import _HARD_ENUM_LIMIT, DEFAULT_EXACT_MAX_ORDER, MatcherConfig, sdp
 from .model import SublinearModel, margin_lower_bound
 
@@ -91,8 +91,7 @@ def binary_examples(dataset: Dataset, split: str, positive_class=None) -> List[L
     positive = dataset.class_set[0] if positive_class is None else positive_class
     if positive not in dataset.class_set:
         raise ValidationError(f"{positive!r} is not a class of this dataset")
-    return [LabeledExample(ex.graph, 1 if ex.y == positive else -1)
-            for ex in dataset.split(split)]
+    return _signed(dataset.split(split), positive)
 
 
 # ---------------------------------------------------------------------------
@@ -270,19 +269,20 @@ def _collect_attrs(element, names, what, path) -> List[float]:
     return [found[n] for n in names]
 
 
+def _xml_root(document, path):
+    try:
+        return ET.fromstring(document)
+    except ET.ParseError as exc:
+        raise DatasetFormatError(f"invalid XML ({exc})", path) from exc
+
+
 def parse_gxl(document, cfg: GxlAttrConfig, path="<gxl>") -> AttributedGraph:
-    """Parse one GXL document (string or Element) into a graph.
+    """Parse one GXL document (a string) into a graph.
 
     Nodes are numbered in document order; unknown attributes are ignored;
     undirected duplicate edges are dropped.
     """
-    if isinstance(document, (str, bytes)):
-        try:
-            root = ET.fromstring(document)
-        except ET.ParseError as exc:
-            raise DatasetFormatError(f"invalid XML ({exc})", path) from exc
-    else:
-        root = document
+    root = _xml_root(document, path)
     graph_el = root if root.tag == "graph" else root.find(".//graph")
     if graph_el is None:
         raise DatasetFormatError("document contains no <graph> element", path)
@@ -333,19 +333,13 @@ def parse_gxl_file(path, cfg: GxlAttrConfig) -> AttributedGraph:
 
 
 def parse_cxl(document, base_dir, cfg: GxlAttrConfig, path="<cxl>"):
-    """Parse a collection listing of (file, class) pairs into labeled examples.
+    """Parse a collection listing (a string) of (file, class) pairs into labeled examples.
 
     Referenced GXL files are resolved relative to `base_dir`. Returns the
     examples plus the class ids in listing order.
     """
-    if isinstance(document, (str, bytes)):
-        try:
-            root = ET.fromstring(document)
-        except ET.ParseError as exc:
-            raise DatasetFormatError(f"invalid XML ({exc})", path) from exc
-    else:
-        root = document
-    entries = [el for el in root.iter() if el.get("file") is not None and el.get("class") is not None]
+    entries = [el for el in _xml_root(document, path).iter()
+               if el.get("file") is not None and el.get("class") is not None]
     if not entries:
         raise DatasetFormatError("collection lists no (file, class) entries", path)
     examples = []
@@ -644,7 +638,6 @@ def margin_certificate(dataset: Dataset, planted: SublinearModel) -> float:
     """Smallest normalized margin y * f*(X) / ||W*|| over all examples."""
     worst = math.inf
     for exs in dataset.splits.values():
-        for ex in exs:
-            y = 1 if ex.y == POSITIVE_CLASS else -1
-            worst = min(worst, y * margin_lower_bound(planted, ex.graph))
+        for ex in _signed(exs, POSITIVE_CLASS):
+            worst = min(worst, ex.y * margin_lower_bound(planted, ex.graph))
     return worst

@@ -8,7 +8,7 @@ class ValidationError(ValueError):
 
 
 class SizeError(ValidationError):
-    """Operand sizes are incompatible (padding target too small, length mismatch)."""
+    """Operand sizes are incompatible (a match whose shape differs from its operands')."""
 
 
 class CapacityError(ValidationError):

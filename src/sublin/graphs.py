@@ -1,9 +1,9 @@
-"""Attributed graphs, their matrix representations, and the node-relabeling action.
+"""Attributed graphs and their matrix representations.
 
-A graph stores one real vector of a fixed dimension per node and per undirected
-edge. A representation is the dense, symmetric matrix-of-vectors encoding of a
-graph under one particular node ordering; relabeling the nodes permutes the
-representation without changing the graph.
+A graph stores one finite real vector of a fixed dimension per node and per
+undirected edge. A representation is the dense, symmetric matrix-of-vectors
+encoding of a graph under one particular node ordering; relabeling the nodes
+permutes the representation without changing the graph.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from typing import Iterable, Mapping, Tuple
 
 import numpy as np
 
-from .exceptions import SizeError, ValidationError
+from .exceptions import ValidationError
 
 EdgeKey = Tuple[int, int]
 
@@ -23,7 +23,7 @@ def _canonical_edge(i, j) -> EdgeKey:
 
 
 class AttributedGraph:
-    """Undirected graph whose nodes and edges carry real vectors of one dimension.
+    """Undirected graph whose nodes and edges carry finite real vectors of one dimension.
 
     Edges are stored sparsely under canonical (i, j) keys with i < j. A stored
     edge whose attribute is the zero vector is indistinguishable from a missing
@@ -66,6 +66,8 @@ class AttributedGraph:
                 continue
             v.flags.writeable = False
             stored[key] = v
+        if not np.isfinite(np.concatenate((nodes.ravel(), *stored.values()))).all():
+            raise ValidationError("graph attributes must be finite")
 
         nodes = nodes.copy()
         nodes.flags.writeable = False
@@ -171,70 +173,6 @@ class Representation:
         return f"Representation(order={self.order}, attr_dim={self.attr_dim})"
 
 
-class Permutation:
-    """Bijection on {0..n-1}; index i is sent to mapping[i]."""
-
-    __slots__ = ("mapping",)
-
-    def __init__(self, mapping):
-        arr = np.asarray(mapping, dtype=np.intp)
-        if arr.ndim != 1:
-            raise ValidationError("permutation mapping must be 1-D")
-        n = arr.shape[0]
-        if n and (
-            arr.min() < 0
-            or arr.max() >= n
-            or np.bincount(arr, minlength=n).max() > 1
-        ):
-            raise ValidationError("mapping is not a bijection on 0..n-1")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "mapping", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(np.arange(n))
-
-    def __len__(self):
-        return self.mapping.shape[0]
-
-    def __call__(self, i: int) -> int:
-        return int(self.mapping[i])
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        if len(self) != len(other):
-            raise SizeError("cannot compose permutations of different lengths")
-        return Permutation(self.mapping[other.mapping])
-
-    def inverse(self) -> "Permutation":
-        inv = np.empty_like(self.mapping)
-        inv[self.mapping] = np.arange(len(self))
-        return Permutation(inv)
-
-    def __eq__(self, other):
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return np.array_equal(self.mapping, other.mapping)
-
-    def __repr__(self):
-        return f"Permutation({self.mapping.tolist()})"
-
-
-def pad_to_order(graph: AttributedGraph, n: int) -> AttributedGraph:
-    """Extend a graph to order n by appending isolated zero-attribute nodes."""
-    if n < graph.order:
-        raise SizeError(f"cannot pad graph of order {graph.order} down to {n}")
-    if n == graph.order:
-        return graph
-    nodes = np.zeros((n, graph.attr_dim))
-    nodes[: graph.order] = graph.node_attrs
-    return AttributedGraph(nodes, graph.edge_attrs, graph.label)
-
-
 def attach_edge_flag(graph: AttributedGraph) -> AttributedGraph:
     """Append one attribute dimension that is 1 on every edge and 0 on every node.
 
@@ -282,13 +220,3 @@ def from_representation(rep: Representation, label=None) -> AttributedGraph:
         if np.any(cells[i, j])
     ]
     return AttributedGraph(nodes, edges, label)
-
-
-def apply_permutation(rep: Representation, perm: Permutation) -> Representation:
-    """Relabel nodes: cell (i, j) moves to (perm(i), perm(j))."""
-    if len(perm) != rep.order:
-        raise SizeError(f"permutation length {len(perm)} != representation order {rep.order}")
-    out = np.empty_like(rep.cells)
-    p = perm.mapping
-    out[np.ix_(p, p)] = rep.cells
-    return Representation(out)

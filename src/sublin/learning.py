@@ -39,8 +39,6 @@ class TrainConfig:
     weight_order: Optional[int] = None  # None: order of the largest training graph
     seed: int = 0
     matcher: MatcherConfig = field(default_factory=MatcherConfig)
-    shuffle: bool = True
-    stop_when_separated: bool = True
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -67,6 +65,11 @@ class TrainTrace:
     total_updates: int
     converged: bool
     final_epoch: int
+
+
+def _signed(examples: Sequence[LabeledExample], positive) -> List[LabeledExample]:
+    """The examples relabeled +1 where the class is `positive` and -1 elsewhere."""
+    return [LabeledExample(ex.graph, 1 if ex.y == positive else -1) for ex in examples]
 
 
 def derive_seed(base: int, *parts: int) -> int:
@@ -125,10 +128,11 @@ def _check_examples(data: Sequence[LabeledExample], binary: bool):
 def train_binary(data: Sequence[LabeledExample], cfg: TrainConfig):
     """Train a binary classifier by epochs of stochastic subgradient steps.
 
-    Weights start at zero. An epoch with no margin violations means the sample
-    is separated at the configured margin; training then stops (unless
-    `stop_when_separated` is off) and the trace is flagged converged. Each
-    epoch's risk and error count are measured with the end-of-epoch weights.
+    Weights start at zero, and every epoch visits the examples in a new random
+    order. An epoch with no margin violations means the sample is separated at
+    the configured margin; training then stops and the trace is flagged
+    converged. Each epoch's risk and error count are measured with the
+    end-of-epoch weights.
     """
     data = list(data)
     _check_examples(data, binary=True)
@@ -140,10 +144,8 @@ def train_binary(data: Sequence[LabeledExample], cfg: TrainConfig):
     visit = np.arange(len(data))
     stats: List[EpochStats] = []
     total_updates = 0
-    converged = False
     for epoch in range(1, cfg.max_epochs + 1):
-        if cfg.shuffle:
-            rng.shuffle(visit)
+        rng.shuffle(visit)
         updates = 0
         for idx in visit:
             w, b, updated, _ = subgradient_step(
@@ -154,10 +156,9 @@ def train_binary(data: Sequence[LabeledExample], cfg: TrainConfig):
         risk, errors = _split_metrics(w, b, data, cfg.margin, cfg.matcher)
         stats.append(EpochStats(epoch, updates, errors, risk))
         if updates == 0:
-            converged = True
-            if cfg.stop_when_separated:
-                break
-    trace = TrainTrace(tuple(stats), total_updates, converged, stats[-1].epoch)
+            break
+    converged = updates == 0
+    trace = TrainTrace(tuple(stats), total_updates, converged, epoch)
     model = SublinearModel(
         w, b, cfg.matcher,
         metadata={
@@ -188,9 +189,8 @@ def train_one_vs_all(data: Sequence[LabeledExample], cfg: TrainConfig):
     members = []
     traces = []
     for idx, cls in enumerate(classes):
-        relabeled = [LabeledExample(ex.graph, 1 if ex.y == cls else -1) for ex in data]
         sub_cfg = replace(cfg, seed=derive_seed(cfg.seed, idx))
-        model, trace = train_binary(relabeled, sub_cfg)
+        model, trace = train_binary(_signed(data, cls), sub_cfg)
         model.metadata["positive_class"] = str(cls)
         members.append(model)
         traces.append(trace)

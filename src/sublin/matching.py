@@ -195,6 +195,11 @@ def kernel_value(rx: Representation, ry: Representation, match: MatchMatrix) -> 
         value = math.fsum(np.matmul(ax, ay).ravel().tolist())
     except (OverflowError, ValueError):  # a partial sum overflowed, or inf - inf
         value = math.inf
+    return _finite(value)
+
+
+def _finite(value: float) -> float:
+    """`value`, or ValidationError when a dot product of finite attributes overflowed."""
     if not math.isfinite(value):
         raise ValidationError("the dot product is not finite: attribute products overflow")
     return value

@@ -17,7 +17,7 @@ import numpy as np
 from .exceptions import DegenerateModelError, ValidationError, config_value
 from .files import atomic_write
 from .graphs import AttributedGraph, Representation, to_representation
-from .matching import MatcherConfig, optimal_align
+from .matching import MatcherConfig, _finite, optimal_align
 
 MODEL_FORMAT_VERSION = 1
 
@@ -73,9 +73,10 @@ class OvaModel:
 
 def _score(w: Representation, b: float, x: AttributedGraph, matcher: MatcherConfig | None):
     """(w.aligned + b, aligned): the discriminant of weights (w, b) at `x`, with `x`
-    optimally aligned against `w`. Every discriminant in the package is this one."""
+    optimally aligned against `w`. Every discriminant in the package is this one.
+    Raises ValidationError when finite attributes give a value outside the float range."""
     aligned = optimal_align(w, x, matcher)
-    return float(np.vdot(w.cells, aligned.cells)) + b, aligned
+    return _finite(float(np.vdot(w.cells, aligned.cells)) + b), aligned
 
 
 def evaluate(model: SublinearModel, x: AttributedGraph) -> float:
@@ -142,7 +143,10 @@ def _model_from_doc(doc: dict) -> SublinearModel:
     attr_dim = config_value(doc, "attr_dim", operator.index)
     cells = config_value(doc, "weight_cells", lambda v: np.asarray(v, dtype=np.float64))
     if cells.size == 0:  # an order-0 weight is written as []
-        cells = cells.reshape(0, 0, max(attr_dim, 1))
+        try:
+            cells = cells.reshape(0, 0, max(attr_dim, 1))
+        except ValueError:  # numpy's limit on the length of an axis
+            raise ValidationError(f"'attr_dim': {attr_dim} is too large") from None
     rep = Representation(cells)
     if rep.order != order or rep.attr_dim != attr_dim:
         raise ValidationError("weight cell array does not match the declared order/attr_dim")

@@ -18,8 +18,8 @@ import numpy as np
 
 from .data_io import Dataset
 from .exceptions import ValidationError
-from .learning import (LabeledExample, TrainConfig, derive_seed, knn_classify,
-                       train_binary, train_one_vs_all)
+from .learning import (TrainConfig, _signed, derive_seed, knn_classify, train_binary,
+                       train_one_vs_all)
 from .matching import MatcherConfig, matcher_call_count
 from .model import OvaModel, classify, predict_multiclass
 
@@ -44,7 +44,6 @@ class ProtocolConfig:
     matcher: MatcherConfig = field(default_factory=MatcherConfig)
     max_epochs: int = 200
     weight_order: Optional[int] = None
-    knn_k: int = 1
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -55,8 +54,6 @@ class ProtocolConfig:
             raise ValidationError("hyperparameter grids must be non-empty")
         if self.repeats < 1:
             raise ValidationError("repeats must be at least 1")
-        if not isinstance(self.knn_k, int) or isinstance(self.knn_k, bool) or self.knn_k < 1:
-            raise ValidationError(f"knn_k must be an integer of at least 1, got {self.knn_k!r}")
 
 
 @dataclass
@@ -133,31 +130,22 @@ def _check_split(dataset: Dataset, name: str):
     return examples
 
 
-def _encode_binary(examples, positive):
-    return [LabeledExample(ex.graph, 1 if ex.y == positive else -1) for ex in examples]
-
-
 def _fit(train_examples, dataset: Dataset, cfg: ProtocolConfig, eta, lam, seed):
-    is_binary = len(dataset.class_set) == 2
     tc = TrainConfig(
         learning_rate=eta, margin=lam, max_epochs=cfg.max_epochs,
         weight_order=cfg.weight_order, seed=seed, matcher=cfg.matcher,
     )
-    if is_binary:
-        model, _ = train_binary(_encode_binary(train_examples, dataset.class_set[0]), tc)
-    else:
-        model, _ = train_one_vs_all(train_examples, tc)
-    return model
+    if len(dataset.class_set) == 2:
+        return train_binary(_signed(train_examples, dataset.class_set[0]), tc)[0]
+    return train_one_vs_all(train_examples, tc)[0]
 
 
 def _accuracy(model, dataset: Dataset, examples) -> float:
     if isinstance(model, OvaModel):
         hits = sum(predict_multiclass(model, ex.graph) == ex.y for ex in examples)
     else:
-        positive = dataset.class_set[0]
-        hits = sum(
-            (classify(model, ex.graph) == 1) == (ex.y == positive) for ex in examples
-        )
+        hits = sum(classify(model, ex.graph) == ex.y
+                   for ex in _signed(examples, dataset.class_set[0]))
     return hits / len(examples)
 
 
@@ -205,7 +193,7 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
 
     if cfg.algorithm == "knn":
         hits = sum(
-            knn_classify(trainval, ex.graph, cfg.knn_k, cfg.matcher) == ex.y for ex in test
+            knn_classify(trainval, ex.graph, 1, cfg.matcher) == ex.y for ex in test
         )
         test_accs = [hits / len(test)]
     else:

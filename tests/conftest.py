@@ -1,8 +1,7 @@
 """Shared sampling helpers for the test suite."""
 import numpy as np
 
-from sublin import (AttributedGraph, Permutation, apply_permutation,
-                    from_representation, to_representation)
+from sublin import AttributedGraph, Representation, from_representation, to_representation
 
 
 def rand_graph(rng, order, attr_dim, density=0.5, scale=1.0, distinct_nodes=False):
@@ -24,14 +23,18 @@ def rand_sym_cells(rng, order, attr_dim, scale=1.0):
     return (a + a.transpose(1, 0, 2)) / 2.0
 
 
+def relabeled(rep, mapping):
+    """The representation with node i renamed mapping[i]: cell (i, j) moves to
+    (mapping[i], mapping[j])."""
+    p = np.asarray(mapping, dtype=np.intp)
+    out = np.empty_like(rep.cells)
+    out[np.ix_(p, p)] = rep.cells
+    return Representation(out)
+
+
 def permuted_graph(graph, mapping):
     """The same graph with nodes relabeled by `mapping`."""
-    rep = to_representation(graph)
-    return from_representation(apply_permutation(rep, Permutation(mapping)), label=graph.label)
-
-
-def rand_permutation(rng, n):
-    return Permutation(rng.permutation(n))
+    return from_representation(relabeled(to_representation(graph), mapping), label=graph.label)
 
 
 def rel_close(a, b, tol):

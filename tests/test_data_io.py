@@ -54,6 +54,16 @@ class TestJsonl:
         with pytest.raises(DatasetFormatError, match="line 2"):
             read_examples_jsonl(path)
 
+    @pytest.mark.parametrize("record", [
+        '"nodes": [[NaN]], "edges": []', '"nodes": [[1.0], [2.0]], "edges": [[0, 1, [1e999]]]',
+    ], ids=["node", "edge"])
+    def test_non_finite_attribute_reports_line_number(self, tmp_path, record):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "g0", "class": "a", "nodes": [[1.0]], "edges": []}\n'
+                        f'{{"id": "g1", "class": "a", {record}}}\n')
+        with pytest.raises(DatasetFormatError, match="line 2: graph attributes must be finite"):
+            read_examples_jsonl(path)
+
     def test_duplicate_id_rejected(self, tmp_path):
         line = '{"id": "g0", "class": "a", "nodes": [[1.0]], "edges": []}\n'
         path = tmp_path / "dup.jsonl"

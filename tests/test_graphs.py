@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import permuted_graph, rand_graph, rand_permutation
-from sublin import (AttributedGraph, Permutation, Representation, SizeError,
-                    ValidationError, apply_permutation, attach_edge_flag,
-                    from_representation, pad_to_order, sdp, to_representation)
+from conftest import permuted_graph, rand_graph, relabeled
+from sublin import (AttributedGraph, Representation, ValidationError, attach_edge_flag,
+                    from_representation, sdp, to_representation)
 
 
 def running_graph():
@@ -34,6 +33,13 @@ class TestAttributedGraph:
         with pytest.raises(ValidationError):
             AttributedGraph([[0.0]], [(0, 1, [1.0])])
 
+    @pytest.mark.parametrize("nodes, edge", [
+        ([[np.nan], [1.0]], [1.0]), ([[0.0], [1.0]], [-np.inf]),
+    ], ids=["node", "edge"])
+    def test_non_finite_attributes_rejected(self, nodes, edge):
+        with pytest.raises(ValidationError, match="finite"):
+            AttributedGraph(nodes, [(0, 1, edge)])
+
     def test_dim_mismatch(self):
         with pytest.raises(ValidationError):
             AttributedGraph([[0.0], [1.0]], [(0, 1, [1.0, 2.0])])
@@ -44,29 +50,6 @@ class TestAttributedGraph:
             g.label = "x"
         with pytest.raises(ValueError):
             g.node_attrs[0, 0] = 9.0
-
-
-class TestPadToOrder:
-    def test_identity_case(self):
-        g = running_graph()
-        assert pad_to_order(g, 2) == g
-
-    def test_empty_graph(self):
-        g = pad_to_order(AttributedGraph.empty(attr_dim=2), 3)
-        assert g.order == 3
-        assert g.n_edges == 0
-        assert not g.node_attrs.any()
-
-    def test_pads_with_isolated_zero_nodes(self):
-        g = pad_to_order(running_graph(), 4)
-        assert g.order == 4
-        assert list(g.edge_attrs) == [(0, 1)]
-        assert not g.node_attrs[2:].any()
-        np.testing.assert_array_equal(g.node_attrs[:2], [[1.0], [2.0]])
-
-    def test_too_small_target(self):
-        with pytest.raises(SizeError):
-            pad_to_order(running_graph(), 1)
 
 
 class TestAttachEdgeFlag:
@@ -111,11 +94,12 @@ class TestRepresentation:
 
     def test_failed_encoding_raises_on_every_call(self):
         zero_edge = AttributedGraph([[1.0], [1.0]], [(0, 1, [0.0])])
-        not_finite = AttributedGraph([[np.inf], [1.0]], [(0, 1, [1.0])])
-        for g, message in ((zero_edge, "zero attribute"), (not_finite, "finite")):
-            for _ in range(2):
-                with pytest.raises(ValidationError, match=message):
-                    to_representation(g)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="zero attribute"):
+                to_representation(zero_edge)
+            # a non-finite graph is refused before it can be encoded
+            with pytest.raises(ValidationError, match="finite"):
+                AttributedGraph([[np.inf], [1.0]], [(0, 1, [1.0])])
 
     def test_asymmetric_cells_rejected(self):
         cells = np.zeros((2, 2, 1))
@@ -134,54 +118,19 @@ class TestRepresentation:
         assert sdp(g2, g2).value == pytest.approx(sdp(g, g).value, rel=1e-12)
 
 
-class TestPermutationAction:
-    def test_identity(self):
-        rep = to_representation(running_graph())
-        assert apply_permutation(rep, Permutation.identity(2)) == rep
-
-    def test_swap_scalar_cells(self):
-        rep = Representation(np.array([[[1.0], [3.0]], [[3.0], [2.0]]]))
-        swapped = apply_permutation(rep, Permutation([1, 0]))
-        np.testing.assert_array_equal(swapped.cells[..., 0], [[2.0, 3.0], [3.0, 1.0]])
-
-    def test_inverse_round_trip(self):
-        rng = np.random.default_rng(0)
-        rep = to_representation(rand_graph(rng, 5, 2))
-        p = rand_permutation(rng, 5)
-        assert apply_permutation(apply_permutation(rep, p), p.inverse()) == rep
-
-    def test_length_mismatch(self):
-        with pytest.raises(SizeError):
-            apply_permutation(to_representation(running_graph()), Permutation([0, 2, 1]))
-
-    def test_non_bijection_rejected(self):
-        with pytest.raises(ValidationError):
-            Permutation([0, 0, 1])
-
-
 class TestInvariants:
     def test_norm_invariant_under_permutation(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             g = rand_graph(rng, int(rng.integers(1, 6)), int(rng.integers(1, 4)))
             rep = to_representation(g)
-            p = rand_permutation(rng, g.order)
-            moved = apply_permutation(rep, p)
+            moved = relabeled(rep, rng.permutation(g.order))
             assert abs(moved.norm() - rep.norm()) <= 1e-12 * max(1.0, rep.norm())
-
-    def test_group_action_composition(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            g = rand_graph(rng, 5, 2)
-            rep = to_representation(g)
-            p, q = rand_permutation(rng, 5), rand_permutation(rng, 5)
-            assert apply_permutation(apply_permutation(rep, p), q) == apply_permutation(
-                rep, q.compose(p)
-            )
 
     def test_padding_preserves_self_product(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             g = rand_graph(rng, int(rng.integers(1, 5)), 2)
-            padded = pad_to_order(g, g.order + 2)
+            nodes = np.concatenate([g.node_attrs, np.zeros((2, g.attr_dim))])
+            padded = AttributedGraph(nodes, g.edge_attrs)
             assert sdp(padded, padded).value == pytest.approx(sdp(g, g).value, rel=1e-12)

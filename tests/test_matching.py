@@ -153,9 +153,8 @@ class TestGaSdp:
         ga_sdp, exact_sdp, lambda bad, g: optimal_align(to_representation(g), bad),
     ], ids=["ga_sdp", "exact_sdp", "optimal_align"])
     def test_non_finite_rejected(self, solve):
-        bad = AttributedGraph([[np.nan], [1.0]], [(0, 1, [1.0])])
         with pytest.raises(ValidationError, match="finite"):
-            solve(bad, GX)
+            solve(AttributedGraph([[np.nan], [1.0]], [(0, 1, [1.0])]), GX)
 
 
 @lru_cache(maxsize=None)

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import permuted_graph, rand_graph
+from conftest import permuted_graph, rand_graph, relabeled
 from sublin import (AttributedGraph, DegenerateModelError, MatcherConfig, OvaModel,
-                    Permutation, Representation, SublinearModel, ValidationError,
-                    apply_permutation, classify, evaluate, induced_distance, load_model,
+                    Representation, SublinearModel, ValidationError,
+                    classify, evaluate, induced_distance, load_model,
                     margin_lower_bound, origin_distance, predict_multiclass, save_model,
                     to_representation, weight_norm)
 
@@ -40,6 +40,11 @@ class TestEvaluate:
     def test_dim_mismatch(self):
         with pytest.raises(ValidationError):
             evaluate(model_from(GX), AttributedGraph([[1.0, 2.0]]))
+
+    def test_overflowing_value_is_validation_error(self):
+        m = model_from(AttributedGraph([[1e200], [-1e200], [1.0]]))
+        with pytest.raises(ValidationError, match="finite"), np.errstate(all="ignore"):
+            evaluate(m, AttributedGraph([[1e200], [1e200], [2.0]]))
 
 
 class TestClassify:
@@ -127,7 +132,7 @@ class TestInvariance:
         for _ in range(20):
             w = rand_graph(rng, 4, 2)
             rep = to_representation(w)
-            moved = apply_permutation(rep, Permutation(rng.permutation(4)))
+            moved = relabeled(rep, rng.permutation(4))
             m1 = SublinearModel(rep, 0.3, EXACT)
             m2 = SublinearModel(moved, 0.3, EXACT)
             g = rand_graph(rng, int(rng.integers(1, 6)), 2)
@@ -143,8 +148,7 @@ class TestInvariance:
             g = rand_graph(rng, n, d)
             rep = to_representation(g)
             best = max(
-                float(np.vdot(m.weight_rep.cells,
-                              apply_permutation(rep, Permutation(p)).cells))
+                float(np.vdot(m.weight_rep.cells, relabeled(rep, p).cells))
                 for p in itertools.permutations(range(n))
             ) + m.bias
             assert evaluate(m, g) == pytest.approx(best, rel=1e-12, abs=1e-12)
