@@ -10,9 +10,9 @@ from .exceptions import (CapacityError, DatasetFormatError, DegenerateModelError
                          InfeasibleSpecError, SizeError, ValidationError)
 from .graphs import (AttributedGraph, Representation, attach_edge_flag, from_representation,
                      to_representation)
-from .matching import (DEFAULT_EXACT_MAX_ORDER, GaParams, MatchMatrix, MatchResult,
-                       MatcherConfig, exact_sdp, ga_sdp, induced_distance, kernel_value,
-                       matcher_call_count, optimal_align, reset_matcher_call_count, sdp)
+from .matching import (DEFAULT_EXACT_MAX_ORDER, MatchMatrix, MatchResult, MatcherConfig,
+                       exact_sdp, ga_sdp, induced_distance, kernel_value, matcher_call_count,
+                       optimal_align, reset_matcher_call_count, sdp)
 from .model import (OvaModel, SublinearModel, classify, evaluate, load_model,
                     margin_lower_bound, origin_distance, predict_multiclass, save_model,
                     weight_norm)

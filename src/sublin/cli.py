@@ -202,6 +202,13 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.pairs < 1:
+        raise ValidationError(f"--pairs must be at least 1, got {args.pairs}")
+    if not 1 <= args.min_order <= args.max_order:
+        raise ValidationError(f"--min-order and --max-order need 1 <= min <= max, "
+                              f"got {args.min_order} and {args.max_order}")
+    if args.attr_dim < 1:
+        raise ValidationError(f"--attr-dim must be at least 1, got {args.attr_dim}")
     rng = np.random.default_rng(args.seed)
     gaps = []
     times = {"exact": 0.0, "graduated": 0.0}

@@ -324,7 +324,10 @@ def parse_gxl(document, cfg: GxlAttrConfig, path="<gxl>") -> AttributedGraph:
         edges[key] = vec
 
     nodes = np.stack(node_rows) if node_rows else np.zeros((0, d))
-    return AttributedGraph(nodes, [(i, j, v) for (i, j), v in edges.items()])
+    try:
+        return AttributedGraph(nodes, [(i, j, v) for (i, j), v in edges.items()])
+    except ValidationError as exc:
+        raise DatasetFormatError(str(exc), path) from exc
 
 
 def parse_gxl_file(path, cfg: GxlAttrConfig) -> AttributedGraph:
@@ -497,6 +500,8 @@ def _int_pair(doc) -> Tuple[int, int]:
 def random_graph(rng, order, attr_dim, density, scale) -> AttributedGraph:
     """Attributes uniform on [-scale, scale]; each edge present with probability
     `density` and never carrying the zero vector."""
+    if attr_dim < 1:  # an empty edge vector is always zero
+        raise ValidationError(f"attr_dim must be at least 1, got {attr_dim}")
     nodes = rng.uniform(-scale, scale, size=(order, attr_dim))
     edges = []
     for i in range(order):

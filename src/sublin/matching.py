@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 import numpy as np
 
@@ -105,30 +105,17 @@ class MatchMatrix:
         return f"MatchMatrix({self.rows}x{self.cols}, pairs={list(self.pairs)})"
 
 
-@dataclass(frozen=True)
-class GaParams:
-    """Annealing schedule and normalization knobs for graduated assignment."""
+# Graduated assignment's one annealing and Sinkhorn schedule. Model files that
+# predate it carry it as `ga_params`; `MatcherConfig.from_json` still reads that
+# key but refuses any other value, so a custom schedule is never silently dropped.
+_GA_SCHEDULE = {"beta_start": 0.5, "beta_rate": 1.075, "beta_max": 10.0,
+                "sinkhorn_max_iters": 30, "sinkhorn_tol": 0.005, "assignment_rounds_max": 4}
 
-    beta_start: float = 0.5
-    beta_rate: float = 1.075
-    beta_max: float = 10.0
-    sinkhorn_max_iters: int = 30
-    sinkhorn_tol: float = 0.005
-    assignment_rounds_max: int = 4
 
-    def __post_init__(self):
-        if self.beta_start <= 0:
-            raise ValidationError("beta_start must be positive")
-        if self.beta_rate <= 1:
-            raise ValidationError("beta_rate must exceed 1")
-        if self.beta_max <= self.beta_start:
-            raise ValidationError("beta_max must exceed beta_start")
-        for name in ("sinkhorn_max_iters", "assignment_rounds_max"):
-            count = getattr(self, name)
-            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-                raise ValidationError(f"{name!r} must be an integer of at least 1, got {count!r}")
-        if self.sinkhorn_tol <= 0:
-            raise ValidationError("sinkhorn_tol must be positive")
+def _fixed_schedule(doc) -> None:
+    if {**_GA_SCHEDULE, **doc} != _GA_SCHEDULE:
+        raise ValueError(f"graduated assignment runs one fixed schedule {_GA_SCHEDULE}, "
+                         f"got {doc!r}")
 
 
 @dataclass(frozen=True)
@@ -137,7 +124,6 @@ class MatcherConfig:
 
     method: str = "exact"
     exact_max_order: int = DEFAULT_EXACT_MAX_ORDER
-    ga_params: GaParams = field(default_factory=GaParams)
 
     def __post_init__(self):
         if self.method not in ("exact", "graduated"):
@@ -150,18 +136,11 @@ class MatcherConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "MatcherConfig":
+        config_value(doc, "ga_params", _fixed_schedule, None)
         return cls(
             method=config_value(doc, "method", str, "exact"),
             exact_max_order=config_value(doc, "exact_max_order", int, DEFAULT_EXACT_MAX_ORDER),
-            ga_params=config_value(doc, "ga_params", _ga_params_from_json, GaParams()),
         )
-
-
-def _ga_params_from_json(doc: dict) -> GaParams:
-    unknown = sorted(set(doc) - {f.name for f in fields(GaParams)})
-    if unknown:
-        raise ValidationError(f"unknown ga_params key(s) {unknown}")
-    return GaParams(**doc)
 
 
 @dataclass(frozen=True)
@@ -257,14 +236,14 @@ def _best_permutation(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     return best_row[:, 0] // (n * n) - np.arange(n) * n
 
 
-def _ga_soft(cx: np.ndarray, cy: np.ndarray, params: GaParams) -> np.ndarray:
+def _ga_soft(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     """Graduated assignment on raw cell arrays of orders m, n >= 1; returns the
     final (m, n) soft matrix over the real rows and columns.
 
     Softassign with one slack row and one slack column: compatibilities
     Q_ir = sum_js M_js dot(x_ij, y_rs) + dot(x_ii, y_rr) are exponentiated at
     inverse temperature beta, row/column-balanced by Sinkhorn iterations over the
-    real rows and columns, and beta grows geometrically.
+    real rows and columns, and beta grows geometrically (`_GA_SCHEDULE`).
 
     A Sinkhorn pass stops after the first sweep whose row sums and column sums
     all lie within `sinkhorn_tol` of one (a NaN row error never passes; a NaN
@@ -282,11 +261,11 @@ def _ga_soft(cx: np.ndarray, cy: np.ndarray, params: GaParams) -> np.ndarray:
     soft = np.full((m + 1, n + 1), 1.0 / (max(m, n) + 1.0))
     real, rows, cols = soft[:m, :n], soft[:m], soft[:, :n]
     q, q_prev = np.empty((m, n)), np.empty((m, n))
-    tol = params.sinkhorn_tol
-    beta = params.beta_start
-    while beta <= params.beta_max * (1 + 1e-12):
+    tol = _GA_SCHEDULE["sinkhorn_tol"]
+    beta = _GA_SCHEDULE["beta_start"]
+    while beta <= _GA_SCHEDULE["beta_max"] * (1 + 1e-12):
         last_shift = None
-        for _ in range(params.assignment_rounds_max):
+        for _ in range(_GA_SCHEDULE["assignment_rounds_max"]):
             q, q_prev = q_prev, q
             np.einsum("ijrs,js->ir", compat, real, out=q)
             q += node_comp
@@ -302,18 +281,18 @@ def _ga_soft(cx: np.ndarray, cy: np.ndarray, params: GaParams) -> np.ndarray:
             soft[:, n] = slack
             np.maximum(soft, 1e-300, out=soft)
             row_sums = rows.sum(axis=1, keepdims=True)
-            for _ in range(params.sinkhorn_max_iters):
+            for _ in range(_GA_SCHEDULE["sinkhorn_max_iters"]):
                 rows /= row_sums
                 cols /= cols.sum(axis=0)
                 row_sums = rows.sum(axis=1, keepdims=True)
                 if (np.abs(row_sums - 1.0).max() <= tol
                         and not np.abs(cols.sum(axis=0) - 1.0).max() > tol):
                     break
-        beta *= params.beta_rate
+        beta *= _GA_SCHEDULE["beta_rate"]
     return real
 
 
-def _ga_soft_pairs(cx: np.ndarray, cy: np.ndarray, params: GaParams):
+def _ga_soft_pairs(cx: np.ndarray, cy: np.ndarray):
     """Graduated assignment core on raw cell arrays of orders m, n >= 1; returns
     assigned (row, col) pairs.
 
@@ -321,7 +300,7 @@ def _ga_soft_pairs(cx: np.ndarray, cy: np.ndarray, params: GaParams):
     down to min(m, n) pairs.
     """
     m, n = cx.shape[0], cy.shape[0]
-    pick = _ga_soft(cx, cy, params).copy()
+    pick = _ga_soft(cx, cy).copy()
     pairs = []
     for _ in range(min(m, n)):
         i, r = np.unravel_index(int(np.argmax(pick)), pick.shape)
@@ -350,7 +329,7 @@ def _match(cx: np.ndarray, cy: np.ndarray, cfg: MatcherConfig):
     if min(m, n) == 0:
         return ()
     if cfg.method == "graduated":
-        return _ga_soft_pairs(cx, cy, cfg.ga_params)
+        return _ga_soft_pairs(cx, cy)
     perm = _best_permutation(_pad_cells(cx, k), _pad_cells(cy, k))
     return tuple((i, int(perm[i])) for i in range(m) if perm[i] < n)  # drop padded nodes
 
@@ -377,13 +356,13 @@ def exact_sdp(x: AttributedGraph, y: AttributedGraph, max_order: int = DEFAULT_E
     return _sdp(x, y, MatcherConfig(exact_max_order=max_order))
 
 
-def ga_sdp(x: AttributedGraph, y: AttributedGraph, params: GaParams | None = None) -> MatchResult:
+def ga_sdp(x: AttributedGraph, y: AttributedGraph) -> MatchResult:
     """Heuristic dot product via graduated assignment.
 
     Always returns a feasible correspondence, so the value is a lower bound on
     the exact optimum; it is recomputed from the hard match.
     """
-    return _sdp(x, y, MatcherConfig("graduated", ga_params=params or GaParams()))
+    return _sdp(x, y, MatcherConfig("graduated"))
 
 
 def sdp(x: AttributedGraph, y: AttributedGraph, cfg: MatcherConfig | None = None) -> MatchResult:
@@ -398,7 +377,7 @@ def sdp(x: AttributedGraph, y: AttributedGraph, cfg: MatcherConfig | None = None
         return MatchResult(kernel_value(rep, rep, match), match, True)
     if cfg.method == "exact":
         return exact_sdp(x, y, cfg.exact_max_order)
-    return ga_sdp(x, y, cfg.ga_params)
+    return ga_sdp(x, y)
 
 
 def optimal_align(rw: Representation, x: AttributedGraph, cfg: MatcherConfig | None = None) -> Representation:

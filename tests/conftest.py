@@ -1,7 +1,13 @@
-"""Shared sampling helpers for the test suite."""
+"""Shared sampling helpers and fixed documents for the test suite."""
 import numpy as np
 
 from sublin import AttributedGraph, Representation, from_representation, to_representation
+
+# Graduated assignment's schedule as first written: what every model file of
+# earlier versions carries as `matcher_config.ga_params`, and what the frozen
+# reference loop in test_matching runs.
+FIRST_GA_SCHEDULE = {"beta_start": 0.5, "beta_rate": 1.075, "beta_max": 10.0,
+                     "sinkhorn_max_iters": 30, "sinkhorn_tol": 0.005, "assignment_rounds_max": 4}
 
 
 def rand_graph(rng, order, attr_dim, density=0.5, scale=1.0, distinct_nodes=False):

@@ -6,8 +6,8 @@ from sublin import (AttributedGraph, Dataset, DatasetFormatError, DegenerateMode
                     MatcherConfig, Representation, SublinearModel, SyntheticSpec,
                     ValidationError, binary_examples, classify, evaluate,
                     generate_synthetic, margin_certificate, parse_cxl, parse_gxl,
-                    read_examples_jsonl, read_jsonl, standardize_dataset, weight_norm,
-                    write_jsonl)
+                    read_cxl_dataset, read_examples_jsonl, read_jsonl, standardize_dataset,
+                    weight_norm, write_jsonl)
 
 EXACT = MatcherConfig()
 
@@ -215,6 +215,15 @@ class TestCxl:
     def test_empty_collection(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="no .file, class."):
             parse_cxl("<GraphCollection/>", tmp_path, GXL_PRESETS["letter"])
+
+    def test_non_finite_attribute_names_its_file(self, tmp_path):
+        self._write_gxl(tmp_path, "a.gxl", 1.0)
+        self._write_gxl(tmp_path, "b.gxl", "nan")
+        (tmp_path / "train.cxl").write_text(
+            '<GraphCollection><x><print file="a.gxl" class="A"/>'
+            '<print file="b.gxl" class="B"/></x></GraphCollection>')
+        with pytest.raises(DatasetFormatError, match=r"b\.gxl: graph attributes must be finite"):
+            read_cxl_dataset(tmp_path, GXL_PRESETS["letter"], split_files=(("train", "train.cxl"),))
 
 
 class TestSyntheticGenerator:

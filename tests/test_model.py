@@ -1,10 +1,11 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import permuted_graph, rand_graph, relabeled
+from conftest import FIRST_GA_SCHEDULE, permuted_graph, rand_graph, relabeled
 from sublin import (AttributedGraph, DegenerateModelError, MatcherConfig, OvaModel,
                     Representation, SublinearModel, ValidationError,
                     classify, evaluate, induced_distance, load_model,
@@ -197,6 +198,24 @@ class TestPersistence:
         g = rand_graph(rng, 4, 2)
         assert evaluate(loaded.__class__(loaded.weight_rep, loaded.bias, EXACT), g) == evaluate(
             SublinearModel(m.weight_rep, m.bias, EXACT), g)
+
+    def test_model_with_fixed_ga_params_loads(self, tmp_path):
+        # the document earlier versions wrote: `matcher_config` carries `ga_params`
+        rng = np.random.default_rng(32)
+        m = SublinearModel.from_weight_graph(rand_graph(rng, 4, 2), bias=-0.25,
+                                             matcher=MatcherConfig(method="graduated"))
+        doc = {"format_version": 1, "kind": "binary", "attr_dim": 2, "order": 4,
+               "weight_cells": m.weight_rep.cells.tolist(), "bias": -0.25,
+               "matcher_config": {"method": "graduated", "exact_max_order": 8,
+                                  "ga_params": FIRST_GA_SCHEDULE},
+               "training_metadata": {}}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        loaded = load_model(path)
+        assert loaded.matcher == m.matcher
+        for order in (3, 5, 6):
+            g = rand_graph(rng, order, 2)
+            assert evaluate(loaded, g) == evaluate(m, g)
 
     def test_ova_round_trip(self, tmp_path):
         rng = np.random.default_rng(31)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import sublin
+from conftest import FIRST_GA_SCHEDULE
 from sublin import (AttributedGraph, Dataset, LabeledExample, MatcherConfig,
                     SyntheticSpec, ValidationError, generate_synthetic,
                     knn_classify, matcher_call_count, predict_multiclass,
@@ -106,13 +107,13 @@ class TestCallAccounting:
         assert matcher_call_count() == len(train)
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     # the CLI runs from the same sources as the tests, installed or not
     src = os.path.dirname(os.path.dirname(sublin.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "sublin.cli", *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=timeout,
     )
 
 
@@ -187,6 +188,18 @@ class TestCli:
         doc = json.loads((tmp_path / "bench.json").read_text())
         assert doc["gap_min"] >= -1e-9
 
+    @pytest.mark.parametrize("args, flag", [
+        (("--pairs", "0"), "--pairs"), (("--pairs", "-2"), "--pairs"),
+        (("--min-order", "5", "--max-order", "3"), "--min-order"), (("--min-order", "0"), "--min-order"),
+        (("--attr-dim", "0"), "--attr-dim"),
+    ], ids=["pairs-0", "pairs-negative", "orders-reversed", "min-order-0", "attr-dim-0"])
+    def test_bench_rejects_bad_arguments(self, args, flag):
+        # with a timeout, a hang (drawing a non-zero empty edge vector) fails instead
+        proc = run_cli("bench", *args, timeout=60)
+        assert proc.returncode == 1
+        assert flag in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_file_is_io_error(self):
         assert run_cli("dot", "/nonexistent/a.jsonl", "/nonexistent/b.jsonl").returncode == 2
 
@@ -219,8 +232,8 @@ class TestCli:
             "max_epochs": {**data, "max_epochs": [1]},
             "attr_dim": {**spec, "attr_dim": "x"},
             "order_range": {k: v for k, v in spec.items() if k != "order_range"},
-            "sinkhorn_max_iters": {**data, "matcher": {"method": "graduated",
-                                                       "ga_params": {"sinkhorn_max_iters": 3.5}}},
+            "sinkhorn_max_iters": {**data, "matcher": {"method": "graduated", "ga_params": {
+                **FIRST_GA_SCHEDULE, "sinkhorn_max_iters": 3}}},
             "split": {**data, "split": ["train"]},
             "task": {**data, "task": "binray"},
             "positive_class": {**data, "positive_class": ["pos"]},
@@ -231,13 +244,15 @@ class TestCli:
         proc = run_cli(command, flag, str(cfg_path), "--out", str(tmp_path / "o"))
         assert proc.returncode == 1
         assert repr(key) in proc.stderr
+        if key == "sinkhorn_max_iters":  # a custom schedule is refused under its config key
+            assert "'ga_params'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("case", [
         "model-bias", "model-weight_cells", "model-weight_cells-string",
         "model-weight_cells-ragged", "model-list", "ova-members",
         "meta-list", "meta-splits-list", "meta-classes-number", "meta-splits-number",
-        "model-attr_dim-huge",
+        "model-attr_dim-huge", "model-ga_params-custom",
     ])
     def test_malformed_model_or_meta_is_validation_error(self, tmp_path, dataset_dir, case):
         model = {"format_version": 1, "kind": "binary", "attr_dim": 1, "order": 1,
@@ -250,6 +265,9 @@ class TestCli:
             "model-list": [model],
             "ova-members": {"format_version": 1, "kind": "ova", "classes": ["a", "b"]},
             "model-attr_dim-huge": {**model, "order": 0, "weight_cells": [], "attr_dim": 2**63},
+            "model-ga_params-custom": {**model, "matcher_config": {
+                "method": "graduated", "exact_max_order": 8,
+                "ga_params": {**FIRST_GA_SCHEDULE, "sinkhorn_max_iters": 3}}},
         }
         metas = {
             "meta-list": [{"splits": {}}],
