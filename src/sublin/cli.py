@@ -207,6 +207,9 @@ def _cmd_bench(args) -> int:
     if not 1 <= args.min_order <= args.max_order:
         raise ValidationError(f"--min-order and --max-order need 1 <= min <= max, "
                               f"got {args.min_order} and {args.max_order}")
+    if args.max_order > matching._HARD_ENUM_LIMIT:
+        raise ValidationError(f"--max-order must be at most {matching._HARD_ENUM_LIMIT}, "
+                              f"the exact matcher's limit, got {args.max_order}")
     if args.attr_dim < 1:
         raise ValidationError(f"--attr-dim must be at least 1, got {args.attr_dim}")
     rng = np.random.default_rng(args.seed)
@@ -219,7 +222,7 @@ def _cmd_bench(args) -> int:
         b = data_io.random_graph(rng, int(rng.integers(args.min_order, args.max_order + 1)),
                                  args.attr_dim, 0.5, 1.0)
         t0 = time.perf_counter()
-        exact = exact_sdp(a, b, max_order=max(args.max_order, 8))
+        exact = exact_sdp(a, b, max_order=args.max_order)
         times["exact"] += time.perf_counter() - t0
         t0 = time.perf_counter()
         heur = ga_sdp(a, b)

@@ -125,25 +125,14 @@ def _check_examples(data: Sequence[LabeledExample], binary: bool):
             raise ValidationError(f"binary labels must be +1/-1, got {ex.y!r}")
 
 
-def train_binary(data: Sequence[LabeledExample], cfg: TrainConfig):
-    """Train a binary classifier by epochs of stochastic subgradient steps.
-
-    Weights start at zero, and every epoch visits the examples in a new random
-    order. An epoch with no margin violations means the sample is separated at
-    the configured margin; training then stops and the trace is flagged
-    converged. Each epoch's risk and error count are measured with the
-    end-of-epoch weights.
-    """
-    data = list(data)
-    _check_examples(data, binary=True)
+def _epochs(data: Sequence[LabeledExample], cfg: TrainConfig):
+    """Yield (epoch, w, b, updates) after each epoch of train_binary's steps; the
+    first epoch without updates (the sample separated at the margin) is the last."""
     n_w = cfg.weight_order or max(1, max(ex.graph.order for ex in data))
-    d = data[0].graph.attr_dim
-    w = Representation.zeros(n_w, d)
+    w = Representation.zeros(n_w, data[0].graph.attr_dim)
     b = 0.0
     rng = np.random.default_rng(cfg.seed)
     visit = np.arange(len(data))
-    stats: List[EpochStats] = []
-    total_updates = 0
     for epoch in range(1, cfg.max_epochs + 1):
         rng.shuffle(visit)
         updates = 0
@@ -152,13 +141,22 @@ def train_binary(data: Sequence[LabeledExample], cfg: TrainConfig):
                 w, b, data[idx], cfg.learning_rate, cfg.margin, cfg.matcher
             )
             updates += updated
-        total_updates += updates
-        risk, errors = _split_metrics(w, b, data, cfg.margin, cfg.matcher)
-        stats.append(EpochStats(epoch, updates, errors, risk))
+        yield epoch, w, b, updates
         if updates == 0:
-            break
+            return
+
+
+def _fit_binary(data: Sequence[LabeledExample], cfg: TrainConfig, traced: bool):
+    """(model, trace) as train_binary returns them; the trace is None unless
+    `traced`, since its risk and errors cost one more pass over the data per epoch."""
+    data = list(data)
+    _check_examples(data, binary=True)
+    stats: List[EpochStats] = []
+    for epoch, w, b, updates in _epochs(data, cfg):
+        if traced:
+            risk, errors = _split_metrics(w, b, data, cfg.margin, cfg.matcher)
+            stats.append(EpochStats(epoch, updates, errors, risk))
     converged = updates == 0
-    trace = TrainTrace(tuple(stats), total_updates, converged, epoch)
     model = SublinearModel(
         w, b, cfg.matcher,
         metadata={
@@ -166,21 +164,20 @@ def train_binary(data: Sequence[LabeledExample], cfg: TrainConfig):
             "learning_rate": cfg.learning_rate,
             "margin": cfg.margin,
             "max_epochs": cfg.max_epochs,
-            "weight_order": n_w,
+            "weight_order": w.order,
             "seed": cfg.seed,
-            "epochs_run": trace.final_epoch,
+            "epochs_run": epoch,
             "converged": converged,
         },
     )
-    return model, trace
+    if not traced:
+        return model, None
+    return model, TrainTrace(tuple(stats), sum(s.updates for s in stats), converged, epoch)
 
 
-def train_one_vs_all(data: Sequence[LabeledExample], cfg: TrainConfig):
-    """Train one binary model per class (positive = that class) with derived seeds.
-
-    Members are ordered by sorted class id; returns (OvaModel, per-class traces
-    in the same order).
-    """
+def _fit_one_vs_all(data: Sequence[LabeledExample], cfg: TrainConfig, traced: bool):
+    """(OvaModel, per-class traces) as train_one_vs_all returns them; each trace
+    is None unless `traced`."""
     data = list(data)
     _check_examples(data, binary=False)
     classes = sorted({ex.y for ex in data})
@@ -190,11 +187,32 @@ def train_one_vs_all(data: Sequence[LabeledExample], cfg: TrainConfig):
     traces = []
     for idx, cls in enumerate(classes):
         sub_cfg = replace(cfg, seed=derive_seed(cfg.seed, idx))
-        model, trace = train_binary(_signed(data, cls), sub_cfg)
+        model, trace = _fit_binary(_signed(data, cls), sub_cfg, traced)
         model.metadata["positive_class"] = str(cls)
         members.append(model)
         traces.append(trace)
     return OvaModel(tuple(classes), tuple(members)), tuple(traces)
+
+
+def train_binary(data: Sequence[LabeledExample], cfg: TrainConfig):
+    """Train a binary classifier by epochs of stochastic subgradient steps.
+
+    Weights start at zero, and every epoch visits the examples in a new random
+    order. An epoch with no margin violations means the sample is separated at
+    the configured margin; training then stops and the trace is flagged
+    converged. Each epoch's risk and error count are measured with the
+    end-of-epoch weights.
+    """
+    return _fit_binary(data, cfg, traced=True)
+
+
+def train_one_vs_all(data: Sequence[LabeledExample], cfg: TrainConfig):
+    """Train one binary model per class (positive = that class) with derived seeds.
+
+    Members are ordered by sorted class id; returns (OvaModel, per-class traces
+    in the same order).
+    """
+    return _fit_one_vs_all(data, cfg, traced=True)
 
 
 def empirical_risk(model: SublinearModel, data: Sequence[LabeledExample], margin: float) -> float:

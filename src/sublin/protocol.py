@@ -18,8 +18,8 @@ import numpy as np
 
 from .data_io import Dataset
 from .exceptions import ValidationError
-from .learning import (TrainConfig, _signed, derive_seed, knn_classify, train_binary,
-                       train_one_vs_all)
+from .learning import (TrainConfig, _fit_binary, _fit_one_vs_all, _signed, derive_seed,
+                       knn_classify)
 from .matching import MatcherConfig, matcher_call_count
 from .model import OvaModel, classify, predict_multiclass
 
@@ -136,8 +136,8 @@ def _fit(train_examples, dataset: Dataset, cfg: ProtocolConfig, eta, lam, seed):
         weight_order=cfg.weight_order, seed=seed, matcher=cfg.matcher,
     )
     if len(dataset.class_set) == 2:
-        return train_binary(_signed(train_examples, dataset.class_set[0]), tc)[0]
-    return train_one_vs_all(train_examples, tc)[0]
+        return _fit_binary(_signed(train_examples, dataset.class_set[0]), tc, traced=False)[0]
+    return _fit_one_vs_all(train_examples, tc, traced=False)[0]
 
 
 def _accuracy(model, dataset: Dataset, examples) -> float:

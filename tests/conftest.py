@@ -1,7 +1,8 @@
 """Shared sampling helpers and fixed documents for the test suite."""
 import numpy as np
 
-from sublin import AttributedGraph, Representation, from_representation, to_representation
+from sublin import (AttributedGraph, LabeledExample, Representation, from_representation,
+                    to_representation)
 
 # Graduated assignment's schedule as first written: what every model file of
 # earlier versions carries as `matcher_config.ga_params`, and what the frozen
@@ -21,6 +22,17 @@ def rand_graph(rng, order, attr_dim, density=0.5, scale=1.0, distinct_nodes=Fals
             if rng.random() < density:
                 edges.append((i, j, rng.uniform(-scale, scale, size=attr_dim)))
     return AttributedGraph(nodes, edges)
+
+
+def three_class_examples(rng, size):
+    """`size` examples of 1-3 nodes with d=3; example i is class "c{i % 3}", its
+    nodes near 2 along axis i % 3."""
+    examples = []
+    for i in range(size):
+        nodes = rng.normal(0.0, 0.1, size=(int(rng.integers(1, 4)), 3))
+        nodes[:, i % 3] += 2.0
+        examples.append(LabeledExample(AttributedGraph(nodes), f"c{i % 3}"))
+    return examples
 
 
 def rand_sym_cells(rng, order, attr_dim, scale=1.0):

@@ -11,8 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import permuted_graph, rand_graph, rand_sym_cells, rel_close
-from sublin import (AttributedGraph, GXL_PRESETS, LabeledExample, MatcherConfig,
+from conftest import permuted_graph, rand_graph, rand_sym_cells, rel_close, three_class_examples
+from sublin import (AttributedGraph, Dataset, GXL_PRESETS, LabeledExample, MatcherConfig,
                     Representation, SublinearModel, SyntheticSpec, TrainConfig,
                     binary_examples, classify, evaluate, exact_sdp, ga_sdp,
                     generate_synthetic, hinge_loss, induced_distance, knn_classify,
@@ -348,6 +348,33 @@ def test_criterion_7_protocol_reproducibility_and_accounting():
     _report(7, "PASS", f"identical reports modulo wall time; one-against-all "
                        f"prediction = {ova_calls} calls (classes), 1-NN query = "
                        f"{knn_calls} calls (training size)")
+
+
+def test_criterion_7_protocol_matcher_call_accounting():
+    # max_epochs=1: the first epoch from zero weights always updates, so every fit
+    # runs exactly one epoch. With no per-epoch scoring pass in the protocol, its
+    # matcher calls are one per training step plus one per prediction, per member.
+    spec = SyntheticSpec(n_examples={"train": 16, "validation": 8, "test": 8},
+                         order_range=(2, 4), attr_dim=2, planted_order=3,
+                         planted_margin=0.4, edge_density=0.6, seed=707)
+    binary, _ = generate_synthetic(spec)
+    rng = np.random.default_rng(17)
+    three = Dataset("three-class", {name: three_class_examples(rng, size) for name, size
+                                    in (("train", 9), ("validation", 6), ("test", 6))},
+                    ("c0", "c1", "c2"))
+
+    for ds, members in ((binary, 1), (three, 3)):
+        cfg = ProtocolConfig(dataset=ds, algorithm="margin_perceptron",
+                             eta_grid=(0.1, 0.5), lambda_grid=(0.05, 0.1, 0.2),
+                             repeats=2, seed=7, max_epochs=1)
+        report = run_protocol(cfg)
+        n_train, n_val, n_test = (len(ds.split(s)) for s in ("train", "validation", "test"))
+        grid_fits = (len(cfg.eta_grid) + len(cfg.lambda_grid)) * cfg.repeats
+        per_member = (grid_fits * (n_train + n_val)
+                      + cfg.repeats * (n_train + n_val + n_test))
+        assert report.matcher_calls == per_member * members
+        _report(7, "PASS", f"{ds.name}: {report.matcher_calls} protocol matcher calls = "
+                           f"training steps + predictions ({members} member(s))")
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ import os
 import numpy as np
 import pytest
 
-from conftest import permuted_graph, rand_graph, rand_sym_cells, relabeled
+from conftest import permuted_graph, rand_graph, rand_sym_cells, relabeled, three_class_examples
 from sublin import (AttributedGraph, EpochStats, LabeledExample, MatcherConfig, Representation,
-                    TrainConfig, TrainTrace, ValidationError, classify, derive_seed, empirical_risk,
-                    evaluate, hinge_loss, knn_classify, optimal_align, subgradient_step,
+                    SyntheticSpec, TrainConfig, TrainTrace, ValidationError, binary_examples,
+                    classify, derive_seed, empirical_risk, evaluate, generate_synthetic,
+                    hinge_loss, knn_classify, optimal_align, subgradient_step,
                     to_representation, train_binary, train_one_vs_all, write_trace_jsonl)
+from sublin.learning import _fit_binary, _fit_one_vs_all
 
 EXACT = MatcherConfig()
 
@@ -192,6 +194,51 @@ class TestTrainOneVsAll:
     def test_single_class_rejected(self):
         with pytest.raises(ValidationError):
             train_one_vs_all([single_node(1.0, "a")], TrainConfig(learning_rate=0.1))
+
+
+def _assert_same_model(got, want):
+    assert np.array_equal(got.weight_rep.cells, want.weight_rep.cells)
+    assert got.bias == want.bias
+    assert got.metadata == want.metadata
+    assert got.matcher == want.matcher
+
+
+# (max_epochs, margin, converged): a run that separates the sample early and one
+# cut at max_epochs with the margin still violated
+FIT_CASES = [(50, 0.0, True), (3, 50.0, False)]
+
+
+class TestTraceFreeFit:
+    """The protocol's fits skip the per-epoch split pass; the model must not change."""
+
+    @pytest.mark.parametrize("max_epochs, margin, converged", FIT_CASES)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_binary_equals_train_binary(self, max_epochs, margin, converged, seed):
+        spec = SyntheticSpec(n_examples={"train": 12, "validation": 2, "test": 2},
+                             order_range=(2, 4), attr_dim=2, planted_order=3,
+                             planted_margin=0.4, edge_density=0.6, seed=5)
+        data = binary_examples(generate_synthetic(spec)[0], "train", "pos")
+        cfg = TrainConfig(learning_rate=0.5, margin=margin, max_epochs=max_epochs,
+                          seed=seed, matcher=EXACT)
+        model, trace = _fit_binary(data, cfg, traced=False)
+        want = train_binary(data, cfg)[0]
+        assert trace is None
+        assert model.metadata["converged"] is converged
+        _assert_same_model(model, want)
+
+    @pytest.mark.parametrize("max_epochs, margin, converged", FIT_CASES)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_one_vs_all_equals_train_one_vs_all(self, max_epochs, margin, converged, seed):
+        data = three_class_examples(np.random.default_rng(3), 9)
+        cfg = TrainConfig(learning_rate=0.5, margin=margin, max_epochs=max_epochs,
+                          seed=seed, matcher=EXACT)
+        ova, traces = _fit_one_vs_all(data, cfg, traced=False)
+        want = train_one_vs_all(data, cfg)[0]
+        assert traces == (None, None, None)
+        assert ova.classes == want.classes
+        assert all(m.metadata["converged"] is converged for m in ova.members)
+        for member, want_member in zip(ova.members, want.members, strict=True):
+            _assert_same_model(member, want_member)
 
 
 class TestEmpiricalRisk:

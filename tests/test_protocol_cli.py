@@ -192,7 +192,9 @@ class TestCli:
         (("--pairs", "0"), "--pairs"), (("--pairs", "-2"), "--pairs"),
         (("--min-order", "5", "--max-order", "3"), "--min-order"), (("--min-order", "0"), "--min-order"),
         (("--attr-dim", "0"), "--attr-dim"),
-    ], ids=["pairs-0", "pairs-negative", "orders-reversed", "min-order-0", "attr-dim-0"])
+        (("--pairs", "1", "--min-order", "10", "--max-order", "10"), "--max-order"),
+    ], ids=["pairs-0", "pairs-negative", "orders-reversed", "min-order-0", "attr-dim-0",
+            "max-order-above-exact-limit"])
     def test_bench_rejects_bad_arguments(self, args, flag):
         # with a timeout, a hang (drawing a non-zero empty edge vector) fails instead
         proc = run_cli("bench", *args, timeout=60)
