@@ -32,7 +32,9 @@ class AttributedGraph:
     with :func:`attach_edge_flag`.
     """
 
-    __slots__ = ("node_attrs", "edge_attrs", "label", "_rep")
+    # `_rep` and `_self_product` are computed on first use and kept: the dense
+    # encoding (`to_representation`) and the dot product with itself (`matching.sdp`)
+    __slots__ = ("node_attrs", "edge_attrs", "label", "_rep", "_self_product")
 
     def __init__(self, node_attrs, edges=(), label=None):
         nodes = np.asarray(node_attrs, dtype=np.float64)
@@ -75,6 +77,7 @@ class AttributedGraph:
         object.__setattr__(self, "edge_attrs", stored)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "_rep", None)
+        object.__setattr__(self, "_self_product", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AttributedGraph is immutable")

@@ -4,15 +4,17 @@ The similarity of two graphs is the maximum, over one-to-one node
 correspondences, of the summed dot products between corresponding node and
 induced edge attributes. `sdp`, `exact_sdp`, `ga_sdp` and `optimal_align` all
 reach one core, `_match`, which takes the dense cells of two graphs and returns
-the assigned node pairs from one of two solvers: exhaustive permutation
-enumeration (exact, small orders) or graduated assignment (heuristic, any
-order). Values returned to callers are always recomputed from the hard
-correspondence, never taken from solver internals.
+the assigned node pairs from one of two solvers: exhaustive enumeration of the
+injections of the smaller node set into the larger (exact, small orders) or
+graduated assignment (heuristic, any order). Values returned to callers are
+always recomputed from the hard correspondence, never taken from solver
+internals.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 import numpy as np
@@ -22,13 +24,17 @@ from .graphs import AttributedGraph, Representation, to_representation
 
 DEFAULT_EXACT_MAX_ORDER = 8
 # Orders above this are never enumerated. The enumerator keeps, for the life of
-# the process, one uint16 table of n! x n x n flat positions per order it has
-# seen (`_pair_index`, 2 n! n^2 bytes): 52 kB at order 6, 0.49 MB at 7, 5.2 MB
-# at 8 and 59 MB at 9, plus about 20 MB of temporaries while the order-9 table
-# is built.
+# the process, one uint16 table of P(max, min) x min x min flat positions per
+# pair of orders (m, n) it has seen (`_injection_table`): 18.5 MB for every
+# (m, n) up to 8 together, 58.8 MB at (9, 9), 46.4 MB each at (9, 8) and (8, 9),
+# and 198 MB for every pair with an order-9 side together. The cache is not
+# bounded below its 81 possible keys: evicting a table would only rebuild it
+# on the next call with those orders.
 _HARD_ENUM_LIMIT = 9
-# Permutations scored per gather; bounds the per-call buffers (0.3 MB of terms
-# at order 7). 720 = 6! divides n! from order 6 up, so every chunk is full.
+# Injections scored per gather, at most: each table is split into chunks of its
+# largest row count that divides evenly and does not exceed this, which bounds
+# the per-call buffers (0.3 MB of terms at order 7). 720 = 6! divides n! from
+# order 6 up, so equal orders always walk full chunks of 720.
 _ENUM_CHUNK = 720
 
 # Count of hard matching problems actually solved (enumeration or annealing).
@@ -118,6 +124,13 @@ def _fixed_schedule(doc) -> None:
                          f"got {doc!r}")
 
 
+def _integer(value) -> int:
+    """`operator.index(value)`, refusing the booleans it would read as 0 and 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class MatcherConfig:
     """Solver selection: exact enumeration under a node-count cap, or graduated assignment."""
@@ -128,6 +141,8 @@ class MatcherConfig:
     def __post_init__(self):
         if self.method not in ("exact", "graduated"):
             raise ValidationError(f"unknown matcher method {self.method!r}")
+        if type(self.exact_max_order) is bool or not isinstance(self.exact_max_order, int):
+            raise ValidationError(f"exact_max_order must be an integer, got {self.exact_max_order!r}")
         if self.exact_max_order < 1:
             raise ValidationError("exact_max_order must be at least 1")
 
@@ -139,7 +154,7 @@ class MatcherConfig:
         config_value(doc, "ga_params", _fixed_schedule, None)
         return cls(
             method=config_value(doc, "method", str, "exact"),
-            exact_max_order=config_value(doc, "exact_max_order", int, DEFAULT_EXACT_MAX_ORDER),
+            exact_max_order=config_value(doc, "exact_max_order", _integer, DEFAULT_EXACT_MAX_ORDER),
         )
 
 
@@ -184,56 +199,73 @@ def _finite(value: float) -> float:
     return value
 
 
-@lru_cache(maxsize=16)
-def _pair_index(n: int) -> np.ndarray:
-    """Flat positions into an order-n compatibility array laid out as (i, r, j, s):
-    row k holds table[k, i, j] = ((i*n + p(i))*n + j)*n + p(j) for the k-th
-    permutation p of 0..n-1 in lexicographic order. Read-only, n! x n x n uint16
-    (the largest position, n**4 - 1, is 6,560 at order 9)."""
-    perms = np.fromiter(itertools.permutations(range(n)), dtype=np.dtype((np.uint16, n)),
-                        count=math.factorial(n))
-    row = np.arange(n, dtype=np.uint16) * n + perms  # i*n + p(i)
-    table = (row * (n * n))[:, :, None] + row[:, None, :]
+@lru_cache(maxsize=None)
+def _injection_table(m: int, n: int) -> np.ndarray:
+    """Flat positions into the (i, r, j, s) compatibility array of an m-node and an
+    n-node graph (entry ((i*n + r)*m + j)*n + s holds dot(x_ij, y_rs)), one row
+    per injection of the smaller node set into the larger.
+
+    Row t lists the k = min(m, n) assigned pairs (i_a, r_a) indexed by the
+    smaller graph's node a, as table[t, a, b] = (i_a*n + r_a)*m*n + i_b*n + r_b.
+    Rows follow the lexicographic order of the row permutation each injection
+    completes to once both graphs are padded with isolated zero nodes to order
+    max(m, n), the free rows taking the padded columns in ascending order. The
+    read-only uint16 array (the largest position, 6,560, is at (9, 9)) is shaped
+    (chunks, rows per chunk, k, k) for the scorer's walk.
+    """
+    k = min(m, n)
+    count = math.perm(max(m, n), k)
+    if m <= n:  # itertools order is already the order of the completions
+        rows = np.arange(m, dtype=np.uint16)
+        cols = np.fromiter(itertools.permutations(range(n), m), dtype=np.dtype((np.uint16, m)),
+                           count=count)
+    else:  # columns into rows, sorted once by the completed row permutation
+        cols = np.arange(n, dtype=np.uint16)
+        rows = np.fromiter(itertools.permutations(range(m), n), dtype=np.dtype((np.uint16, n)),
+                           count=count)
+        # free rows may all read n: two completions that agree up to a free row
+        # give it the same padded column, so padded values never decide the order
+        completed = np.full((count, m), n, dtype=np.uint16)
+        completed[np.arange(count)[:, None], rows] = cols
+        rows = rows[np.lexsort(completed.T[::-1])]
+    pos = rows * n + cols  # i*n + r
+    table = (pos * (m * n))[:, :, None] + pos[:, None, :]
+    chunk = next(c for c in range(min(count, _ENUM_CHUNK), 0, -1) if count % c == 0)
+    table = table.reshape(-1, chunk, k, k)
     table.flags.writeable = False
     return table
 
 
-def _pad_cells(cells: np.ndarray, n: int) -> np.ndarray:
-    m, _, d = cells.shape
-    if m == n:
-        return cells
-    out = np.zeros((n, n, d))
-    out[:m, :m] = cells
-    return out
+def _best_pairs(cx: np.ndarray, cy: np.ndarray):
+    """Assigned (row, col) pairs of the injection maximizing the summed dot(x_ij, y_rs)
+    over its pairs (i, r), (j, s); ties go to the lexicographically smallest
+    completed permutation (see `_injection_table`).
 
-
-def _best_permutation(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-    """Lexicographically smallest permutation maximizing sum_ij dot(x_ij, y_p(i)p(j)).
-
-    Both cell arrays must share the same order n, at least 1. The n x n terms of
-    `_ENUM_CHUNK` permutations at a time are gathered through the cached
-    `_pair_index(n)` table into one buffer and summed in that (i, j) layout; the
-    first maximizer of a chunk wins, and a later chunk only on a strictly larger
-    score. The winning permutation is decoded from its table row.
+    Both cell arrays must have order at least 1. The k x k terms of one chunk of
+    injections at a time are gathered through the cached table into one buffer
+    and summed in that layout; the first maximizer of a chunk wins, and a later
+    chunk only on a strictly larger score. Terms are placed by the smaller
+    graph's nodes, so injections that differ only in which zero nodes they match
+    sum the same terms in the same places and tie exactly, as the padded
+    permutations did.
     """
-    n = cx.shape[0]
-    # compat[((i*n + r)*n + j)*n + s] = dot(x_ij, y_rs)
+    m, n = cx.shape[0], cy.shape[0]
     compat = np.tensordot(cx, cy, axes=([2], [2])).transpose(0, 2, 1, 3).ravel()
-    table = _pair_index(n)
-    rows = min(_ENUM_CHUNK, table.shape[0])
+    blocks = _injection_table(m, n)
     # one buffer per call: a fresh array per chunk costs page faults once the
     # allocator returns it to the system; "clip" lets take fill it directly, and
     # every position is in range by construction
-    terms = np.empty((rows, n, n))
+    terms = np.empty(blocks.shape[1:])
     best_score = -np.inf
-    best_row = table[0]
-    for block in table.reshape(-1, rows, n, n):
+    best_row = blocks[0, 0]
+    for block in blocks:
         scores = np.take(compat, block, out=terms, mode="clip").sum(axis=(1, 2))
-        k = int(np.argmax(scores))
-        if scores[k] > best_score:
-            best_score = float(scores[k])
-            best_row = block[k]
-    return best_row[:, 0] // (n * n) - np.arange(n) * n
+        t = int(np.argmax(scores))
+        if scores[t] > best_score:
+            best_score = float(scores[t])
+            best_row = block[t]
+    rows, cols = np.divmod(best_row[:, 0] // (m * n), n)
+    return tuple(sorted(zip(rows.tolist(), cols.tolist())))
 
 
 def _ga_soft(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
@@ -313,15 +345,14 @@ def _ga_soft_pairs(cx: np.ndarray, cy: np.ndarray):
 def _match(cx: np.ndarray, cy: np.ndarray, cfg: MatcherConfig):
     """Assigned (row, col) pairs of a best correspondence between two cell arrays.
 
-    Exact enumeration pads both arrays with isolated zero nodes to the larger
-    order, so it raises CapacityError above `cfg.exact_max_order` (and above
-    the enumerator's own limit); graduated assignment works on the arrays as
-    they are. Counts as one solver call.
+    Exact enumeration raises CapacityError when the larger order exceeds
+    `cfg.exact_max_order` (or the enumerator's own limit); graduated assignment
+    works on any orders. Both solvers take the arrays as they are. Counts as one
+    solver call.
     """
     m, n = cx.shape[0], cy.shape[0]
-    k = max(m, n)
     cap = min(cfg.exact_max_order, _HARD_ENUM_LIMIT)
-    if cfg.method == "exact" and k > cap:
+    if cfg.method == "exact" and max(m, n) > cap:
         raise CapacityError(
             f"orders ({m}, {n}) exceed the exact cap {cap}; use the graduated matcher"
         )
@@ -330,8 +361,7 @@ def _match(cx: np.ndarray, cy: np.ndarray, cfg: MatcherConfig):
         return ()
     if cfg.method == "graduated":
         return _ga_soft_pairs(cx, cy)
-    perm = _best_permutation(_pad_cells(cx, k), _pad_cells(cy, k))
-    return tuple((i, int(perm[i])) for i in range(m) if perm[i] < n)  # drop padded nodes
+    return _best_pairs(cx, cy)
 
 
 def _check_dims(a, b) -> None:
@@ -349,9 +379,10 @@ def _sdp(x: AttributedGraph, y: AttributedGraph, cfg: MatcherConfig) -> MatchRes
 def exact_sdp(x: AttributedGraph, y: AttributedGraph, max_order: int = DEFAULT_EXACT_MAX_ORDER) -> MatchResult:
     """Exact dot product by enumerating all node correspondences.
 
-    The smaller graph is padded with isolated zero nodes to the larger order,
-    every permutation of that order is scored, and the lexicographically
-    smallest maximizer wins ties.
+    Every injection of the smaller graph's nodes into the larger graph's is
+    scored. Ties go to the injection whose completion to a permutation (both
+    graphs padded with isolated zero nodes to the larger order, free rows taking
+    the padded columns in ascending order) is lexicographically smallest.
     """
     return _sdp(x, y, MatcherConfig(exact_max_order=max_order))
 
@@ -369,12 +400,16 @@ def sdp(x: AttributedGraph, y: AttributedGraph, cfg: MatcherConfig | None = None
     """Dot product dispatch: exact under the order cap, graduated otherwise.
 
     The self-product of a graph with itself (same object) is closed-form: the
-    identity correspondence is optimal, so no matching problem is solved.
+    identity correspondence is optimal, so no matching problem is solved. Its
+    value is computed once per graph and kept on it.
     """
     cfg = cfg or MatcherConfig()
     if x is y:
-        rep, match = to_representation(x), MatchMatrix.identity(x.order)
-        return MatchResult(kernel_value(rep, rep, match), match, True)
+        match = MatchMatrix.identity(x.order)
+        if x._self_product is None:
+            rep = to_representation(x)
+            object.__setattr__(x, "_self_product", kernel_value(rep, rep, match))
+        return MatchResult(x._self_product, match, True)
     if cfg.method == "exact":
         return exact_sdp(x, y, cfg.exact_max_order)
     return ga_sdp(x, y)

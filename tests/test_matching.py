@@ -8,8 +8,8 @@ import pytest
 from conftest import FIRST_GA_SCHEDULE, permuted_graph, rand_graph, rand_sym_cells, rel_close
 from sublin import (AttributedGraph, CapacityError, MatcherConfig, MatchMatrix,
                     Representation, ValidationError, exact_sdp, ga_sdp, induced_distance,
-                    kernel_value, optimal_align, sdp, to_representation)
-from sublin.matching import _best_permutation, _ga_soft, _pad_cells
+                    kernel_value, matcher_call_count, optimal_align, sdp, to_representation)
+from sublin.matching import _best_pairs, _ga_soft, _injection_table
 
 EXACT = MatcherConfig()
 GRADUATED = MatcherConfig(method="graduated")
@@ -183,17 +183,46 @@ def _reference_best_permutation(cx, cy):
     return best_perm
 
 
+def _pad_cells(cells, n):
+    """The cells with isolated zero nodes appended up to order n: how the
+    reference puts two graphs of different orders on one order."""
+    m, _, d = cells.shape
+    if m == n:
+        return cells
+    out = np.zeros((n, n, d))
+    out[:m, :m] = cells
+    return out
+
+
 def _reference_pairs(cx, cy):
+    """Pairs of the lexicographically smallest maximizing permutation of both
+    graphs padded to the larger order, padded nodes dropped."""
     m, n = cx.shape[0], cy.shape[0]
     perm = _reference_best_permutation(_pad_cells(cx, max(m, n)), _pad_cells(cy, max(m, n)))
-    return [(i, int(perm[i])) for i in range(m) if perm[i] < n]
+    return tuple((i, int(perm[i])) for i in range(m) if perm[i] < n)
+
+
+# every pair of orders 1-8 both ways, and order 9 against a small and a large side
+ORDER_PAIRS = [(m, n) for m in range(1, 9) for n in range(1, 9)] + [(9, 3), (3, 9), (9, 8)]
+
+
+def _invariant(t, c):
+    """`c` summed over the powers of the node relabeling t: invariant under t, so a
+    permutation p and p o t score the same terms in other positions."""
+    n = c.shape[0]
+    x, u = c.copy(), t
+    while not np.array_equal(u, np.arange(n)):
+        x += c[u][:, u]
+        u = u[t]
+    return x
 
 
 class TestExactBitIdentity:
     @staticmethod
     def _cell_pairs(rng, scale):
         """(cx, cy) of one order: random, padded, all-zero, all-equal, integer-valued
-        and relabeling-invariant."""
+        and relabeling-invariant. Equal orders score the same terms in the same
+        layout as the reference, so ties within rounding break the same way too."""
         def cells(n, d):
             return rand_sym_cells(rng, n, d, scale)
 
@@ -212,21 +241,58 @@ class TestExactBitIdentity:
             yield (np.round(rand_sym_cells(rng, n, 2) * 2) * scale,
                    np.round(rand_sym_cells(rng, n, 2) * 2) * scale)
         for n in (4, 5, 6, 7) * 2:
-            # x invariant under a node relabeling t (summed over t's powers): p and
-            # p o t score the same terms in other positions, so they tie up to rounding
             t = rng.permutation(n)
-            c = cells(n, 2)
-            x, u = c.copy(), t
-            while not np.array_equal(u, np.arange(n)):
-                x += c[u][:, u]
-                u = u[t]
-            yield x, cells(n, 2)
+            yield _invariant(t, cells(n, 2)), cells(n, 2)
+
+    @staticmethod
+    def _order_pairs(rng, scale, m, n):
+        """(cx, cy) of orders m and n: random, all-zero, all-equal, integer-valued,
+        relabeling-invariant, and with zero last rows and columns. The scorer sums
+        only the real terms where the reference also sums the padded zeros between
+        them, so a tie within rounding may break either way; the tie-rich cells
+        hold multiples of a power of two near `scale`, which makes every tie exact.
+        Zero last nodes add exact zeros, which tie exactly at any scale."""
+        unit = 2.0 ** round(math.log2(scale))
+        d = 1 + (m + n) % 3
+
+        def integers(k):
+            return np.round(rand_sym_cells(rng, k, d) * 2) * unit
+
+        def zero_tail(k):
+            c = rand_sym_cells(rng, k, d, scale)
+            z = int(rng.integers(1, k + 1))
+            c[k - z:] = 0.0
+            c[:, k - z:] = 0.0
+            return c
+
+        yield rand_sym_cells(rng, m, d, scale), rand_sym_cells(rng, n, d, scale)
+        yield np.zeros((m, m, d)), rand_sym_cells(rng, n, d, scale)
+        yield np.full((m, m, d), unit), np.full((n, n, d), unit)
+        yield integers(m), integers(n)
+        yield _invariant(rng.permutation(m), integers(m)), integers(n)
+        yield zero_tail(m), zero_tail(n)
 
     @pytest.mark.parametrize("scale, seed", [(1e-6, 1), (1.0, 2), (1e6, 3)])
     def test_matches_reference_scorer(self, scale, seed):
         rng = np.random.default_rng(seed)
         for cx, cy in self._cell_pairs(rng, scale):
-            assert np.array_equal(_best_permutation(cx, cy), _reference_best_permutation(cx, cy))
+            assert _best_pairs(cx, cy) == _reference_pairs(cx, cy)
+        for m, n in ORDER_PAIRS:
+            pairs = list(self._order_pairs(rng, scale, m, n))
+            if max(m, n) > 7:  # the reference scores 8! or 9! permutations per pair
+                pairs = [pairs[0], pairs[1 + (seed + m + n) % 5]]
+            for cx, cy in pairs:
+                assert _best_pairs(cx, cy) == _reference_pairs(cx, cy), (m, n)
+
+    @pytest.mark.parametrize("m, n", [(9, 4), (4, 9)])
+    def test_unequal_orders_build_only_their_table(self, m, n):
+        rng = np.random.default_rng(9)
+        _injection_table.cache_clear()
+        exact_sdp(rand_graph(rng, m, 2), rand_graph(rng, n, 2), max_order=9)
+        info = _injection_table.cache_info()
+        assert info.currsize == 1
+        _injection_table(m, n)  # the one table held is (m, n): no (9, 9) table was built
+        assert _injection_table.cache_info().hits == info.hits + 1
 
     @pytest.mark.parametrize("scale, seed", [(1e-6, 4), (1.0, 5), (1e6, 6)])
     def test_exact_results_unchanged(self, scale, seed):
@@ -330,13 +396,20 @@ class TestMatcherConfig:
         ({"ga_params": {"beta_start": "x"}}, "'ga_params'"),
         ({"ga_params": [["beta_start", 1]]}, "'ga_params'"),
         ({"exact_max_order": "x"}, "'exact_max_order'"),
+        ({"exact_max_order": 7.9}, "'exact_max_order'"),
+        ({"exact_max_order": True}, "'exact_max_order'"),
         ({"method": "graduated", "ga_params": {**FIRST_GA_SCHEDULE, "sinkhorn_max_iters": 3}},
          "'ga_params'"),
     ], ids=["bogus", "not-an-object", "ga_params-type", "ga_params-list", "exact_max_order-type",
-            "ga_params-custom"])
+            "exact_max_order-float", "exact_max_order-bool", "ga_params-custom"])
     def test_unknown_ga_params_key_rejected(self, doc, match):
         with pytest.raises(ValidationError, match=match):
             MatcherConfig.from_json(doc)
+
+    @pytest.mark.parametrize("value", [6.5, True, np.int64(6)], ids=["float", "bool", "numpy"])
+    def test_exact_max_order_must_be_an_int(self, value):
+        with pytest.raises(ValidationError, match="exact_max_order must be an integer"):
+            MatcherConfig(exact_max_order=value)
 
     @pytest.mark.parametrize("ga_params", [FIRST_GA_SCHEDULE, {"sinkhorn_tol": 0.005}, {}],
                              ids=["full", "subset", "empty"])
@@ -416,6 +489,17 @@ class TestInducedDistance:
 
     def test_running_pair_is_isomorphic(self):
         assert induced_distance(GX, GY, EXACT) == 0.0
+
+    def test_self_products_kept_on_graphs(self):
+        rng = np.random.default_rng(10)
+        x, y = rand_graph(rng, 5, 2), rand_graph(rng, 7, 2)
+        calls = matcher_call_count()
+        first = induced_distance(x, y, EXACT)
+        for g in (x, y):
+            rep = to_representation(g)
+            assert g._self_product == kernel_value(rep, rep, MatchMatrix.identity(g.order))
+        assert induced_distance(x, y, EXACT) == first
+        assert matcher_call_count() == calls + 2  # the cross products only
 
 
 class TestAlgebraicInvariants:

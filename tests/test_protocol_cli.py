@@ -214,14 +214,16 @@ class TestCli:
         proc = run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
         assert proc.returncode == 1
 
-    @pytest.mark.parametrize("command, key", [
+    @pytest.mark.parametrize("command, case", [
         ("train", "data"), ("protocol", "dataset"), ("train", "matcher"),
-        ("train", "ga_params"), ("train", "exact_max_order"), ("train", "eta"),
+        ("train", "ga_params"), ("train", "exact_max_order"), ("train", "exact_max_order-float"),
+        ("train", "eta"),
         ("train", "max_epochs"), ("synth", "attr_dim"), ("synth", "order_range"),
         ("train", "sinkhorn_max_iters"), ("train", "split"), ("train", "task"),
         ("train", "positive_class"),
     ])
-    def test_config_missing_key_is_validation_error(self, tmp_path, dataset_dir, command, key):
+    def test_config_missing_key_is_validation_error(self, tmp_path, dataset_dir, command, case):
+        key = case.partition("-")[0]
         data = {"data": str(dataset_dir)}
         spec = {"n_examples": {"train": 4}, "order_range": [2, 3], "attr_dim": 1,
                 "planted_order": 2, "planted_margin": 0.1, "edge_density": 0.5}
@@ -230,6 +232,7 @@ class TestCli:
             "matcher": {**data, "matcher": "graduated"},
             "ga_params": {**data, "matcher": {"ga_params": {"beta_start": "x"}}},
             "exact_max_order": {**data, "matcher": {"exact_max_order": "x"}},
+            "exact_max_order-float": {**data, "matcher": {"exact_max_order": 7.9}},
             "eta": {**data, "eta": "fast"},
             "max_epochs": {**data, "max_epochs": [1]},
             "attr_dim": {**spec, "attr_dim": "x"},
@@ -241,7 +244,7 @@ class TestCli:
             "positive_class": {**data, "positive_class": ["pos"]},
         }
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(docs[key]))
+        cfg_path.write_text(json.dumps(docs[case]))
         flag = "--spec" if command == "synth" else "--config"
         proc = run_cli(command, flag, str(cfg_path), "--out", str(tmp_path / "o"))
         assert proc.returncode == 1
