@@ -16,7 +16,7 @@ import numpy as np
 from . import data_io, matching, protocol
 from .data_io import (GXL_PRESETS, GxlAttrConfig, SyntheticSpec, binary_examples,
                       generate_synthetic, read_examples_jsonl, read_jsonl, write_jsonl)
-from .exceptions import InfeasibleSpecError, ValidationError, config_value
+from .exceptions import InfeasibleSpecError, ValidationError, config_value, integer
 from .files import atomic_write
 from .learning import TrainConfig, train_binary, train_one_vs_all, write_trace_jsonl
 from .matching import MatcherConfig, exact_sdp, ga_sdp, sdp
@@ -68,7 +68,7 @@ def _read_json(path):
 
 
 def _numbers(values):
-    if not all(isinstance(v, (int, float)) for v in values):
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
         raise TypeError(f"expected a list of numbers, got {values!r}")
     return tuple(values)
 
@@ -86,7 +86,7 @@ def _task(value):
 
 
 def _int_or_none(value):
-    return None if value is None else int(value)
+    return None if value is None else integer(value)
 
 
 def _write_json(doc, path=None):
@@ -123,9 +123,9 @@ def _cmd_train(args) -> int:
     tc = TrainConfig(
         learning_rate=config_value(cfg_doc, "eta", float, 0.1),
         margin=config_value(cfg_doc, "lambda", float, 0.0),
-        max_epochs=config_value(cfg_doc, "max_epochs", int, 200),
+        max_epochs=config_value(cfg_doc, "max_epochs", integer, 200),
         weight_order=config_value(cfg_doc, "weight_order", _int_or_none, None),
-        seed=config_value(cfg_doc, "seed", int, args.seed),
+        seed=config_value(cfg_doc, "seed", integer, args.seed),
         matcher=config_value(cfg_doc, "matcher", MatcherConfig.from_json, _matcher_from_args(args)),
     )
     dataset = read_jsonl(config_value(cfg_doc, "data", str))
@@ -258,10 +258,10 @@ def _cmd_protocol(args) -> int:
         algorithm=config_value(doc, "algorithm", str),
         eta_grid=config_value(doc, "eta_grid", _numbers, protocol.DEFAULT_ETA_GRID),
         lambda_grid=config_value(doc, "lambda_grid", _numbers, protocol.DEFAULT_LAMBDA_GRID),
-        repeats=config_value(doc, "repeats", int, 10),
-        seed=config_value(doc, "seed", int, args.seed),
+        repeats=config_value(doc, "repeats", integer, 10),
+        seed=config_value(doc, "seed", integer, args.seed),
         matcher=config_value(doc, "matcher", MatcherConfig.from_json, _matcher_from_args(args)),
-        max_epochs=config_value(doc, "max_epochs", int, 200),
+        max_epochs=config_value(doc, "max_epochs", integer, 200),
         weight_order=config_value(doc, "weight_order", _int_or_none, None),
     )
     report = run_protocol(cfg)

@@ -22,7 +22,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exceptions import DatasetFormatError, InfeasibleSpecError, ValidationError, config_value
+from .exceptions import (DatasetFormatError, InfeasibleSpecError, ValidationError, config_value,
+                         integer)
 from .files import atomic_write
 from .graphs import AttributedGraph
 from .learning import LabeledExample, _signed
@@ -479,22 +480,22 @@ class SyntheticSpec:
         return cls(
             n_examples=config_value(doc, "n_examples", _split_counts),
             order_range=config_value(doc, "order_range", _int_pair),
-            attr_dim=config_value(doc, "attr_dim", int),
-            planted_order=config_value(doc, "planted_order", int),
+            attr_dim=config_value(doc, "attr_dim", integer),
+            planted_order=config_value(doc, "planted_order", integer),
             planted_margin=config_value(doc, "planted_margin", float),
             edge_density=config_value(doc, "edge_density", float),
             attribute_scale=config_value(doc, "attribute_scale", float, 1.0),
-            seed=config_value(doc, "seed", int, 0),
+            seed=config_value(doc, "seed", integer, 0),
         )
 
 
 def _split_counts(doc) -> Dict[str, int]:
-    return {split: int(n) for split, n in dict(doc).items()}
+    return {split: integer(n) for split, n in dict(doc).items()}
 
 
 def _int_pair(doc) -> Tuple[int, int]:
     lo, hi = doc
-    return int(lo), int(hi)
+    return integer(lo), integer(hi)
 
 
 def random_graph(rng, order, attr_dim, density, scale) -> AttributedGraph:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the check that reads config values."""
+"""Exception types shared across the package, and the checks that read config values."""
+
+import operator
 
 _REQUIRED = object()
 
@@ -51,3 +53,11 @@ def config_value(doc, key, kind, default=_REQUIRED):
         return kind(doc[key])
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{key!r}: {exc}") from None
+
+
+def integer(value) -> int:
+    """`operator.index(value)`, refusing the booleans it would read as 0 and 1: the
+    one reader of integer config values, so a float or a boolean is never truncated."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)

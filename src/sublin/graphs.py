@@ -125,7 +125,8 @@ class Representation:
     """Dense symmetric encoding of a graph: an (n, n, d) array of attribute vectors.
 
     The diagonal holds node attributes, off-diagonal cells hold edge attributes,
-    and a zero off-diagonal cell means no edge. Every cell must be finite.
+    and a zero off-diagonal cell means no edge. Every cell must be finite. The
+    constructor copies its input and checks shape, finiteness and symmetry.
     """
 
     __slots__ = ("cells",)
@@ -143,6 +144,16 @@ class Representation:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "cells", arr)
+
+    @classmethod
+    def _own(cls, cells: np.ndarray) -> "Representation":
+        """Keep a freshly built float64 (n, n, d) array, read-only, without the copy
+        and the checks: for arrays built from checked representations only, whose
+        cells are finite and symmetric by construction."""
+        cells.flags.writeable = False
+        rep = object.__new__(cls)
+        object.__setattr__(rep, "cells", cells)
+        return rep
 
     def __setattr__(self, name, value):
         raise AttributeError("Representation is immutable")

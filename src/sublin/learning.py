@@ -92,14 +92,18 @@ def subgradient_step(w: Representation, b: float, example: LabeledExample,
     Aligns the example against the current weights; on a margin violation
     (y * score <= margin) moves along the negative loss subgradient:
     w += eta * y * aligned, b += eta * y. Returns (w', b', updated, loss) where
-    loss is the hinge value at the incoming state.
+    loss is the hinge value at the incoming state. An update that overflows the
+    float range raises ValidationError.
     """
     y = int(example.y)
     y_hat, aligned = _score(w, b, example.graph, matcher)
     loss = hinge_loss(y_hat, y, margin)
     if y * y_hat <= margin:
-        w_new = Representation(w.cells + learning_rate * y * aligned.cells)
-        return w_new, b + learning_rate * y, True, loss
+        # symmetric plus a scalar times symmetric: only overflow needs a check
+        cells = w.cells + learning_rate * y * aligned.cells
+        if not np.isfinite(cells).all():
+            raise ValidationError("graph attributes must be finite")
+        return Representation._own(cells), b + learning_rate * y, True, loss
     return w, b, False, loss
 
 

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 import numpy as np
 
-from .exceptions import CapacityError, SizeError, ValidationError, config_value
+from .exceptions import CapacityError, SizeError, ValidationError, config_value, integer
 from .graphs import AttributedGraph, Representation, to_representation
 
 DEFAULT_EXACT_MAX_ORDER = 8
@@ -124,13 +123,6 @@ def _fixed_schedule(doc) -> None:
                          f"got {doc!r}")
 
 
-def _integer(value) -> int:
-    """`operator.index(value)`, refusing the booleans it would read as 0 and 1."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return operator.index(value)
-
-
 @dataclass(frozen=True)
 class MatcherConfig:
     """Solver selection: exact enumeration under a node-count cap, or graduated assignment."""
@@ -154,7 +146,7 @@ class MatcherConfig:
         config_value(doc, "ga_params", _fixed_schedule, None)
         return cls(
             method=config_value(doc, "method", str, "exact"),
-            exact_max_order=config_value(doc, "exact_max_order", _integer, DEFAULT_EXACT_MAX_ORDER),
+            exact_max_order=config_value(doc, "exact_max_order", integer, DEFAULT_EXACT_MAX_ORDER),
         )
 
 
@@ -201,12 +193,13 @@ def _finite(value: float) -> float:
 
 @lru_cache(maxsize=None)
 def _injection_table(m: int, n: int) -> np.ndarray:
-    """Flat positions into the (i, r, j, s) compatibility array of an m-node and an
-    n-node graph (entry ((i*n + r)*m + j)*n + s holds dot(x_ij, y_rs)), one row
-    per injection of the smaller node set into the larger.
+    """Flat positions into the (i, j, r, s) compatibility array of an m-node and an
+    n-node graph (entry (i*m + j)*n*n + r*n + s holds dot(x_ij, y_rs), the layout
+    of the one matrix product in `_best_pairs`), one row per injection of the
+    smaller node set into the larger.
 
     Row t lists the k = min(m, n) assigned pairs (i_a, r_a) indexed by the
-    smaller graph's node a, as table[t, a, b] = (i_a*n + r_a)*m*n + i_b*n + r_b.
+    smaller graph's node a, as table[t, a, b] = (i_a*m + i_b)*n*n + r_a*n + r_b.
     Rows follow the lexicographic order of the row permutation each injection
     completes to once both graphs are padded with isolated zero nodes to order
     max(m, n), the free rows taking the padded columns in ascending order. The
@@ -228,8 +221,8 @@ def _injection_table(m: int, n: int) -> np.ndarray:
         completed = np.full((count, m), n, dtype=np.uint16)
         completed[np.arange(count)[:, None], rows] = cols
         rows = rows[np.lexsort(completed.T[::-1])]
-    pos = rows * n + cols  # i*n + r
-    table = (pos * (m * n))[:, :, None] + pos[:, None, :]
+    # the a part (i_a*m*n*n + r_a*n) plus the b part (i_b*n*n + r_b)
+    table = (rows * (m * n * n) + cols * n)[:, :, None] + (rows * (n * n) + cols)[:, None, :]
     chunk = next(c for c in range(min(count, _ENUM_CHUNK), 0, -1) if count % c == 0)
     table = table.reshape(-1, chunk, k, k)
     table.flags.writeable = False
@@ -241,16 +234,18 @@ def _best_pairs(cx: np.ndarray, cy: np.ndarray):
     over its pairs (i, r), (j, s); ties go to the lexicographically smallest
     completed permutation (see `_injection_table`).
 
-    Both cell arrays must have order at least 1. The k x k terms of one chunk of
-    injections at a time are gathered through the cached table into one buffer
-    and summed in that layout; the first maximizer of a chunk wins, and a later
-    chunk only on a strictly larger score. Terms are placed by the smaller
-    graph's nodes, so injections that differ only in which zero nodes they match
-    sum the same terms in the same places and tie exactly, as the padded
-    permutations did.
+    Both cell arrays must have order at least 1. The compatibilities are one
+    (m*m, d) x (d, n*n) matrix product, read in place as the (i, j, r, s) array
+    the table indexes. The k x k terms of one chunk of injections at a time are
+    gathered through the cached table into one buffer and summed in that layout;
+    the first maximizer of a chunk wins, and a later chunk only on a strictly
+    larger score. Terms are placed by the smaller graph's nodes, so injections
+    that differ only in which zero nodes they match sum the same terms in the
+    same places and tie exactly, as the padded permutations did.
     """
     m, n = cx.shape[0], cy.shape[0]
-    compat = np.tensordot(cx, cy, axes=([2], [2])).transpose(0, 2, 1, 3).ravel()
+    d = cx.shape[2]
+    compat = np.dot(cx.reshape(m * m, d), cy.transpose(2, 0, 1).reshape(d, n * n)).ravel()
     blocks = _injection_table(m, n)
     # one buffer per call: a fresh array per chunk costs page faults once the
     # allocator returns it to the system; "clip" lets take fill it directly, and
@@ -264,8 +259,8 @@ def _best_pairs(cx: np.ndarray, cy: np.ndarray):
         if scores[t] > best_score:
             best_score = float(scores[t])
             best_row = block[t]
-    rows, cols = np.divmod(best_row[:, 0] // (m * n), n)
-    return tuple(sorted(zip(rows.tolist(), cols.tolist())))
+    i_a0, r_a0 = np.divmod(best_row[:, 0], n * n)  # column b = 0: i_a*m + i_0, r_a*n + r_0
+    return tuple(sorted(zip((i_a0 // m).tolist(), (r_a0 // n).tolist())))
 
 
 def _ga_soft(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
@@ -428,7 +423,7 @@ def optimal_align(rw: Representation, x: AttributedGraph, cfg: MatcherConfig | N
     pairs = _match(rw.cells, rx.cells, cfg or MatcherConfig())
     rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     aligned[rows[:, None], rows] = rx.cells[cols[:, None], cols]
-    return Representation(aligned)
+    return Representation._own(aligned)  # gathered from checked cells
 
 
 def induced_distance(x: AttributedGraph, y: AttributedGraph, cfg: MatcherConfig | None = None) -> float:

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .exceptions import DegenerateModelError, ValidationError, config_value
+from .exceptions import DegenerateModelError, ValidationError, config_value, integer
 from .files import atomic_write
 from .graphs import AttributedGraph, Representation, to_representation
 from .matching import MatcherConfig, _finite, optimal_align
@@ -139,8 +138,8 @@ def _model_from_doc(doc: dict) -> SublinearModel:
     version = config_value(doc, "format_version", lambda v: v, None)
     if version != MODEL_FORMAT_VERSION:
         raise ValidationError(f"unsupported model format version {version!r}")
-    order = config_value(doc, "order", operator.index)
-    attr_dim = config_value(doc, "attr_dim", operator.index)
+    order = config_value(doc, "order", integer)
+    attr_dim = config_value(doc, "attr_dim", integer)
     cells = config_value(doc, "weight_cells", lambda v: np.asarray(v, dtype=np.float64))
     if cells.size == 0:  # an order-0 weight is written as []
         try:

@@ -294,6 +294,17 @@ class TestSyntheticGenerator:
         spec = SyntheticSpec(n_examples={"train": 5}, seed=3, **self.SPEC)
         assert SyntheticSpec.from_json(spec.to_json()) == spec
 
+    @pytest.mark.parametrize("key, value", [
+        ("attr_dim", 1.7), ("planted_order", 2.9), ("seed", True), ("seed", 3.0),
+        ("n_examples", {"train": 4.5}), ("n_examples", {"train": True}),
+        ("order_range", [2, 3.5]), ("order_range", [True, 3]),
+    ], ids=["attr_dim-float", "planted_order-float", "seed-bool", "seed-float",
+            "n_examples-float", "n_examples-bool", "order_range-float", "order_range-bool"])
+    def test_spec_json_integers_are_not_truncated(self, key, value):
+        doc = SyntheticSpec(n_examples={"train": 5}, seed=3, **self.SPEC).to_json()
+        with pytest.raises(ValidationError, match=repr(key)):
+            SyntheticSpec.from_json({**doc, key: value})
+
 
 class TestStandardize:
     def test_transform_and_provenance(self):

@@ -61,6 +61,19 @@ class TestSubgradientStep:
         assert b2 == -0.5
         assert loss == 2.0  # hinge at the incoming state: max(0, 0 - (-1)*2)
 
+    def test_overflowing_update_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="finite"):
+            subgradient_step(Representation.zeros(1, 1), 0.0, single_node(1e308, 1), 10.0, 0.0)
+
+    def test_updated_weights_are_read_only_and_pass_the_checks(self):
+        rng = np.random.default_rng(2)
+        examples = [LabeledExample(rand_graph(rng, n, 2), y) for n, y in ((3, 1), (4, -1), (2, 1))]
+        model, trace = train_binary(examples, TrainConfig(learning_rate=0.5, max_epochs=3))
+        assert trace.total_updates > 0
+        w = model.weight_rep
+        assert not w.cells.flags.writeable
+        assert Representation(w.cells) == w
+
 
 class TestTrainBinary:
     def test_already_separated_sample(self):

@@ -477,6 +477,15 @@ class TestOptimalAlign:
             ga_sdp(from_representation(w), g).value, rel=1e-9
         )
 
+    @pytest.mark.parametrize("cfg", [EXACT, GRADUATED], ids=["exact", "graduated"])
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    def test_result_is_read_only_and_passes_the_checks(self, cfg, order):
+        rng = np.random.default_rng(order)
+        w = to_representation(rand_graph(rng, 4, 2))
+        aligned = optimal_align(w, rand_graph(rng, order, 2), cfg)
+        assert not aligned.cells.flags.writeable
+        assert Representation(aligned.cells) == aligned
+
 
 class TestInducedDistance:
     def test_self_distance_zero(self):

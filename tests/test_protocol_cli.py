@@ -221,12 +221,19 @@ class TestCli:
         ("train", "max_epochs"), ("synth", "attr_dim"), ("synth", "order_range"),
         ("train", "sinkhorn_max_iters"), ("train", "split"), ("train", "task"),
         ("train", "positive_class"),
+        ("train", "max_epochs-float"), ("train", "seed-bool"), ("train", "weight_order-float"),
+        ("protocol", "repeats-float"), ("protocol", "max_epochs-bool"),
+        ("protocol", "eta_grid-bool"), ("protocol", "lambda_grid-bool"),
+        ("synth", "attr_dim-float"), ("synth", "planted_order-float"), ("synth", "seed-true"),
+        ("synth", "n_examples-float"), ("synth", "order_range-float"),
     ])
     def test_config_missing_key_is_validation_error(self, tmp_path, dataset_dir, command, case):
         key = case.partition("-")[0]
         data = {"data": str(dataset_dir)}
         spec = {"n_examples": {"train": 4}, "order_range": [2, 3], "attr_dim": 1,
                 "planted_order": 2, "planted_margin": 0.1, "edge_density": 0.5}
+        proto = {"dataset": str(dataset_dir), "algorithm": "margin_perceptron",
+                 "eta_grid": [0.5], "lambda_grid": [0.1], "repeats": 1, "max_epochs": 1}
         docs = {
             "data": {}, "dataset": {},
             "matcher": {**data, "matcher": "graduated"},
@@ -242,6 +249,19 @@ class TestCli:
             "split": {**data, "split": ["train"]},
             "task": {**data, "task": "binray"},
             "positive_class": {**data, "positive_class": ["pos"]},
+            # integers are never truncated and booleans never read as 0 or 1
+            "max_epochs-float": {**data, "max_epochs": 2.9},
+            "seed-bool": {**data, "seed": True},
+            "weight_order-float": {**data, "weight_order": 3.5},
+            "repeats-float": {**proto, "repeats": 1.5},
+            "max_epochs-bool": {**proto, "max_epochs": True},
+            "eta_grid-bool": {**proto, "eta_grid": [True]},
+            "lambda_grid-bool": {**proto, "lambda_grid": [False]},
+            "attr_dim-float": {**spec, "attr_dim": 1.7},
+            "planted_order-float": {**spec, "planted_order": 2.9},
+            "seed-true": {**spec, "seed": True},
+            "n_examples-float": {**spec, "n_examples": {"train": 4.5}},
+            "order_range-float": {**spec, "order_range": [2, 3.5]},
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(docs[case]))
@@ -257,7 +277,8 @@ class TestCli:
         "model-bias", "model-weight_cells", "model-weight_cells-string",
         "model-weight_cells-ragged", "model-list", "ova-members",
         "meta-list", "meta-splits-list", "meta-classes-number", "meta-splits-number",
-        "model-attr_dim-huge", "model-ga_params-custom",
+        "model-attr_dim-huge", "model-ga_params-custom", "model-order-bool",
+        "model-attr_dim-bool",
     ])
     def test_malformed_model_or_meta_is_validation_error(self, tmp_path, dataset_dir, case):
         model = {"format_version": 1, "kind": "binary", "attr_dim": 1, "order": 1,
@@ -270,6 +291,8 @@ class TestCli:
             "model-list": [model],
             "ova-members": {"format_version": 1, "kind": "ova", "classes": ["a", "b"]},
             "model-attr_dim-huge": {**model, "order": 0, "weight_cells": [], "attr_dim": 2**63},
+            "model-order-bool": {**model, "order": True},
+            "model-attr_dim-bool": {**model, "attr_dim": True},
             "model-ga_params-custom": {**model, "matcher_config": {
                 "method": "graduated", "exact_max_order": 8,
                 "ga_params": {**FIRST_GA_SCHEDULE, "sinkhorn_max_iters": 3}}},
