@@ -61,3 +61,14 @@ def integer(value) -> int:
     if isinstance(value, bool):
         raise TypeError(f"expected an integer, got {value!r}")
     return operator.index(value)
+
+
+def check_count(name: str, value) -> None:
+    """ValidationError naming `name` unless `value` is an integer by `integer`'s rule
+    and at least 1: the check of the count fields of configs built in code."""
+    try:
+        integer(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValidationError(f"{name} must be at least 1")

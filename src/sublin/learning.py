@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import ValidationError, check_count
 from .files import atomic_write
 from .graphs import AttributedGraph, Representation
 from .matching import MatcherConfig, induced_distance
@@ -45,10 +45,9 @@ class TrainConfig:
             raise ValidationError("learning rate must be positive")
         if self.margin < 0:
             raise ValidationError("margin must be non-negative")
-        if self.max_epochs < 1:
-            raise ValidationError("max_epochs must be at least 1")
-        if self.weight_order is not None and self.weight_order < 1:
-            raise ValidationError("weight_order must be at least 1")
+        check_count("max_epochs", self.max_epochs)
+        if self.weight_order is not None:
+            check_count("weight_order", self.weight_order)
 
 
 @dataclass(frozen=True)
@@ -99,8 +98,10 @@ def subgradient_step(w: Representation, b: float, example: LabeledExample,
     y_hat, aligned = _score(w, b, example.graph, matcher)
     loss = hinge_loss(y_hat, y, margin)
     if y * y_hat <= margin:
-        # symmetric plus a scalar times symmetric: only overflow needs a check
-        cells = w.cells + learning_rate * y * aligned.cells
+        # symmetric plus a scalar times symmetric: only overflow needs a check,
+        # and it is the one below, not a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            cells = w.cells + learning_rate * y * aligned.cells
         if not np.isfinite(cells).all():
             raise ValidationError("graph attributes must be finite")
         return Representation._own(cells), b + learning_rate * y, True, loss

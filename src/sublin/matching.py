@@ -23,17 +23,17 @@ from .graphs import AttributedGraph, Representation, to_representation
 
 DEFAULT_EXACT_MAX_ORDER = 8
 # Orders above this are never enumerated. The enumerator keeps, for the life of
-# the process, one uint16 table of P(max, min) x min x min flat positions per
-# pair of orders (m, n) it has seen (`_injection_table`): 18.5 MB for every
-# (m, n) up to 8 together, 58.8 MB at (9, 9), 46.4 MB each at (9, 8) and (8, 9),
-# and 198 MB for every pair with an order-9 side together. The cache is not
-# bounded below its 81 possible keys: evicting a table would only rebuild it
-# on the next call with those orders.
+# the process, one uint16 table of P(max, min) x min(min + 1)/2 flat positions
+# per pair of orders (m, n) it has seen (`_injection_table`): 10.6 MB for every
+# (m, n) up to 8 together, 32.7 MB at (9, 9), 26.1 MB each at (9, 8) and (8, 9),
+# and 111 MB for every pair with an order-9 side together (122 MB for all 81).
+# The cache is not bounded below its 81 possible keys: evicting a table would
+# only rebuild it on the next call with those orders.
 _HARD_ENUM_LIMIT = 9
-# Injections scored per gather, at most: each table is split into chunks of its
-# largest row count that divides evenly and does not exceed this, which bounds
-# the per-call buffers (0.3 MB of terms at order 7). 720 = 6! divides n! from
-# order 6 up, so equal orders always walk full chunks of 720.
+# Injections scored per gather, at most: each table is split into chunks of the
+# largest injection count that divides its total and does not exceed this,
+# which bounds the per-call buffers (0.16 MB of terms at order 7). 720 = 6!
+# divides n! from order 6 up, so equal orders always walk full chunks of 720.
 _ENUM_CHUNK = 720
 
 # Count of hard matching problems actually solved (enumeration or annealing).
@@ -195,16 +195,19 @@ def _finite(value: float) -> float:
 def _injection_table(m: int, n: int) -> np.ndarray:
     """Flat positions into the (i, j, r, s) compatibility array of an m-node and an
     n-node graph (entry (i*m + j)*n*n + r*n + s holds dot(x_ij, y_rs), the layout
-    of the one matrix product in `_best_pairs`), one row per injection of the
+    of the one matrix product in `_best_pairs`), one column per injection of the
     smaller node set into the larger.
 
-    Row t lists the k = min(m, n) assigned pairs (i_a, r_a) indexed by the
-    smaller graph's node a, as table[t, a, b] = (i_a*m + i_b)*n*n + r_a*n + r_b.
-    Rows follow the lexicographic order of the row permutation each injection
-    completes to once both graphs are padded with isolated zero nodes to order
-    max(m, n), the free rows taking the padded columns in ascending order. The
-    read-only uint16 array (the largest position, 6,560, is at (9, 9)) is shaped
-    (chunks, rows per chunk, k, k) for the scorer's walk.
+    Injection t assigns k = min(m, n) pairs (i_a, r_a), indexed by the smaller
+    graph's node a. Both representations are symmetric, so the term of (a, b)
+    equals the term of (b, a), and only the k(k+1)/2 terms with a <= b are kept:
+    first the k diagonal terms (a, a) in order of a, then the terms a < b in
+    row-major order, each at (i_a*m + i_b)*n*n + r_a*n + r_b. Injections follow
+    the lexicographic order of the row permutation each completes to once both
+    graphs are padded with isolated zero nodes to order max(m, n), the free rows
+    taking the padded columns in ascending order. The read-only uint16 array (the
+    largest position, 6,560, is at (9, 9)) is shaped (chunks, k(k+1)/2,
+    injections per chunk): terms-major, for the scorer's walk.
     """
     k = min(m, n)
     count = math.perm(max(m, n), k)
@@ -221,10 +224,16 @@ def _injection_table(m: int, n: int) -> np.ndarray:
         completed = np.full((count, m), n, dtype=np.uint16)
         completed[np.arange(count)[:, None], rows] = cols
         rows = rows[np.lexsort(completed.T[::-1])]
-    # the a part (i_a*m*n*n + r_a*n) plus the b part (i_b*n*n + r_b)
-    table = (rows * (m * n * n) + cols * n)[:, :, None] + (rows * (n * n) + cols)[:, None, :]
     chunk = next(c for c in range(min(count, _ENUM_CHUNK), 0, -1) if count % c == 0)
-    table = table.reshape(-1, chunk, k, k)
+    # the a part (i_a*m*n*n + r_a*n) and the b part (i_b*n*n + r_b) of each
+    # injection, read node-major as (k, chunks, chunk) views; every term is
+    # written straight into its slot of the final layout
+    a_part = (rows * (m * n * n) + cols * n).T.reshape(k, -1, chunk)
+    b_part = (rows * (n * n) + cols).T.reshape(k, -1, chunk)
+    table = np.empty((count // chunk, k * (k + 1) // 2, chunk), dtype=np.uint16)
+    term_nodes = itertools.chain(((a, a) for a in range(k)), itertools.combinations(range(k), 2))
+    for p, (a, b) in enumerate(term_nodes):
+        np.add(a_part[a], b_part[b], out=table[:, p])
     table.flags.writeable = False
     return table
 
@@ -236,31 +245,39 @@ def _best_pairs(cx: np.ndarray, cy: np.ndarray):
 
     Both cell arrays must have order at least 1. The compatibilities are one
     (m*m, d) x (d, n*n) matrix product, read in place as the (i, j, r, s) array
-    the table indexes. The k x k terms of one chunk of injections at a time are
-    gathered through the cached table into one buffer and summed in that layout;
-    the first maximizer of a chunk wins, and a later chunk only on a strictly
-    larger score. Terms are placed by the smaller graph's nodes, so injections
-    that differ only in which zero nodes they match sum the same terms in the
-    same places and tie exactly, as the padded permutations did.
+    the table indexes, with the off-diagonal cells of cx doubled first (x2 is
+    exact), so each term a < b stands for itself and its mirror (b, a). The
+    k(k+1)/2 terms of one chunk of injections at a time are gathered through the
+    cached table into one buffer and summed along the terms axis, which adds them
+    in the table's order, the same for every injection; the first maximizer of a
+    chunk wins, and a later chunk only on a strictly larger score. Terms are
+    placed by the smaller graph's nodes, so injections that differ only in which
+    zero nodes they match sum the same terms in the same places and tie exactly,
+    as the padded permutations did.
     """
     m, n = cx.shape[0], cy.shape[0]
     d = cx.shape[2]
-    compat = np.dot(cx.reshape(m * m, d), cy.transpose(2, 0, 1).reshape(d, n * n)).ravel()
+    flat = cx.reshape(m * m, d)
+    doubled = flat * 2.0
+    doubled[:: m + 1] = flat[:: m + 1]  # the diagonal cells (i, i) stay single
+    compat = np.dot(doubled, cy.transpose(2, 0, 1).reshape(d, n * n)).ravel()
     blocks = _injection_table(m, n)
     # one buffer per call: a fresh array per chunk costs page faults once the
     # allocator returns it to the system; "clip" lets take fill it directly, and
     # every position is in range by construction
     terms = np.empty(blocks.shape[1:])
+    scores = np.empty(blocks.shape[2])
     best_score = -np.inf
-    best_row = blocks[0, 0]
+    best_row = blocks[0, :, 0]
     for block in blocks:
-        scores = np.take(compat, block, out=terms, mode="clip").sum(axis=(1, 2))
+        np.take(compat, block, out=terms, mode="clip").sum(axis=0, out=scores)
         t = int(np.argmax(scores))
         if scores[t] > best_score:
             best_score = float(scores[t])
-            best_row = block[t]
-    i_a0, r_a0 = np.divmod(best_row[:, 0], n * n)  # column b = 0: i_a*m + i_0, r_a*n + r_0
-    return tuple(sorted(zip((i_a0 // m).tolist(), (r_a0 // n).tolist())))
+            best_row = block[:, t]
+    # the first k terms are the diagonal ones, at i_a*(m + 1)*n*n + r_a*(n + 1)
+    i_a, r_a = np.divmod(best_row[: min(m, n)], (m + 1) * n * n)
+    return tuple(sorted(zip(i_a.tolist(), (r_a // (n + 1)).tolist())))
 
 
 def _ga_soft(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:

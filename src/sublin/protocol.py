@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .data_io import Dataset
-from .exceptions import ValidationError
+from .exceptions import ValidationError, check_count
 from .learning import (TrainConfig, _fit_binary, _fit_one_vs_all, _signed, derive_seed,
                        knn_classify)
 from .matching import MatcherConfig, matcher_call_count
@@ -52,8 +52,10 @@ class ProtocolConfig:
         object.__setattr__(self, "lambda_grid", tuple(sorted(self.lambda_grid)))
         if not self.eta_grid or not self.lambda_grid:
             raise ValidationError("hyperparameter grids must be non-empty")
-        if self.repeats < 1:
-            raise ValidationError("repeats must be at least 1")
+        check_count("repeats", self.repeats)
+        check_count("max_epochs", self.max_epochs)
+        if self.weight_order is not None:
+            check_count("weight_order", self.weight_order)
 
 
 @dataclass

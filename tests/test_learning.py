@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -62,8 +63,10 @@ class TestSubgradientStep:
         assert loss == 2.0  # hinge at the incoming state: max(0, 0 - (-1)*2)
 
     def test_overflowing_update_rejected(self):
-        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="finite"):
-            subgradient_step(Representation.zeros(1, 1), 0.0, single_node(1e308, 1), 10.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning before the refusal
+            with pytest.raises(ValidationError, match="finite"):
+                subgradient_step(Representation.zeros(1, 1), 0.0, single_node(1e308, 1), 10.0, 0.0)
 
     def test_updated_weights_are_read_only_and_pass_the_checks(self):
         rng = np.random.default_rng(2)
@@ -173,6 +176,14 @@ class TestTrainBinary:
     def test_bad_labels_rejected(self):
         with pytest.raises(ValidationError):
             train_binary([single_node(1.0, 2)], TrainConfig(learning_rate=0.1))
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_epochs", 2.5), ("max_epochs", True), ("weight_order", 2.5), ("weight_order", False),
+    ])
+    def test_non_integer_count_rejected(self, field, value):
+        # a float is not truncated and a bool is not read as 0 or 1
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            TrainConfig(learning_rate=0.1, **{field: value})
 
 
 class TestTrainOneVsAll:

@@ -162,10 +162,10 @@ def _reference_permutations(n):
     return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
 
 
-def _reference_best_permutation(cx, cy):
-    """The exact scorer as first written: a 4-D fancy-index gather over the
-    (i, j, r, s) compatibility array, 5,040 permutations at a time; the oracle
-    the flat-index scorer must match exactly."""
+def _reference_k2_permutation(cx, cy):
+    """The exact scorer as first written: all k x k terms of each permutation by a
+    4-D fancy-index gather over the (i, j, r, s) compatibility array, 5,040
+    permutations at a time; the value oracle for the scorer's winners."""
     n = cx.shape[0]
     compat = np.tensordot(cx, cy, axes=([2], [2]))
     perms = _reference_permutations(n)
@@ -176,6 +176,38 @@ def _reference_best_permutation(cx, cy):
     for start in range(0, perms.shape[0], 5040):
         block = perms[start : start + 5040]
         scores = compat[ii, jj, block[:, :, None], block[:, None, :]].sum(axis=(1, 2))
+        k = int(np.argmax(scores))
+        if scores[k] > best_score:
+            best_score = float(scores[k])
+            best_perm = block[k]
+    return best_perm
+
+
+def _reference_best_permutation(cx, cy, by_cols=False):
+    """The exact scorer's sum written out per permutation, 5,040 at a time: cx's
+    off-diagonal cells doubled before the compatibilities, then, for the pairs
+    indexed by node a of the rows (by_cols: of the columns), the n diagonal terms
+    (a, a) and the terms a < b in row-major order, added one at a time. The oracle
+    the table scorer must match exactly: the padded zero nodes of `_reference_pairs`
+    only add exact zeros between the same real terms in the same order."""
+    n = cx.shape[0]
+    doubled = cx * np.where(np.eye(n, dtype=bool), 1.0, 2.0)[..., None]
+    compat = np.tensordot(doubled, cy, axes=([2], [2]))
+    perms = _reference_permutations(n)
+    a, b = np.array([(a, a) for a in range(n)] + list(itertools.combinations(range(n), 2)),
+                    dtype=np.intp).reshape(-1, 2).T
+    best_score = -np.inf
+    best_perm = perms[0]
+    for start in range(0, perms.shape[0], 5040):
+        block = perms[start : start + 5040]
+        if by_cols:  # rows[t, a]: the row that permutation t assigns column a
+            rows, cols = np.argsort(block, axis=1), np.arange(n)[None]
+        else:
+            rows, cols = np.arange(n)[None], block
+        terms = compat[rows[:, a], rows[:, b], cols[:, a], cols[:, b]]
+        scores = terms[:, 0].copy()
+        for p in range(1, terms.shape[1]):
+            scores += terms[:, p]
         k = int(np.argmax(scores))
         if scores[k] > best_score:
             best_score = float(scores[k])
@@ -194,12 +226,31 @@ def _pad_cells(cells, n):
     return out
 
 
+def _padded_pairs(reference, cx, cy, **kwargs):
+    """Pairs of the permutation `reference` picks for both graphs padded to the
+    larger order, padded nodes dropped."""
+    m, n = cx.shape[0], cy.shape[0]
+    perm = reference(_pad_cells(cx, max(m, n)), _pad_cells(cy, max(m, n)), **kwargs)
+    return tuple((i, int(perm[i])) for i in range(m) if perm[i] < n)
+
+
 def _reference_pairs(cx, cy):
     """Pairs of the lexicographically smallest maximizing permutation of both
-    graphs padded to the larger order, padded nodes dropped."""
+    graphs padded to the larger order, scored with the terms placed by the
+    smaller graph's nodes."""
+    return _padded_pairs(_reference_best_permutation, cx, cy, by_cols=cx.shape[0] > cy.shape[0])
+
+
+def _assert_reference_winner(cx, cy):
+    """The scorer picks the oracle's injection, and its value is the k x k
+    reference winner's within 4 ulps (the two sums round differently)."""
+    got = _best_pairs(cx, cy)
+    assert got == _reference_pairs(cx, cy)
+    rx, ry = Representation(cx), Representation(cy)
     m, n = cx.shape[0], cy.shape[0]
-    perm = _reference_best_permutation(_pad_cells(cx, max(m, n)), _pad_cells(cy, max(m, n)))
-    return tuple((i, int(perm[i])) for i in range(m) if perm[i] < n)
+    value = kernel_value(rx, ry, MatchMatrix(m, n, got))
+    want = kernel_value(rx, ry, MatchMatrix(m, n, _padded_pairs(_reference_k2_permutation, cx, cy)))
+    assert abs(value - want) <= 4 * math.ulp(want), (value, want)
 
 
 # every pair of orders 1-8 both ways, and order 9 against a small and a large side
@@ -221,8 +272,8 @@ class TestExactBitIdentity:
     @staticmethod
     def _cell_pairs(rng, scale):
         """(cx, cy) of one order: random, padded, all-zero, all-equal, integer-valued
-        and relabeling-invariant. Equal orders score the same terms in the same
-        layout as the reference, so ties within rounding break the same way too."""
+        and relabeling-invariant. The reference adds the same terms in the same
+        order as the scorer, so ties within rounding break the same way too."""
         def cells(n, d):
             return rand_sym_cells(rng, n, d, scale)
 
@@ -247,11 +298,11 @@ class TestExactBitIdentity:
     @staticmethod
     def _order_pairs(rng, scale, m, n):
         """(cx, cy) of orders m and n: random, all-zero, all-equal, integer-valued,
-        relabeling-invariant, and with zero last rows and columns. The scorer sums
-        only the real terms where the reference also sums the padded zeros between
-        them, so a tie within rounding may break either way; the tie-rich cells
-        hold multiples of a power of two near `scale`, which makes every tie exact.
-        Zero last nodes add exact zeros, which tie exactly at any scale."""
+        relabeling-invariant, and with zero last rows and columns. The reference
+        also adds the padded zeros between the real terms, which changes no partial
+        sum; the tie-rich cells hold multiples of a power of two near `scale`,
+        which makes every tie exact. Zero last nodes add exact zeros, which tie
+        exactly at any scale."""
         unit = 2.0 ** round(math.log2(scale))
         d = 1 + (m + n) % 3
 
@@ -276,13 +327,28 @@ class TestExactBitIdentity:
     def test_matches_reference_scorer(self, scale, seed):
         rng = np.random.default_rng(seed)
         for cx, cy in self._cell_pairs(rng, scale):
-            assert _best_pairs(cx, cy) == _reference_pairs(cx, cy)
+            _assert_reference_winner(cx, cy)
         for m, n in ORDER_PAIRS:
             pairs = list(self._order_pairs(rng, scale, m, n))
             if max(m, n) > 7:  # the reference scores 8! or 9! permutations per pair
                 pairs = [pairs[0], pairs[1 + (seed + m + n) % 5]]
             for cx, cy in pairs:
-                assert _best_pairs(cx, cy) == _reference_pairs(cx, cy), (m, n)
+                _assert_reference_winner(cx, cy)
+
+    def test_table_keeps_each_undirected_pair_once(self):
+        # k(k+1)/2 positions per injection, the k diagonal (a, a) ones first:
+        # every pair of orders up to 8 takes 10.6 MB where k x k took 18.5 MB
+        nbytes = 0
+        for m in range(1, 9):
+            for n in range(1, 9):
+                table = _injection_table(m, n)
+                k = min(m, n)
+                assert table.size == math.perm(max(m, n), k) * k * (k + 1) // 2, (m, n)
+                assert table.shape[1] == k * (k + 1) // 2
+                assert table.dtype == np.uint16 and not table.flags.writeable
+                assert (table[:, :k] // (n * n) % (m + 1) == 0).all()  # i_a*m + i_a
+                nbytes += table.nbytes
+        assert round(nbytes / 1e6, 1) == 10.6
 
     @pytest.mark.parametrize("m, n", [(9, 4), (4, 9)])
     def test_unequal_orders_build_only_their_table(self, m, n):

@@ -89,6 +89,15 @@ class TestRunProtocol:
         with pytest.raises(ValidationError):
             ProtocolConfig(dataset=synth(), algorithm="svm")
 
+    @pytest.mark.parametrize("field, value", [
+        ("repeats", 1.5), ("repeats", True), ("max_epochs", 2.5), ("max_epochs", False),
+        ("weight_order", 2.5), ("weight_order", True),
+    ])
+    def test_non_integer_count_rejected(self, field, value):
+        # refused when built, not later as a TypeError from range
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            ProtocolConfig(dataset=synth(), algorithm="perceptron", **{field: value})
+
 
 
 class TestCallAccounting:
