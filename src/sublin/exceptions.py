@@ -63,12 +63,13 @@ def integer(value) -> int:
     return operator.index(value)
 
 
-def check_count(name: str, value) -> None:
+def check_count(name: str, value, minimum: int = 1) -> None:
     """ValidationError naming `name` unless `value` is an integer by `integer`'s rule
-    and at least 1: the check of the count fields of configs built in code."""
+    and at least `minimum`: the check of the count and seed fields of configs
+    built in code."""
     try:
         integer(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValidationError(f"{name} must be at least 1")
+    if value < minimum:
+        raise ValidationError(f"{name} must be at least {minimum}, got {value!r}")

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exceptions import ValidationError, check_count
+from .exceptions import ValidationError, check_count, integer
 from .files import atomic_write
 from .graphs import AttributedGraph, Representation
 from .matching import MatcherConfig, induced_distance
@@ -48,6 +48,7 @@ class TrainConfig:
         check_count("max_epochs", self.max_epochs)
         if self.weight_order is not None:
             check_count("weight_order", self.weight_order)
+        check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ def _signed(examples: Sequence[LabeledExample], positive) -> List[LabeledExample
 
 def derive_seed(base: int, *parts: int) -> int:
     """Deterministic, platform-independent child seed from a base seed and indices."""
-    payload = ",".join(str(int(p)) for p in (base, *parts))
+    payload = ",".join(str(integer(p)) for p in (base, *parts))
     digest = hashlib.blake2b(payload.encode("ascii"), digest_size=8).digest()
     return int.from_bytes(digest[:4], "big")
 

@@ -95,12 +95,6 @@ class MatchMatrix:
     def identity(cls, n: int) -> "MatchMatrix":
         return cls(n, n, [(i, i) for i in range(n)])
 
-    def as_array(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.int8)
-        for i, r in self.pairs:
-            out[i, r] = 1
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, MatchMatrix):
             return NotImplemented
@@ -298,22 +292,39 @@ def _ga_soft(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     Q equals the previous round's bit for bit, the soft matrix already in the
     buffer is what every remaining round at that beta would produce, and they
     are skipped.
+
+    The loop keeps the bits of the first-written schedule with less numpy
+    dispatch. The compatibilities are stored once per call in (i, r, j, s)
+    layout, which einsum contracts faster than (i, j, r, s); it sums in the same
+    order only while `real` stays the strided view `soft[:m, :n]` (a contiguous
+    copy lets einsum merge the j and s axes and changes the rounding). A sweep
+    is four ufunc calls into buffers allocated once per call: the row sums
+    (whose (m, 1) view is the row divisor), the row division, the column sums
+    and the column division. The row test reads the row sums as Python floats,
+    the same IEEE comparison per element, under which a NaN still fails. The
+    column test runs once per pass and stays in numpy: `max` carries a NaN
+    column error on to `not ... > tol`, which lets the pass end, where the row
+    test's form `all(... <= tol)` would hold it open.
     """
     m, n = cx.shape[0], cy.shape[0]
     compat = np.tensordot(cx, cy, axes=([2], [2]))  # (m, m, n, n)
     node_comp = np.einsum("iirr->ir", compat)
+    compat = np.ascontiguousarray(compat.transpose(0, 2, 1, 3))  # (i, r, j, s)
     soft = np.full((m + 1, n + 1), 1.0 / (max(m, n) + 1.0))
     real, rows, cols = soft[:m, :n], soft[:m], soft[:, :n]
     q, q_prev = np.empty((m, n)), np.empty((m, n))
+    row_sums, col_sums = np.empty(m), np.empty(n)
+    divisors = row_sums[:, None]
     tol = _GA_SCHEDULE["sinkhorn_tol"]
     beta = _GA_SCHEDULE["beta_start"]
     while beta <= _GA_SCHEDULE["beta_max"] * (1 + 1e-12):
         last_shift = None
         for _ in range(_GA_SCHEDULE["assignment_rounds_max"]):
             q, q_prev = q_prev, q
-            np.einsum("ijrs,js->ir", compat, real, out=q)
+            # bit-identical to the (i, j, r, s) contraction only while `real` is a view
+            np.einsum("irjs,js->ir", compat, real, out=q)
             q += node_comp
-            shift = max(float(q.max()), 0.0)
+            shift = max(float(np.maximum.reduce(q, None)), 0.0)
             if shift == last_shift and (q == q_prev).all():
                 break
             last_shift = shift
@@ -324,12 +335,12 @@ def _ga_soft(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
             soft[m, :] = slack
             soft[:, n] = slack
             np.maximum(soft, 1e-300, out=soft)
-            row_sums = rows.sum(axis=1, keepdims=True)
+            np.add.reduce(rows, 1, None, row_sums)
             for _ in range(_GA_SCHEDULE["sinkhorn_max_iters"]):
-                rows /= row_sums
-                cols /= cols.sum(axis=0)
-                row_sums = rows.sum(axis=1, keepdims=True)
-                if (np.abs(row_sums - 1.0).max() <= tol
+                np.divide(rows, divisors, out=rows)
+                np.divide(cols, np.add.reduce(cols, 0, None, col_sums), out=cols)
+                np.add.reduce(rows, 1, None, row_sums)
+                if (all(abs(v - 1.0) <= tol for v in row_sums.tolist())
                         and not np.abs(cols.sum(axis=0) - 1.0).max() > tol):
                     break
         beta *= _GA_SCHEDULE["beta_rate"]

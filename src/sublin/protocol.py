@@ -56,6 +56,7 @@ class ProtocolConfig:
         check_count("max_epochs", self.max_epochs)
         if self.weight_order is not None:
             check_count("weight_order", self.weight_order)
+        check_count("seed", self.seed, 0)
 
 
 @dataclass

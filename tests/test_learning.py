@@ -185,6 +185,26 @@ class TestTrainBinary:
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):
             TrainConfig(learning_rate=0.1, **{field: value})
 
+    @pytest.mark.parametrize("value, message", [
+        (1.5, "seed must be an integer"), (True, "seed must be an integer"),
+        (-1, "seed must be at least 0"),
+    ])
+    def test_bad_seed_rejected(self, value, message):
+        # refused when built, not later by numpy's SeedSequence
+        with pytest.raises(ValidationError, match=message):
+            TrainConfig(learning_rate=0.1, seed=value)
+
+
+class TestDeriveSeed:
+    @pytest.mark.parametrize("base, parts", [(1.5, (2,)), (True, (2,)), (1, (2.0,)), (1, (False,))])
+    def test_float_or_bool_part_rejected(self, base, parts):
+        # never truncated or read as 0 or 1, so seed 1.5 cannot run as seed 1
+        with pytest.raises(TypeError):
+            derive_seed(base, *parts)
+
+    def test_numpy_integer_reads_as_int(self):
+        assert derive_seed(np.int64(1), np.int32(2)) == derive_seed(1, 2)
+
 
 class TestTrainOneVsAll:
     def test_agrees_with_binary_on_two_classes(self):

@@ -9,6 +9,7 @@ from conftest import FIRST_GA_SCHEDULE, permuted_graph, rand_graph, rand_sym_cel
 from sublin import (AttributedGraph, CapacityError, MatcherConfig, MatchMatrix,
                     Representation, ValidationError, exact_sdp, ga_sdp, induced_distance,
                     kernel_value, matcher_call_count, optimal_align, sdp, to_representation)
+from sublin import matching
 from sublin.matching import _best_pairs, _ga_soft, _injection_table
 
 EXACT = MatcherConfig()
@@ -30,10 +31,6 @@ class TestMatchMatrix:
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
             MatchMatrix(2, 2, [(0, 0), (1, 2)])
-
-    def test_as_array(self):
-        m = MatchMatrix(2, 3, [(0, 2), (1, 0)])
-        np.testing.assert_array_equal(m.as_array(), [[0, 0, 1], [1, 0, 0]])
 
 
 class TestKernelValue:
@@ -379,19 +376,25 @@ class TestExactBitIdentity:
             assert optimal_align(rx, y).cells.tobytes() == aligned.tobytes()
 
 
-def _reference_ga(cx, cy, params):
+def _reference_ga(cx, cy, params, counts=None):
     """Graduated assignment as first written: a fresh buffer per round, both
     Sinkhorn errors every sweep, every round run. Returns the soft matrix and
-    the greedy pairs; the oracle the production loop must match bit for bit."""
+    the greedy pairs; the oracle the production loop must match bit for bit.
+    A `counts` dict, if given, receives the number of Sinkhorn sweeps run in
+    the rounds that a loop skipping every round whose shift and Q repeat the
+    previous round's at the same beta, bit for bit, would still run."""
     m, n = cx.shape[0], cy.shape[0]
     compat = np.tensordot(cx, cy, axes=([2], [2]))
     node_comp = np.einsum("iirr->ir", compat)
     soft = np.full((m + 1, n + 1), 1.0 / (max(m, n) + 1.0))
     beta = params["beta_start"]
     while beta <= params["beta_max"] * (1 + 1e-12):
+        last, repeated = None, False
         for _ in range(params["assignment_rounds_max"]):
             q = np.einsum("ijrs,js->ir", compat, soft[:m, :n]) + node_comp
             shift = max(float(q.max()), 0.0)
+            repeated = repeated or (last is not None and shift == last[0] and (q == last[1]).all())
+            last = (shift, q)
             work = np.empty((m + 1, n + 1))
             work[:m, :n] = np.exp(beta * (q - shift))
             slack = math.exp(-beta * shift) if beta * shift < 700 else 0.0
@@ -399,6 +402,8 @@ def _reference_ga(cx, cy, params):
             work[:, n] = slack
             np.maximum(work, 1e-300, out=work)
             for _ in range(params["sinkhorn_max_iters"]):
+                if counts is not None and not repeated:
+                    counts["sweeps"] = counts.get("sweeps", 0) + 1
                 work[:m] /= work[:m].sum(axis=1, keepdims=True)
                 work[:, :n] /= work[:, :n].sum(axis=0, keepdims=True)
                 row_err = np.abs(work[:m].sum(axis=1) - 1.0).max(initial=0.0)
@@ -421,6 +426,20 @@ def _signed(graph, sign):
     """The graph with every attribute replaced by `sign` times its magnitude."""
     return AttributedGraph(sign * np.abs(graph.node_attrs),
                            [(i, j, sign * np.abs(v)) for (i, j), v in graph.edge_items()])
+
+
+class _DivideCountingNumpy:
+    """numpy, with its `divide` calls counted."""
+
+    def __init__(self):
+        self.divides = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def divide(self, *args, **kwargs):
+        self.divides += 1
+        return np.divide(*args, **kwargs)
 
 
 class TestGaBitIdentity:
@@ -447,6 +466,61 @@ class TestGaBitIdentity:
             got = ga_sdp(x, y)
             assert got.match == want
             assert got.value == kernel_value(rx, ry, want)
+
+    @staticmethod
+    def _letter(rng, order, scale=1.0):
+        """A letter-shaped graph at `scale`: plane coordinates in the unit square
+        and a zero third component on the nodes, strokes flagged (0, 0, 1)."""
+        nodes = np.zeros((order, 3))
+        nodes[:, :2] = rng.uniform(0.0, 1.0, size=(order, 2))
+        edges = [(i, j, [0.0, 0.0, scale]) for i in range(order) for j in range(i + 1, order)
+                 if rng.random() < 0.4]
+        return AttributedGraph(scale * nodes, edges)
+
+    @staticmethod
+    def _assert_soft_matches(monkeypatch, x, y):
+        """`_ga_soft` gives the reference's bytes after as many Sinkhorn sweeps:
+        a sweep makes two `np.divide` calls, counted through a stand-in for the
+        module's numpy. The count is what a row test that let a NaN pass would
+        change, since NaN spreads over the whole soft matrix within two sweeps."""
+        cx, cy = to_representation(x).cells, to_representation(y).cells
+        counts = {}
+        want_soft, _ = _reference_ga(cx, cy, FIRST_GA_SCHEDULE, counts)
+        numpy = _DivideCountingNumpy()
+        with monkeypatch.context() as patch:
+            patch.setattr(matching, "np", numpy)
+            got = _ga_soft(cx, cy)
+        assert got.tobytes() == want_soft.tobytes()
+        assert numpy.divides == 2 * counts["sweeps"]
+        return got
+
+    def test_matches_reference_at_letter_scale(self, monkeypatch):
+        # the letter workload's shapes: an order-9 weight graph at eta = 0.1
+        # against drawings of every order it meets
+        rng = np.random.default_rng(12)
+        for n in range(2, 10):
+            self._assert_soft_matches(monkeypatch, self._letter(rng, 9, scale=0.1),
+                                      self._letter(rng, n))
+
+    def test_matches_reference_on_zero_weights(self, monkeypatch):
+        # the first training step: every compatibility is zero
+        rng = np.random.default_rng(13)
+        soft = self._assert_soft_matches(monkeypatch, AttributedGraph(np.zeros((9, 3))),
+                                         self._letter(rng, 5))
+        assert np.isfinite(soft).all()
+
+    def test_matches_reference_when_compatibilities_overflow(self, monkeypatch):
+        # finite attributes near 1e200 give inf and NaN compatibilities; the row
+        # test must fail a NaN row sum, as the reference loop's does
+        rng = np.random.default_rng(14)
+        reached_nan = 0
+        with np.errstate(all="ignore"):
+            for m, n in ((1, 1), (2, 3), (3, 2), (4, 4), (5, 7), (7, 5), (9, 6), (6, 9), (9, 9)):
+                d = int(rng.integers(1, 4))
+                soft = self._assert_soft_matches(monkeypatch, rand_graph(rng, m, d, scale=1e200),
+                                                 rand_graph(rng, n, d, scale=1e200))
+                reached_nan += bool(np.isnan(soft).any())
+        assert reached_nan >= 5
 
 
 class TestMatcherConfig:

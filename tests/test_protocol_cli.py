@@ -98,6 +98,15 @@ class TestRunProtocol:
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):
             ProtocolConfig(dataset=synth(), algorithm="perceptron", **{field: value})
 
+    @pytest.mark.parametrize("value, message", [
+        (1.5, "seed must be an integer"), (True, "seed must be an integer"),
+        (-1, "seed must be at least 0"),
+    ])
+    def test_bad_seed_rejected(self, value, message):
+        # refused when built: derive_seed would otherwise run seed 1.5 or True as seed 1
+        with pytest.raises(ValidationError, match=message):
+            ProtocolConfig(dataset=synth(), algorithm="perceptron", seed=value)
+
 
 
 class TestCallAccounting:
@@ -280,6 +289,14 @@ class TestCli:
         assert repr(key) in proc.stderr
         if key == "sinkhorn_max_iters":  # a custom schedule is refused under its config key
             assert "'ga_params'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_negative_seed_exits_1(self, tmp_path, dataset_dir):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"data": str(dataset_dir), "seed": -1}))
+        proc = run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1
+        assert "seed must be at least 0" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("case", [
