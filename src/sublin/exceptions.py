@@ -63,13 +63,15 @@ def integer(value) -> int:
     return operator.index(value)
 
 
-def check_count(name: str, value, minimum: int = 1) -> None:
-    """ValidationError naming `name` unless `value` is an integer by `integer`'s rule
-    and at least `minimum`: the check of the count and seed fields of configs
-    built in code."""
+def check_count(name: str, value, minimum: int = 1) -> int:
+    """`value` as a plain int, or ValidationError naming `name` unless it is an
+    integer by `integer`'s rule and at least `minimum`: the check of the count
+    and seed fields of configs built in code. They store what it returns, so a
+    numpy integer never reaches a JSON document."""
     try:
-        integer(value)
+        count = integer(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-    if value < minimum:
+    if count < minimum:
         raise ValidationError(f"{name} must be at least {minimum}, got {value!r}")
+    return count

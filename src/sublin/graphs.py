@@ -22,6 +22,24 @@ def _canonical_edge(i, j) -> EdgeKey:
     return (i, j) if i < j else (j, i)
 
 
+def _edge_stack(keys, vecs, dim: int) -> np.ndarray:
+    """The edge vectors as one new float64 (k, dim) array, or ValidationError
+    naming the first edge whose vector does not have shape (dim,): a ragged
+    list, a bare scalar (never read as a row of one) or a wrong length."""
+    if not vecs:
+        return np.empty((0, dim))
+    try:
+        stack = np.array(vecs, dtype=np.float64)
+        if stack.shape == (len(vecs), dim):
+            return stack
+    except ValueError:  # ragged vectors: the pass below names the first bad edge
+        pass
+    for key, vec in zip(keys, vecs):
+        shape = np.asarray(vec, dtype=np.float64).shape
+        if shape != (dim,):
+            raise ValidationError(f"edge {key} attribute has shape {shape}, expected ({dim},)")
+
+
 class AttributedGraph:
     """Undirected graph whose nodes and edges carry finite real vectors of one dimension.
 
@@ -30,11 +48,19 @@ class AttributedGraph:
     edge once the graph is written as a dense representation; such graphs are
     accepted here but rejected by :func:`to_representation`, and can be repaired
     with :func:`attach_edge_flag`.
+
+    The constructor is the one place where attributes are checked. It copies the
+    node attributes and the edge vectors into one read-only float64 array of its
+    own, node rows first and then one row per undirected edge in order of first
+    appearance; `node_attrs` and the values of `edge_attrs` are views of it. The
+    caller's arrays are neither kept nor frozen.
     """
 
-    # `_rep` and `_self_product` are computed on first use and kept: the dense
-    # encoding (`to_representation`) and the dot product with itself (`matching.sdp`)
-    __slots__ = ("node_attrs", "edge_attrs", "label", "_rep", "_self_product")
+    # `_edges` is the (edges, attr_dim) block of the graph's array, in the order
+    # of `edge_attrs`. `_rep` and `_self_product` are computed on first use and
+    # kept: the dense encoding (`to_representation`) and the dot product with
+    # itself (`matching.sdp`)
+    __slots__ = ("node_attrs", "edge_attrs", "label", "_edges", "_rep", "_self_product")
 
     def __init__(self, node_attrs, edges=(), label=None):
         nodes = np.asarray(node_attrs, dtype=np.float64)
@@ -51,30 +77,29 @@ class AttributedGraph:
             items = ((i, j, vec) for (i, j), vec in edges.items())
         else:
             items = edges
-        stored = {}
+        keys, vecs = [], []
         for i, j, vec in items:
             i, j = int(i), int(j)
             if not (0 <= i < order and 0 <= j < order):
                 raise ValidationError(f"edge ({i},{j}) references a node outside 0..{order - 1}")
-            key = _canonical_edge(i, j)
-            v = np.asarray(vec, dtype=np.float64)
-            if v.shape != (dim,):
-                raise ValidationError(
-                    f"edge {key} attribute has shape {v.shape}, expected ({dim},)"
-                )
-            if key in stored:
-                if not np.array_equal(stored[key], v):
-                    raise ValidationError(f"conflicting attributes for undirected edge {key}")
-                continue
-            v.flags.writeable = False
-            stored[key] = v
-        if not np.isfinite(np.concatenate((nodes.ravel(), *stored.values()))).all():
+            keys.append(_canonical_edge(i, j))
+            vecs.append(vec)
+        stack = _edge_stack(keys, vecs, dim)
+        first = {}
+        for row, key in enumerate(keys):
+            kept = first.setdefault(key, row)
+            if kept != row and not np.array_equal(stack[kept], stack[row]):
+                raise ValidationError(f"conflicting attributes for undirected edge {key}")
+        if len(first) < len(keys):
+            stack = stack[list(first.values())]
+        attrs = np.concatenate((nodes, stack))
+        if not np.isfinite(attrs).all():
             raise ValidationError("graph attributes must be finite")
 
-        nodes = nodes.copy()
-        nodes.flags.writeable = False
-        object.__setattr__(self, "node_attrs", nodes)
-        object.__setattr__(self, "edge_attrs", stored)
+        attrs.flags.writeable = False
+        object.__setattr__(self, "node_attrs", attrs[:order])
+        object.__setattr__(self, "_edges", attrs[order:])
+        object.__setattr__(self, "edge_attrs", dict(zip(first, self._edges)))
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "_rep", None)
         object.__setattr__(self, "_self_product", None)
@@ -148,8 +173,8 @@ class Representation:
     @classmethod
     def _own(cls, cells: np.ndarray) -> "Representation":
         """Keep a freshly built float64 (n, n, d) array, read-only, without the copy
-        and the checks: for arrays built from checked representations only, whose
-        cells are finite and symmetric by construction."""
+        and the checks: for arrays built from checked graphs or representations
+        only, whose cells are finite and symmetric by construction."""
         cells.flags.writeable = False
         rep = object.__new__(cls)
         object.__setattr__(rep, "cells", cells)
@@ -207,18 +232,21 @@ def to_representation(graph: AttributedGraph) -> Representation:
     """
     if graph._rep is not None:
         return graph._rep
+    keys = list(graph.edge_attrs)
+    nonzero = graph._edges.any(axis=1).tolist()
+    if not all(nonzero):
+        i, j = keys[nonzero.index(False)]
+        raise ValidationError(
+            f"edge ({i},{j}) has a zero attribute vector and cannot be represented; "
+            "attach an edge flag first"
+        )
     n, d = graph.order, graph.attr_dim
     cells = np.zeros((n, n, d))
-    cells[np.arange(n), np.arange(n)] = graph.node_attrs
-    for (i, j), v in graph.edge_attrs.items():
-        if not np.any(v):
-            raise ValidationError(
-                f"edge ({i},{j}) has a zero attribute vector and cannot be represented; "
-                "attach an edge flag first"
-            )
-        cells[i, j] = v
-        cells[j, i] = v
-    object.__setattr__(graph, "_rep", Representation(cells))
+    cells.reshape(n * n, d)[:: n + 1] = graph.node_attrs
+    ij = np.array(keys, dtype=np.intp).reshape(-1, 2).T
+    cells[ij, ij[::-1]] = graph._edges  # (i, j) and (j, i) of every edge at once
+    # finite by the graph's own check, symmetric by construction
+    object.__setattr__(graph, "_rep", Representation._own(cells))
     return graph._rep
 
 

@@ -45,10 +45,10 @@ class TrainConfig:
             raise ValidationError("learning rate must be positive")
         if self.margin < 0:
             raise ValidationError("margin must be non-negative")
-        check_count("max_epochs", self.max_epochs)
+        object.__setattr__(self, "max_epochs", check_count("max_epochs", self.max_epochs))
         if self.weight_order is not None:
-            check_count("weight_order", self.weight_order)
-        check_count("seed", self.seed, 0)
+            object.__setattr__(self, "weight_order", check_count("weight_order", self.weight_order))
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,16 @@ class MatchMatrix:
         raise AttributeError("MatchMatrix is immutable")
 
     @classmethod
+    def _own(cls, rows: int, cols: int, pairs: tuple) -> "MatchMatrix":
+        """Keep a solver's pairs without the checks: for tuples of (int, int) pairs
+        that are already sorted, in range and one-to-one, min(rows, cols) of them."""
+        match = object.__new__(cls)
+        object.__setattr__(match, "rows", rows)
+        object.__setattr__(match, "cols", cols)
+        object.__setattr__(match, "pairs", pairs)
+        return match
+
+    @classmethod
     def identity(cls, n: int) -> "MatchMatrix":
         return cls(n, n, [(i, i) for i in range(n)])
 
@@ -395,7 +405,7 @@ def _check_dims(a, b) -> None:
 def _sdp(x: AttributedGraph, y: AttributedGraph, cfg: MatcherConfig) -> MatchResult:
     _check_dims(x, y)
     rx, ry = to_representation(x), to_representation(y)
-    match = MatchMatrix(x.order, y.order, _match(rx.cells, ry.cells, cfg))
+    match = MatchMatrix._own(x.order, y.order, _match(rx.cells, ry.cells, cfg))
     return MatchResult(kernel_value(rx, ry, match), match, cfg.method == "exact")
 
 
@@ -428,7 +438,7 @@ def sdp(x: AttributedGraph, y: AttributedGraph, cfg: MatcherConfig | None = None
     """
     cfg = cfg or MatcherConfig()
     if x is y:
-        match = MatchMatrix.identity(x.order)
+        match = _identity(x.order)
         if x._self_product is None:
             rep = to_representation(x)
             object.__setattr__(x, "_self_product", kernel_value(rep, rep, match))
@@ -436,6 +446,12 @@ def sdp(x: AttributedGraph, y: AttributedGraph, cfg: MatcherConfig | None = None
     if cfg.method == "exact":
         return exact_sdp(x, y, cfg.exact_max_order)
     return ga_sdp(x, y)
+
+
+@lru_cache(maxsize=None)
+def _identity(order: int) -> MatchMatrix:
+    """The identity match of one order, built once: every self-product reuses it."""
+    return MatchMatrix.identity(order)
 
 
 def optimal_align(rw: Representation, x: AttributedGraph, cfg: MatcherConfig | None = None) -> Representation:

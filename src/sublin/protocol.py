@@ -52,11 +52,11 @@ class ProtocolConfig:
         object.__setattr__(self, "lambda_grid", tuple(sorted(self.lambda_grid)))
         if not self.eta_grid or not self.lambda_grid:
             raise ValidationError("hyperparameter grids must be non-empty")
-        check_count("repeats", self.repeats)
-        check_count("max_epochs", self.max_epochs)
+        object.__setattr__(self, "repeats", check_count("repeats", self.repeats))
+        object.__setattr__(self, "max_epochs", check_count("max_epochs", self.max_epochs))
         if self.weight_order is not None:
-            check_count("weight_order", self.weight_order)
-        check_count("seed", self.seed, 0)
+            object.__setattr__(self, "weight_order", check_count("weight_order", self.weight_order))
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,33 @@ class TestAttributedGraph:
         with pytest.raises(ValueError):
             g.node_attrs[0, 0] = 9.0
 
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1, [1.0]), (1, 2, [1.0, 2.0])],
+         r"edge \(1, 2\) attribute has shape \(2,\), expected \(1,\)"),
+        ([(0, 1, 5.0)], r"edge \(0, 1\) attribute has shape \(\), expected \(1,\)"),
+        ([(2, 1, [1.0, 2.0]), (0, 1, [3.0, 4.0])],
+         r"edge \(1, 2\) attribute has shape \(2,\), expected \(1,\)"),
+        ([(0, 1, [1.0]), (2, 1, [np.inf])], "finite"),
+        ([(0, 1, [1.0]), (0, 2, [1.0]), (2, 0, [-1.0])],
+         r"conflicting attributes for undirected edge \(0, 2\)"),
+    ], ids=["ragged", "scalar", "wrong-length", "non-finite", "conflicting-duplicate"])
+    def test_edge_fault_named(self, edges, message):
+        # a bare scalar is refused even at attr_dim 1, never read as a row of one
+        with pytest.raises(ValidationError, match=message):
+            AttributedGraph([[0.0], [1.0], [2.0]], edges)
+
+    def test_caller_arrays_not_aliased(self):
+        nodes, vec = np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([4.0, 5.0])
+        g = AttributedGraph(nodes, [(1, 0, vec)])
+        assert nodes.flags.writeable and vec.flags.writeable
+        nodes[:] = 9.0
+        vec[:] = 9.0
+        assert g.node_attrs.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+        assert g.edge_attrs[(0, 1)].tolist() == [4.0, 5.0]
+        assert to_representation(g).cells[1, 0].tolist() == [4.0, 5.0]
+        with pytest.raises(ValueError):
+            g.edge_attrs[(0, 1)][0] = 0.0
+
 
 class TestAttachEdgeFlag:
     def test_zero_edge_attr_becomes_flagged(self):
@@ -87,6 +116,16 @@ class TestRepresentation:
             to_representation(g)
         # after attaching the flag the graph is representable
         to_representation(attach_edge_flag(g))
+
+    @pytest.mark.parametrize("edges, first", [
+        ([(0, 1, [1.0]), (2, 1, [0.0]), (0, 2, [-0.0])], "(1,2)"),
+        ({(0, 1): [1.0], (0, 2): [-0.0], (1, 2): [0.0]}, "(0,2)"),
+    ], ids=["tuples", "mapping"])
+    def test_first_zero_edge_named(self, edges, first):
+        # in insertion order; -0.0 makes a zero vector too
+        g = AttributedGraph([[1.0], [1.0], [1.0]], edges)
+        with pytest.raises(ValidationError, match=re.escape(f"edge {first} has a zero attribute")):
+            to_representation(g)
 
     def test_encoding_computed_once_per_graph(self):
         g = running_graph()

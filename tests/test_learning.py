@@ -9,8 +9,9 @@ from conftest import permuted_graph, rand_graph, rand_sym_cells, relabeled, thre
 from sublin import (AttributedGraph, EpochStats, LabeledExample, MatcherConfig, Representation,
                     SyntheticSpec, TrainConfig, TrainTrace, ValidationError, binary_examples,
                     classify, derive_seed, empirical_risk, evaluate, generate_synthetic,
-                    hinge_loss, knn_classify, optimal_align, subgradient_step,
-                    to_representation, train_binary, train_one_vs_all, write_trace_jsonl)
+                    hinge_loss, knn_classify, load_model, optimal_align, save_model,
+                    subgradient_step, to_representation, train_binary, train_one_vs_all,
+                    write_trace_jsonl)
 from sublin.learning import _fit_binary, _fit_one_vs_all
 
 EXACT = MatcherConfig()
@@ -193,6 +194,19 @@ class TestTrainBinary:
         # refused when built, not later by numpy's SeedSequence
         with pytest.raises(ValidationError, match=message):
             TrainConfig(learning_rate=0.1, seed=value)
+
+    def test_numpy_integer_fields_stored_as_int(self, tmp_path):
+        # the fields reach the model's metadata, which must stay JSON-writable
+        cfg = TrainConfig(learning_rate=0.5, max_epochs=np.int64(3), weight_order=np.int32(1),
+                          seed=np.int64(2))
+        assert [type(v) for v in (cfg.max_epochs, cfg.weight_order, cfg.seed)] == [int] * 3
+        model, _ = train_binary([single_node(2.0, 1), single_node(-1.0, -1)], cfg)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.metadata == model.metadata
+        assert np.array_equal(loaded.weight_rep.cells, model.weight_rep.cells)
+        assert loaded.bias == model.bias
 
 
 class TestDeriveSeed:

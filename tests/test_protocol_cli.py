@@ -107,6 +107,14 @@ class TestRunProtocol:
         with pytest.raises(ValidationError, match=message):
             ProtocolConfig(dataset=synth(), algorithm="perceptron", seed=value)
 
+    def test_numpy_integer_fields_stored_as_int(self):
+        # the report and the models' metadata carry them into JSON
+        cfg = ProtocolConfig(dataset=synth(), algorithm="perceptron", repeats=np.int64(2),
+                             seed=np.uint8(3), max_epochs=np.int32(4), weight_order=np.int64(5))
+        fields = (cfg.repeats, cfg.seed, cfg.max_epochs, cfg.weight_order)
+        assert [type(v) for v in fields] == [int] * 4
+        assert fields == (2, 3, 4, 5)
+
 
 
 class TestCallAccounting:
