@@ -19,7 +19,7 @@ import numpy as np
 from .exceptions import ValidationError, check_count, integer
 from .files import atomic_write
 from .graphs import AttributedGraph, Representation
-from .matching import MatcherConfig, induced_distance
+from .matching import MatcherConfig, _distances
 from .model import OvaModel, SublinearModel, _score
 
 
@@ -234,15 +234,16 @@ def knn_classify(train: Sequence[LabeledExample], x: AttributedGraph, k: int = 1
     """k-nearest-neighbor vote under the induced graph distance.
 
     Distance ties are broken by training-set index, vote ties by the smallest
-    class id.
+    class id. The query is scored against the training graphs of each order in
+    one pass; distances, solver calls and the error of the first bad training
+    graph are those of `induced_distance` graph by graph, except that every
+    graph is checked before any is solved.
     """
     train = list(train)
     if not train:
         raise ValidationError("k-NN needs a non-empty training set")
-    if k < 1:
-        raise ValidationError("k must be at least 1")
-    matcher = matcher or MatcherConfig()
-    dists = [induced_distance(x, ex.graph, matcher) for ex in train]
+    k = check_count("k", k)
+    dists = _distances(x, [ex.graph for ex in train], matcher or MatcherConfig())
     nearest = sorted(range(len(train)), key=lambda i: (dists[i], i))[:k]
     votes = Counter(train[i].y for i in nearest)
     top = max(votes.values())

@@ -6,7 +6,9 @@ induced edge attributes. `sdp`, `exact_sdp`, `ga_sdp` and `optimal_align` all
 reach one core, `_match`, which takes the dense cells of two graphs and returns
 the assigned node pairs from one of two solvers: exhaustive enumeration of the
 injections of the smaller node set into the larger (exact, small orders) or
-graduated assignment (heuristic, any order). Values returned to callers are
+graduated assignment (heuristic, any order). `induced_distance` and k-NN solve
+one graph against many through `_sdp_values`, which hands each order's exact
+pairs to the enumerator in one batch. Values returned to callers are
 always recomputed from the hard correspondence, never taken from solver
 internals.
 """
@@ -35,6 +37,12 @@ _HARD_ENUM_LIMIT = 9
 # which bounds the per-call buffers (0.16 MB of terms at order 7). 720 = 6!
 # divides n! from order 6 up, so equal orders always walk full chunks of 720.
 _ENUM_CHUNK = 720
+# One gather of `_best_pairs` holds at most this many (injection, pair) cells per
+# term, so its buffer has one bound for any batch (0.65 MB at order 7): up to 4
+# pairs take whole chunks, more pairs take fewer injections per gather, and
+# pairs beyond `_GATHER_PAIRS` are scored in successive groups.
+_GATHER = 4 * _ENUM_CHUNK
+_GATHER_PAIRS = 32
 
 # Count of hard matching problems actually solved (enumeration or annealing).
 # Identity self-products are closed-form and do not count. Not thread-safe;
@@ -51,9 +59,9 @@ def reset_matcher_call_count() -> None:
     _SOLVER_CALLS = 0
 
 
-def _note_solver_call() -> None:
+def _note_solver_calls(count: int = 1) -> None:
     global _SOLVER_CALLS
-    _SOLVER_CALLS += 1
+    _SOLVER_CALLS += count
 
 
 class MatchMatrix:
@@ -242,46 +250,67 @@ def _injection_table(m: int, n: int) -> np.ndarray:
     return table
 
 
-def _best_pairs(cx: np.ndarray, cy: np.ndarray):
-    """Assigned (row, col) pairs of the injection maximizing the summed dot(x_ij, y_rs)
-    over its pairs (i, r), (j, s); ties go to the lexicographically smallest
-    completed permutation (see `_injection_table`).
+def _best_pairs(cells):
+    """For each (cx, cy) of `cells`, all of one shape (m, n), the assigned (row, col)
+    pairs of the injection maximizing the summed dot(x_ij, y_rs) over its pairs
+    (i, r), (j, s); ties go to the lexicographically smallest completed
+    permutation (see `_injection_table`).
 
-    Both cell arrays must have order at least 1. The compatibilities are one
-    (m*m, d) x (d, n*n) matrix product, read in place as the (i, j, r, s) array
-    the table indexes, with the off-diagonal cells of cx doubled first (x2 is
-    exact), so each term a < b stands for itself and its mirror (b, a). The
-    k(k+1)/2 terms of one chunk of injections at a time are gathered through the
-    cached table into one buffer and summed along the terms axis, which adds them
-    in the table's order, the same for every injection; the first maximizer of a
-    chunk wins, and a later chunk only on a strictly larger score. Terms are
-    placed by the smaller graph's nodes, so injections that differ only in which
-    zero nodes they match sum the same terms in the same places and tie exactly,
-    as the padded permutations did.
+    Every cell array must have order at least 1. A pair's compatibilities are one
+    (m*m, d) x (d, n*n) matrix product, read as the (i, j, r, s) array the table
+    indexes, with the off-diagonal cells of cx doubled first (x2 is exact), so
+    each term a < b stands for itself and its mirror (b, a). Up to
+    `_GATHER_PAIRS` pairs are scored together: their products are the columns of
+    one (positions, pairs) array, and one gather takes the k(k+1)/2 terms of a
+    run of injections for all of them, at most `_GATHER` (injection, pair) cells
+    per term. Summing along the terms axis adds them in the table's order, the
+    same for every injection and pair. The first maximizer of a run wins, and a
+    later run only on a strictly larger score; runs tile the table's chunks in
+    order, so each pair gets the winner it gets alone (unless a run holds a NaN
+    score, from overflowing attributes: a NaN never wins, and its run gives no
+    winner). Terms are placed by the smaller graph's nodes, so injections that
+    differ only in which zero nodes they match sum the same terms in the same
+    places and tie exactly, as the padded permutations did.
     """
-    m, n = cx.shape[0], cy.shape[0]
-    d = cx.shape[2]
-    flat = cx.reshape(m * m, d)
-    doubled = flat * 2.0
-    doubled[:: m + 1] = flat[:: m + 1]  # the diagonal cells (i, i) stay single
-    compat = np.dot(doubled, cy.transpose(2, 0, 1).reshape(d, n * n)).ravel()
+    if len(cells) > _GATHER_PAIRS:
+        return [pairs for start in range(0, len(cells), _GATHER_PAIRS)
+                for pairs in _best_pairs(cells[start : start + _GATHER_PAIRS])]
+    cx, cy = cells[0]
+    m, n, d = cx.shape[0], cy.shape[0], cx.shape[2]
+    k = min(m, n)
     blocks = _injection_table(m, n)
-    # one buffer per call: a fresh array per chunk costs page faults once the
+    _, size, chunk = blocks.shape
+    columns = []
+    for cx, cy in cells:
+        flat = cx.reshape(m * m, d)
+        doubled = flat * 2.0
+        doubled[:: m + 1] = flat[:: m + 1]  # the diagonal cells (i, i) stay single
+        columns.append(np.dot(doubled, cy.transpose(2, 0, 1).reshape(d, n * n)).reshape(-1, 1))
+    # one row per position; a lone pair's product is that column already
+    compat = np.hstack(columns) if len(cells) > 1 else columns[0]
+    run = chunk
+    while run * len(cells) > _GATHER or chunk % run:
+        run -= 1
+    # one buffer per call: a fresh array per run costs page faults once the
     # allocator returns it to the system; "clip" lets take fill it directly, and
     # every position is in range by construction
-    terms = np.empty(blocks.shape[1:])
-    scores = np.empty(blocks.shape[2])
-    best_score = -np.inf
-    best_row = blocks[0, :, 0]
+    terms = np.empty((size, run, len(cells)))
+    scores = np.empty((run, len(cells)))
+    best = [-np.inf] * len(cells)
+    rows = [blocks[0, :k, 0]] * len(cells)
     for block in blocks:
-        np.take(compat, block, out=terms, mode="clip").sum(axis=0, out=scores)
-        t = int(np.argmax(scores))
-        if scores[t] > best_score:
-            best_score = float(scores[t])
-            best_row = block[:, t]
-    # the first k terms are the diagonal ones, at i_a*(m + 1)*n*n + r_a*(n + 1)
-    i_a, r_a = np.divmod(best_row[: min(m, n)], (m + 1) * n * n)
-    return tuple(sorted(zip(i_a.tolist(), (r_a // (n + 1)).tolist())))
+        for lo in range(0, chunk, run):
+            part = block if run == chunk else block[:, lo : lo + run]
+            np.take(compat, part, axis=0, out=terms, mode="clip").sum(axis=0, out=scores)
+            for b, t in enumerate(scores.argmax(axis=0).tolist()):
+                score = scores[t, b]
+                if score > best[b]:
+                    best[b] = score
+                    rows[b] = part[:k, t]
+    # the first k terms are the diagonal ones, at i_a*(m + 1)*n*n + r_a*(n + 1);
+    # k Python divisions cost less than numpy's on a row this short
+    step = (m + 1) * n * n
+    return [tuple(sorted((p // step, p % step // (n + 1)) for p in row.tolist())) for row in rows]
 
 
 def _ga_soft(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
@@ -293,15 +322,17 @@ def _ga_soft(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     inverse temperature beta, row/column-balanced by Sinkhorn iterations over the
     real rows and columns, and beta grows geometrically (`_GA_SCHEDULE`).
 
-    A Sinkhorn pass stops after the first sweep whose row sums and column sums
-    all lie within `sinkhorn_tol` of one (a NaN row error never passes; a NaN
-    column error does not hold the pass open), or after `sinkhorn_max_iters`
-    sweeps. The row sums that test a sweep are the divisors of the next sweep's
-    row step, and column sums are taken for the test only once the rows pass.
-    A round is a deterministic function of Q at a fixed beta, so once a round's
-    Q equals the previous round's bit for bit, the soft matrix already in the
-    buffer is what every remaining round at that beta would produce, and they
-    are skipped.
+    A Sinkhorn pass stops after the first sweep whose row sums all lie within
+    `sinkhorn_tol` of one (a NaN row error never passes), or after
+    `sinkhorn_max_iters` sweeps. The row sums that test a sweep are the divisors
+    of the next sweep's row step. The first-written loop tested the column sums
+    too, but a sweep ends with the column division, after which every column
+    sums to one within a few ulps (a sum of m + 1 correctly rounded quotients),
+    far inside the tolerance, and a NaN column error never held a pass open: the
+    row test alone ends every pass where both did. A round is a deterministic
+    function of Q at a fixed beta, so once a round's Q equals the previous
+    round's bit for bit, the soft matrix already in the buffer is what every
+    remaining round at that beta would produce, and they are skipped.
 
     The loop keeps the bits of the first-written schedule with less numpy
     dispatch. The compatibilities are stored once per call in (i, r, j, s)
@@ -311,10 +342,7 @@ def _ga_soft(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     is four ufunc calls into buffers allocated once per call: the row sums
     (whose (m, 1) view is the row divisor), the row division, the column sums
     and the column division. The row test reads the row sums as Python floats,
-    the same IEEE comparison per element, under which a NaN still fails. The
-    column test runs once per pass and stays in numpy: `max` carries a NaN
-    column error on to `not ... > tol`, which lets the pass end, where the row
-    test's form `all(... <= tol)` would hold it open.
+    the same IEEE comparison per element, under which a NaN still fails.
     """
     m, n = cx.shape[0], cy.shape[0]
     compat = np.tensordot(cx, cy, axes=([2], [2]))  # (m, m, n, n)
@@ -347,11 +375,10 @@ def _ga_soft(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
             np.maximum(soft, 1e-300, out=soft)
             np.add.reduce(rows, 1, None, row_sums)
             for _ in range(_GA_SCHEDULE["sinkhorn_max_iters"]):
-                np.divide(rows, divisors, out=rows)
-                np.divide(cols, np.add.reduce(cols, 0, None, col_sums), out=cols)
+                np.divide(rows, divisors, rows)
+                np.divide(cols, np.add.reduce(cols, 0, None, col_sums), cols)
                 np.add.reduce(rows, 1, None, row_sums)
-                if (all(abs(v - 1.0) <= tol for v in row_sums.tolist())
-                        and not np.abs(cols.sum(axis=0) - 1.0).max() > tol):
+                if all(abs(v - 1.0) <= tol for v in row_sums.tolist()):
                     break
         beta *= _GA_SCHEDULE["beta_rate"]
     return real
@@ -362,9 +389,14 @@ def _ga_soft_pairs(cx: np.ndarray, cy: np.ndarray):
     assigned (row, col) pairs.
 
     The soft matrix of `_ga_soft` is discretized by greedy maximum selection
-    down to min(m, n) pairs.
+    down to min(m, n) pairs. When either array is all zero (the first step of
+    every fit, from zero weights), every compatibility is zero and every real
+    entry of the annealed soft matrix is equal, so greedy selection takes the
+    diagonal: the pairs (i, i) are returned without annealing.
     """
     m, n = cx.shape[0], cy.shape[0]
+    if not (cx.any() and cy.any()):
+        return tuple((i, i) for i in range(min(m, n)))
     pick = _ga_soft(cx, cy).copy()
     pairs = []
     for _ in range(min(m, n)):
@@ -384,17 +416,21 @@ def _match(cx: np.ndarray, cy: np.ndarray, cfg: MatcherConfig):
     solver call.
     """
     m, n = cx.shape[0], cy.shape[0]
+    _check_capacity(m, n, cfg)
+    _note_solver_calls()
+    if min(m, n) == 0:
+        return ()
+    if cfg.method == "graduated":
+        return _ga_soft_pairs(cx, cy)
+    return _best_pairs([(cx, cy)])[0]
+
+
+def _check_capacity(m: int, n: int, cfg: MatcherConfig) -> None:
     cap = min(cfg.exact_max_order, _HARD_ENUM_LIMIT)
     if cfg.method == "exact" and max(m, n) > cap:
         raise CapacityError(
             f"orders ({m}, {n}) exceed the exact cap {cap}; use the graduated matcher"
         )
-    _note_solver_call()
-    if min(m, n) == 0:
-        return ()
-    if cfg.method == "graduated":
-        return _ga_soft_pairs(cx, cy)
-    return _best_pairs(cx, cy)
 
 
 def _check_dims(a, b) -> None:
@@ -481,8 +517,43 @@ def induced_distance(x: AttributedGraph, y: AttributedGraph, cfg: MatcherConfig 
     go negative. With the graduated matcher the cross term is a lower bound, so
     the radicand may be biased upward; it is clamped at zero either way.
     """
-    cfg = cfg or MatcherConfig()
+    return _distances(x, [y], cfg or MatcherConfig())[0]
+
+
+def _distances(x: AttributedGraph, ys, cfg: MatcherConfig) -> list:
+    """`induced_distance(x, y, cfg)` for each y of `ys`: x's self-product, then
+    every cross product through `_sdp_values`, then each y's self-product."""
     sxx = sdp(x, x, cfg).value
-    syy = sdp(y, y, cfg).value
-    sxy = sdp(x, y, cfg).value
-    return math.sqrt(max(0.0, sxx - 2.0 * sxy + syy))
+    return [math.sqrt(max(0.0, sxx - 2.0 * sxy + sdp(y, y, cfg).value))
+            for y, sxy in zip(ys, _sdp_values(x, ys, cfg))]
+
+
+def _sdp_values(x: AttributedGraph, ys, cfg: MatcherConfig) -> list:
+    """`sdp(x, y, cfg).value` for each y of `ys`, solved together.
+
+    Every pair is checked as `sdp` checks it (attribute dimensions, encoding,
+    then the exact cap), in order and before any is solved, so the first bad y
+    raises the error `sdp` would. A y that is x gets the closed-form
+    self-product. The exact pairs are grouped by the order of y, and each group
+    is scored by one `_best_pairs` call, whose winners are those of scoring each
+    pair alone; graduated assignment and pairs with an empty graph go through
+    `_match` one at a time. Each pair counts as one solver call, and every value
+    is recomputed from its correspondence by `kernel_value`.
+    """
+    reps = {}
+    for index, y in enumerate(ys):
+        if y is not x:
+            _check_dims(x, y)
+            rx, reps[index] = to_representation(x), to_representation(y)
+            _check_capacity(x.order, y.order, cfg)
+    pairs, groups = {}, {}
+    for index, ry in reps.items():
+        if cfg.method == "exact" and x.order and ry.order:
+            groups.setdefault(ry.order, []).append(index)
+        else:
+            pairs[index] = _match(rx.cells, ry.cells, cfg)
+    for group in groups.values():
+        _note_solver_calls(len(group))
+        pairs.update(zip(group, _best_pairs([(rx.cells, reps[i].cells) for i in group])))
+    return [kernel_value(rx, reps[i], MatchMatrix._own(x.order, y.order, pairs[i])) if i in reps
+            else sdp(x, x, cfg).value for i, y in enumerate(ys)]

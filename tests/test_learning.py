@@ -1,6 +1,9 @@
 import json
+import math
 import os
+import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,9 +12,9 @@ from conftest import permuted_graph, rand_graph, rand_sym_cells, relabeled, thre
 from sublin import (AttributedGraph, EpochStats, LabeledExample, MatcherConfig, Representation,
                     SyntheticSpec, TrainConfig, TrainTrace, ValidationError, binary_examples,
                     classify, derive_seed, empirical_risk, evaluate, generate_synthetic,
-                    hinge_loss, knn_classify, load_model, optimal_align, save_model,
-                    subgradient_step, to_representation, train_binary, train_one_vs_all,
-                    write_trace_jsonl)
+                    hinge_loss, induced_distance, knn_classify, load_model,
+                    matcher_call_count, optimal_align, save_model, sdp, subgradient_step,
+                    to_representation, train_binary, train_one_vs_all, write_trace_jsonl)
 from sublin.learning import _fit_binary, _fit_one_vs_all
 
 EXACT = MatcherConfig()
@@ -361,6 +364,73 @@ class TestKnn:
     def test_empty_train_rejected(self):
         with pytest.raises(ValidationError):
             knn_classify([], AttributedGraph([[1.0]]), 1, EXACT)
+
+    @pytest.mark.parametrize("k", [2.0, True])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(ValidationError, match="^k must be an integer"):
+            knn_classify([single_node(1.0, "a")], AttributedGraph([[1.0]]), k, EXACT)
+
+    @staticmethod
+    def _reference_distance(x, y, matcher):
+        """The induced distance from `sdp` graph by graph."""
+        value = sdp(x, x, matcher).value - 2.0 * sdp(x, y, matcher).value + sdp(y, y, matcher).value
+        return math.sqrt(max(0.0, value))
+
+    @staticmethod
+    def _training_set(rng, query, cap):
+        """Graphs of orders 0 to `cap` (several of order `cap`), the query itself, a
+        relabeled copy of it and one graph twice: exact distance ties, broken by
+        index."""
+        graphs = [rand_graph(rng, min(order, cap), 2) for order in (7, 3, 0, 7, 5, 7, 1, 7, 6, 4)]
+        twin = rand_graph(rng, cap, 2)
+        graphs += [query, twin, permuted_graph(query, rng.permutation(query.order)), twin]
+        graphs += [rand_graph(rng, cap, 2) for _ in range(6)]
+        return [LabeledExample(g, f"c{i % 3}") for i, g in enumerate(graphs)]
+
+    @pytest.mark.parametrize("matcher, cap, queries, ks", [
+        (EXACT, 7, 3, (1, 2, 3, 5, 20)), (MatcherConfig(method="graduated"), 4, 1, (3,)),
+    ], ids=["exact", "graduated"])
+    def test_matches_per_graph_reference(self, matcher, cap, queries, ks):
+        # many graphs of the query's order (one batch), mixed orders and an empty
+        # graph on both sides; graduated assignment runs pair by pair
+        rng = np.random.default_rng(31)
+        query = rand_graph(rng, cap, 2)
+        train = self._training_set(rng, query, cap)
+        for x in (query, rand_graph(rng, cap - 1, 2), AttributedGraph.empty(2))[:queries]:
+            calls = matcher_call_count()
+            dists = [self._reference_distance(x, ex.graph, matcher) for ex in train]
+            reference_calls = matcher_call_count() - calls
+            assert [induced_distance(x, ex.graph, matcher) for ex in train] == dists
+            if x is query:  # ties: the query, its relabeled copy, and the twin
+                assert dists[10] == dists[12] == 0.0 and dists[11] == dists[13]
+            nearest = sorted(range(len(train)), key=lambda i: (dists[i], i))
+            for k in ks:
+                votes = Counter(train[i].y for i in nearest[:k])
+                want = min(c for c, count in votes.items() if count == max(votes.values()))
+                calls = matcher_call_count()
+                assert knn_classify(train, x, k, matcher) == want
+                assert matcher_call_count() - calls == reference_calls
+
+    @pytest.mark.parametrize("faults", [
+        {4: "dims"}, {2: "order"}, {5: "zero-edge"}, {6: "dims", 3: "order"},
+        {3: "dims", 6: "order"}, {2: "zero-edge", 5: "dims"}, {1: "order", 4: "zero-edge"},
+    ])
+    def test_first_bad_training_graph_named(self, faults):
+        # every pair is checked before any is solved: the error is the one the
+        # first bad graph raises alone, and no solver call is counted
+        rng = np.random.default_rng(32)
+        bad = {"dims": lambda: rand_graph(rng, 5, 3), "order": lambda: rand_graph(rng, 9, 2),
+               "zero-edge": lambda: AttributedGraph([[1.0, 0.0], [0.0, 1.0]], [(0, 1, [0.0, 0.0])])}
+        graphs = [bad[faults[i]]() if i in faults else rand_graph(rng, 6, 2) for i in range(8)]
+        train = [LabeledExample(g, "a") for g in graphs]
+        query = rand_graph(rng, 6, 2)
+        with pytest.raises(ValidationError) as first:
+            for g in graphs:
+                self._reference_distance(query, g, EXACT)
+        calls = matcher_call_count()
+        with pytest.raises(type(first.value), match=f"^{re.escape(str(first.value))}$"):
+            knn_classify(train, query, 1, EXACT)
+        assert matcher_call_count() == calls
 
 
 class TestSubgradientProperty:

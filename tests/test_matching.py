@@ -10,7 +10,7 @@ from sublin import (AttributedGraph, CapacityError, MatcherConfig, MatchMatrix,
                     Representation, ValidationError, exact_sdp, ga_sdp, induced_distance,
                     kernel_value, matcher_call_count, optimal_align, sdp, to_representation)
 from sublin import matching
-from sublin.matching import _best_pairs, _ga_soft, _injection_table
+from sublin.matching import _ENUM_CHUNK, _best_pairs, _ga_soft, _injection_table
 
 EXACT = MatcherConfig()
 GRADUATED = MatcherConfig(method="graduated")
@@ -241,7 +241,7 @@ def _reference_pairs(cx, cy):
 def _assert_reference_winner(cx, cy):
     """The scorer picks the oracle's injection, and its value is the k x k
     reference winner's within 4 ulps (the two sums round differently)."""
-    got = _best_pairs(cx, cy)
+    got = _best_pairs([(cx, cy)])[0]
     assert got == _reference_pairs(cx, cy)
     rx, ry = Representation(cx), Representation(cy)
     m, n = cx.shape[0], cy.shape[0]
@@ -376,6 +376,35 @@ class TestExactBitIdentity:
             assert optimal_align(rx, y).cells.tobytes() == aligned.tobytes()
 
 
+class TestBatchedScorer:
+    @staticmethod
+    def _cells(rng, m, n, count):
+        """`count` (cx, cy) pairs of orders m and n, random, all-zero, all-equal and
+        integer-valued cells in turn on each side, so exact ties are common."""
+        kinds = (lambda k: rand_sym_cells(rng, k, 2),
+                 lambda k: np.zeros((k, k, 2)),
+                 lambda k: np.full((k, k, 2), 0.5),
+                 lambda k: np.round(rand_sym_cells(rng, k, 2) * 2))
+        return [(kinds[i % 4](m), kinds[(i + i // 4) % 4](n)) for i in range(count)]
+
+    @pytest.mark.parametrize("m, n", [(7, 7), (8, 8), (7, 8), (8, 7)])
+    @pytest.mark.parametrize("count", [1, 2, 7, 40])
+    def test_batch_equals_each_pair_alone(self, m, n, count):
+        # every table here has several chunks; 7 pairs already split a chunk over
+        # several gathers, and 40 pairs also span two groups
+        assert 7 * _ENUM_CHUNK > matching._GATHER and 40 > matching._GATHER_PAIRS
+        rng = np.random.default_rng(100 * m + 10 * n + count)
+        cells = self._cells(rng, m, n, count)
+        assert _best_pairs(cells) == [_best_pairs([pair])[0] for pair in cells]
+
+    def test_pairs_share_one_query(self):
+        # the k-NN batch: one cx against many cy
+        rng = np.random.default_rng(21)
+        cx = rand_sym_cells(rng, 7, 3)
+        cells = [(cx, rand_sym_cells(rng, 7, 3)) for _ in range(30)]
+        assert _best_pairs(cells) == [_best_pairs([pair])[0] for pair in cells]
+
+
 def _reference_ga(cx, cy, params, counts=None):
     """Graduated assignment as first written: a fresh buffer per round, both
     Sinkhorn errors every sweep, every round run. Returns the soft matrix and
@@ -508,6 +537,18 @@ class TestGaBitIdentity:
         soft = self._assert_soft_matches(monkeypatch, AttributedGraph(np.zeros((9, 3))),
                                          self._letter(rng, 5))
         assert np.isfinite(soft).all()
+
+    @pytest.mark.parametrize("m, n", [(9, 5), (5, 9), (9, 9), (1, 1)])
+    def test_zero_compatibilities_give_the_reference_pairs(self, m, n):
+        # either side all zero: the diagonal without annealing, still one solver call
+        rng = np.random.default_rng(15)
+        for x, y in ((AttributedGraph.empty(3, m), self._letter(rng, n)),
+                     (self._letter(rng, m), AttributedGraph.empty(3, n))):
+            rx, ry = to_representation(x), to_representation(y)
+            calls = matcher_call_count()
+            got = ga_sdp(x, y)
+            assert matcher_call_count() == calls + 1
+            assert got.match.pairs == _reference_ga(rx.cells, ry.cells, FIRST_GA_SCHEDULE)[1]
 
     def test_matches_reference_when_compatibilities_overflow(self, monkeypatch):
         # finite attributes near 1e200 give inf and NaN compatibilities; the row
