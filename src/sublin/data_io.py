@@ -509,7 +509,7 @@ def random_graph(rng, order, attr_dim, density, scale) -> AttributedGraph:
         for j in range(i + 1, order):
             if rng.random() < density:
                 vec = rng.uniform(-scale, scale, size=attr_dim)
-                while not vec.any():
+                while not any(vec.tolist()):  # a Python test costs less than ndarray.any here
                     vec = rng.uniform(-scale, scale, size=attr_dim)
                 edges.append((i, j, vec))
     return AttributedGraph(nodes, edges)

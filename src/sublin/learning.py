@@ -20,7 +20,7 @@ from .exceptions import ValidationError, check_count, integer
 from .files import atomic_write
 from .graphs import AttributedGraph, Representation
 from .matching import MatcherConfig, _distances
-from .model import OvaModel, SublinearModel, _score
+from .model import OvaModel, SublinearModel, _checked, _discriminants, _score, _split_scores
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,14 @@ def subgradient_step(w: Representation, b: float, example: LabeledExample,
     """
     y = int(example.y)
     y_hat, aligned = _score(w, b, example.graph, matcher)
-    loss = hinge_loss(y_hat, y, margin)
+    return (*_update(w, b, y_hat, aligned, y, learning_rate, margin),
+            hinge_loss(y_hat, y, margin))
+
+
+def _update(w: Representation, b: float, y_hat: float, aligned: Representation, y: int,
+            learning_rate: float, margin: float):
+    """(w', b', updated): the step of `subgradient_step` once the example is scored.
+    Every training step, alone or in a stage, takes this one."""
     if y * y_hat <= margin:
         # symmetric plus a scalar times symmetric: only overflow needs a check,
         # and it is the one below, not a numpy warning
@@ -105,19 +112,18 @@ def subgradient_step(w: Representation, b: float, example: LabeledExample,
             cells = w.cells + learning_rate * y * aligned.cells
         if not np.isfinite(cells).all():
             raise ValidationError("graph attributes must be finite")
-        return Representation._own(cells), b + learning_rate * y, True, loss
-    return w, b, False, loss
+        return Representation._own(cells), b + learning_rate * y, True
+    return w, b, False
 
 
-def _split_metrics(w: Representation, b: float, data, margin, matcher):
+def _split_metrics(values, labels, margin):
+    """(mean hinge risk, errors) of discriminant values against +1/-1 labels."""
     risk = 0.0
     errors = 0
-    for ex in data:
-        y_hat = _score(w, b, ex.graph, matcher)[0]
-        risk += hinge_loss(y_hat, int(ex.y), margin)
-        pred = 1 if y_hat >= 0.0 else -1
-        errors += pred != int(ex.y)
-    return risk / len(data), errors
+    for y_hat, y in zip(values, labels):
+        risk += hinge_loss(y_hat, y, margin)
+        errors += (1 if y_hat >= 0.0 else -1) != y
+    return risk / len(values), errors
 
 
 def _check_examples(data: Sequence[LabeledExample], binary: bool):
@@ -131,73 +137,115 @@ def _check_examples(data: Sequence[LabeledExample], binary: bool):
             raise ValidationError(f"binary labels must be +1/-1, got {ex.y!r}")
 
 
-def _epochs(data: Sequence[LabeledExample], cfg: TrainConfig):
-    """Yield (epoch, w, b, updates) after each epoch of train_binary's steps; the
-    first epoch without updates (the sample separated at the margin) is the last."""
-    n_w = cfg.weight_order or max(1, max(ex.graph.order for ex in data))
-    w = Representation.zeros(n_w, data[0].graph.attr_dim)
-    b = 0.0
-    rng = np.random.default_rng(cfg.seed)
-    visit = np.arange(len(data))
-    for epoch in range(1, cfg.max_epochs + 1):
-        rng.shuffle(visit)
-        updates = 0
-        for idx in visit:
-            w, b, updated, _ = subgradient_step(
-                w, b, data[idx], cfg.learning_rate, cfg.margin, cfg.matcher
-            )
-            updates += updated
-        yield epoch, w, b, updates
-        if updates == 0:
-            return
+class _Fit:
+    """One binary fit of a stage: its own labels, config, rng, visit order,
+    weights, bias, epoch count and per-epoch stats."""
+
+    __slots__ = ("labels", "cfg", "rng", "visit", "reps", "w", "b", "epoch", "updates", "stats")
+
+    def __init__(self, labels, cfg: TrainConfig, graphs):
+        self.labels = labels
+        self.cfg = cfg
+        self.rng = np.random.default_rng(cfg.seed)
+        self.visit = np.arange(len(graphs))
+        order = cfg.weight_order or max(1, max(g.order for g in graphs))
+        self.w = Representation.zeros(order, graphs[0].attr_dim)
+        self.b = 0.0
+        self.epoch = 0
+        self.stats: List[EpochStats] = []
+
+    def model(self) -> SublinearModel:
+        cfg = self.cfg
+        return SublinearModel(
+            self.w, self.b, cfg.matcher,
+            metadata={
+                "algorithm": "margin_perceptron" if cfg.margin > 0 else "perceptron",
+                "learning_rate": cfg.learning_rate,
+                "margin": cfg.margin,
+                "max_epochs": cfg.max_epochs,
+                "weight_order": self.w.order,
+                "seed": cfg.seed,
+                "epochs_run": self.epoch,
+                "converged": self.updates == 0,
+            },
+        )
+
+    def trace(self) -> TrainTrace:
+        return TrainTrace(tuple(self.stats), sum(s.updates for s in self.stats),
+                          self.updates == 0, self.epoch)
 
 
-def _fit_binary(data: Sequence[LabeledExample], cfg: TrainConfig, traced: bool):
-    """(model, trace) as train_binary returns them; the trace is None unless
-    `traced`, since its risk and errors cost one more pass over the data per epoch."""
-    data = list(data)
-    _check_examples(data, binary=True)
-    stats: List[EpochStats] = []
-    for epoch, w, b, updates in _epochs(data, cfg):
+def _epochs(graphs, fits: List[_Fit], traced: bool) -> None:
+    """Run every fit of `fits` over the shared list `graphs` in lockstep.
+
+    Each graph is checked once, in order, against each distinct weight order and
+    matcher before any fit starts (attribute dimension, encoding, exact cap), so
+    the first bad graph raises the error it raises alone and no solver call is
+    counted. Every epoch, each running fit shuffles its own visit order; at step
+    t, each running fit scores the t-th graph of its own order, and all these
+    alignments go to the matcher as one batch (`model._discriminants`), after
+    which each fit takes its own `_update`. An epoch without updates (the sample
+    separated at the margin) or the fit's `max_epochs`-th is its last; the other
+    fits go on. With `traced`, each fit's risk and errors are measured with its
+    end-of-epoch weights, the running fits' in one batch per epoch.
+    """
+    for fit, reps in zip(fits, _checked([(fit.w, fit.cfg.matcher) for fit in fits], graphs)):
+        fit.reps = reps
+    running = list(fits)
+    while running:
+        orders = []
+        for fit in running:
+            fit.epoch += 1
+            fit.updates = 0
+            fit.rng.shuffle(fit.visit)
+            orders.append(fit.visit.tolist())
+        for step in zip(*orders):
+            scored = _discriminants([(fit.w, fit.b, fit.reps[i], fit.cfg.matcher)
+                                     for fit, i in zip(running, step)])
+            for fit, i, (y_hat, aligned) in zip(running, step, scored):
+                cfg = fit.cfg
+                fit.w, fit.b, updated = _update(fit.w, fit.b, y_hat, aligned, fit.labels[i],
+                                                cfg.learning_rate, cfg.margin)
+                fit.updates += updated
         if traced:
-            risk, errors = _split_metrics(w, b, data, cfg.margin, cfg.matcher)
-            stats.append(EpochStats(epoch, updates, errors, risk))
-    converged = updates == 0
-    model = SublinearModel(
-        w, b, cfg.matcher,
-        metadata={
-            "algorithm": "margin_perceptron" if cfg.margin > 0 else "perceptron",
-            "learning_rate": cfg.learning_rate,
-            "margin": cfg.margin,
-            "max_epochs": cfg.max_epochs,
-            "weight_order": w.order,
-            "seed": cfg.seed,
-            "epochs_run": epoch,
-            "converged": converged,
-        },
-    )
-    if not traced:
-        return model, None
-    return model, TrainTrace(tuple(stats), sum(s.updates for s in stats), converged, epoch)
+            rows = _split_scores([(fit.w, fit.b, fit.cfg.matcher) for fit in running], graphs)
+            for fit, values in zip(running, rows):
+                risk, errors = _split_metrics(values, fit.labels, fit.cfg.margin)
+                fit.stats.append(EpochStats(fit.epoch, fit.updates, errors, risk))
+        running = [fit for fit in running if fit.updates and fit.epoch < fit.cfg.max_epochs]
 
 
-def _fit_one_vs_all(data: Sequence[LabeledExample], cfg: TrainConfig, traced: bool):
-    """(OvaModel, per-class traces) as train_one_vs_all returns them; each trace
-    is None unless `traced`."""
+def _fit_stage(data: Sequence[LabeledExample], cfgs: Sequence[TrainConfig], multiclass: bool,
+               traced: bool) -> list:
+    """(model, trace) for each config of `cfgs`, all fit on `data` in one lockstep
+    stage (`_epochs`), each equal to what `train_binary` (or, with `multiclass`,
+    `train_one_vs_all`) gives alone. A one-against-all config fits one member
+    per class, with seeds derived from its own; the members of every config step
+    together. A trace is None unless `traced`, since its risk and errors cost one
+    more pass over the data per epoch."""
     data = list(data)
-    _check_examples(data, binary=False)
+    _check_examples(data, binary=not multiclass)
+    graphs = [ex.graph for ex in data]
+    if not multiclass:
+        fits = [_Fit([int(ex.y) for ex in data], cfg, graphs) for cfg in cfgs]
+        _epochs(graphs, fits, traced)
+        return [(fit.model(), fit.trace() if traced else None) for fit in fits]
     classes = sorted({ex.y for ex in data})
     if len(classes) < 2:
         raise ValidationError(f"one-against-all needs at least 2 classes, got {len(classes)}")
-    members = []
-    traces = []
-    for idx, cls in enumerate(classes):
-        sub_cfg = replace(cfg, seed=derive_seed(cfg.seed, idx))
-        model, trace = _fit_binary(_signed(data, cls), sub_cfg, traced)
-        model.metadata["positive_class"] = str(cls)
-        members.append(model)
-        traces.append(trace)
-    return OvaModel(tuple(classes), tuple(members)), tuple(traces)
+    labels = [[1 if ex.y == cls else -1 for ex in data] for cls in classes]
+    fits = [_Fit(labels[idx], replace(cfg, seed=derive_seed(cfg.seed, idx)), graphs)
+            for cfg in cfgs for idx in range(len(classes))]
+    _epochs(graphs, fits, traced)
+    results = []
+    for start in range(0, len(fits), len(classes)):
+        members = fits[start : start + len(classes)]
+        models = [fit.model() for fit in members]
+        for model, cls in zip(models, classes):
+            model.metadata["positive_class"] = str(cls)
+        results.append((OvaModel(tuple(classes), tuple(models)),
+                        tuple(fit.trace() if traced else None for fit in members)))
+    return results
 
 
 def train_binary(data: Sequence[LabeledExample], cfg: TrainConfig):
@@ -209,16 +257,16 @@ def train_binary(data: Sequence[LabeledExample], cfg: TrainConfig):
     converged. Each epoch's risk and error count are measured with the
     end-of-epoch weights.
     """
-    return _fit_binary(data, cfg, traced=True)
+    return _fit_stage(data, [cfg], multiclass=False, traced=True)[0]
 
 
 def train_one_vs_all(data: Sequence[LabeledExample], cfg: TrainConfig):
     """Train one binary model per class (positive = that class) with derived seeds.
 
     Members are ordered by sorted class id; returns (OvaModel, per-class traces
-    in the same order).
+    in the same order). The members step in lockstep, each as it steps alone.
     """
-    return _fit_one_vs_all(data, cfg, traced=True)
+    return _fit_stage(data, [cfg], multiclass=True, traced=True)[0]
 
 
 def empirical_risk(model: SublinearModel, data: Sequence[LabeledExample], margin: float) -> float:
@@ -226,7 +274,9 @@ def empirical_risk(model: SublinearModel, data: Sequence[LabeledExample], margin
     data = list(data)
     if not data:
         raise ValidationError("cannot compute risk of an empty sample")
-    return _split_metrics(model.weight_rep, model.bias, data, margin, model.matcher)[0]
+    values = _split_scores([(model.weight_rep, model.bias, model.matcher)],
+                           [ex.graph for ex in data])[0]
+    return _split_metrics(values, [int(ex.y) for ex in data], margin)[0]
 
 
 def knn_classify(train: Sequence[LabeledExample], x: AttributedGraph, k: int = 1,

@@ -3,12 +3,14 @@
 The similarity of two graphs is the maximum, over one-to-one node
 correspondences, of the summed dot products between corresponding node and
 induced edge attributes. `sdp`, `exact_sdp`, `ga_sdp` and `optimal_align` all
-reach one core, `_match`, which takes the dense cells of two graphs and returns
-the assigned node pairs from one of two solvers: exhaustive enumeration of the
-injections of the smaller node set into the larger (exact, small orders) or
-graduated assignment (heuristic, any order). `induced_distance` and k-NN solve
-one graph against many through `_sdp_values`, which hands each order's exact
-pairs to the enumerator in one batch. Values returned to callers are
+reach one core, `_solve`, which takes a list of pairs of dense cell arrays and
+returns the assigned node pairs of each from one of two solvers: exhaustive
+enumeration of the injections of the smaller node set into the larger (exact,
+small orders) or graduated assignment (heuristic, any order). The exact pairs
+of one shape are scored in one batch, each getting the winner it gets alone.
+`induced_distance` and k-NN solve one graph against many through `_sdp_values`,
+and training and prediction over a split solve many weights against many
+graphs through the same core (see `model._discriminants`). Values returned to callers are
 always recomputed from the hard correspondence, never taken from solver
 internals.
 """
@@ -288,9 +290,7 @@ def _best_pairs(cells):
         columns.append(np.dot(doubled, cy.transpose(2, 0, 1).reshape(d, n * n)).reshape(-1, 1))
     # one row per position; a lone pair's product is that column already
     compat = np.hstack(columns) if len(cells) > 1 else columns[0]
-    run = chunk
-    while run * len(cells) > _GATHER or chunk % run:
-        run -= 1
+    run = _run_length(chunk, len(cells))
     # one buffer per call: a fresh array per run costs page faults once the
     # allocator returns it to the system; "clip" lets take fill it directly, and
     # every position is in range by construction
@@ -311,6 +311,13 @@ def _best_pairs(cells):
     # k Python divisions cost less than numpy's on a row this short
     step = (m + 1) * n * n
     return [tuple(sorted((p // step, p % step // (n + 1)) for p in row.tolist())) for row in rows]
+
+
+@lru_cache(maxsize=None)
+def _run_length(chunk: int, pairs: int) -> int:
+    """Injections per gather of `_best_pairs` for `pairs` pairs: the largest
+    divisor of `chunk` whose run holds at most `_GATHER` cells per term."""
+    return next(run for run in range(min(chunk, _GATHER // pairs), 0, -1) if chunk % run == 0)
 
 
 def _ga_soft(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
@@ -407,22 +414,31 @@ def _ga_soft_pairs(cx: np.ndarray, cy: np.ndarray):
     return tuple(sorted(pairs))
 
 
-def _match(cx: np.ndarray, cy: np.ndarray, cfg: MatcherConfig):
-    """Assigned (row, col) pairs of a best correspondence between two cell arrays.
+def _solve(problems) -> list:
+    """Assigned (row, col) pairs of a best correspondence for each (cx, cy, cfg) of
+    `problems`: two cell arrays and the matcher that solves them.
 
-    Exact enumeration raises CapacityError when the larger order exceeds
-    `cfg.exact_max_order` (or the enumerator's own limit); graduated assignment
-    works on any orders. Both solvers take the arrays as they are. Counts as one
-    solver call.
+    Callers check every pair first (attribute dimensions, encodings, then the
+    exact cap: see `_encodings`), so nothing is solved for a batch with a bad
+    pair. Both solvers take the arrays as they are. Exact pairs with no empty
+    side are grouped by shape (m, n), and each group is scored by one
+    `_best_pairs` call, whose winners are those of scoring each pair alone;
+    graduated assignment runs pair by pair. Each pair counts as one solver call.
     """
-    m, n = cx.shape[0], cy.shape[0]
-    _check_capacity(m, n, cfg)
-    _note_solver_calls()
-    if min(m, n) == 0:
-        return ()
-    if cfg.method == "graduated":
-        return _ga_soft_pairs(cx, cy)
-    return _best_pairs([(cx, cy)])[0]
+    _note_solver_calls(len(problems))
+    found, groups = [()] * len(problems), {}
+    for index, (cx, cy, cfg) in enumerate(problems):
+        m, n = cx.shape[0], cy.shape[0]
+        if not (m and n):
+            continue
+        if cfg.method == "graduated":
+            found[index] = _ga_soft_pairs(cx, cy)
+        else:
+            groups.setdefault((m, n), []).append(index)
+    for group in groups.values():
+        for index, pairs in zip(group, _best_pairs([problems[i][:2] for i in group])):
+            found[index] = pairs
+    return found
 
 
 def _check_capacity(m: int, n: int, cfg: MatcherConfig) -> None:
@@ -438,10 +454,41 @@ def _check_dims(a, b) -> None:
         raise ValidationError(f"attribute dimensions differ: {a.attr_dim} vs {b.attr_dim}")
 
 
+def _encodings(side, graphs, cfg: MatcherConfig) -> list:
+    """The encoding of each graph of `graphs` as the second side of a pair with
+    `side` (a graph or a representation), each checked in order before any pair
+    is solved: attribute dimensions, the graph's encoding, then the exact cap.
+    The first bad graph raises the error it raises alone."""
+    reps = []
+    for g in graphs:
+        _check_dims(side, g)
+        reps.append(to_representation(g))
+        _check_capacity(side.order, g.order, cfg)
+    return reps
+
+
+def _aligned(order: int, ry: Representation, pairs) -> Representation:
+    """`ry` in the index space of an order-`order` side matched to it by `pairs`:
+    the cells of each matched node pair moved to its partners' place, zero
+    elsewhere."""
+    aligned = np.zeros((order, order, ry.attr_dim))
+    if len(pairs) == ry.order:  # every node of ry is matched: place its cells whole
+        partners = [0] * ry.order
+        for i, r in pairs:
+            partners[r] = i
+        rows = np.array(partners, dtype=np.intp)
+        aligned[rows[:, None], rows] = ry.cells
+    else:
+        rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        aligned[rows[:, None], rows] = ry.cells[cols[:, None], cols]
+    return Representation._own(aligned)  # gathered from checked cells
+
+
 def _sdp(x: AttributedGraph, y: AttributedGraph, cfg: MatcherConfig) -> MatchResult:
     _check_dims(x, y)
     rx, ry = to_representation(x), to_representation(y)
-    match = MatchMatrix._own(x.order, y.order, _match(rx.cells, ry.cells, cfg))
+    _check_capacity(x.order, y.order, cfg)
+    match = MatchMatrix._own(x.order, y.order, _solve([(rx.cells, ry.cells, cfg)])[0])
     return MatchResult(kernel_value(rx, ry, match), match, cfg.method == "exact")
 
 
@@ -497,13 +544,9 @@ def optimal_align(rw: Representation, x: AttributedGraph, cfg: MatcherConfig | N
     nodes, if larger only the best-matching nodes are kept. The flattened dot
     product of `rw` with the result equals the (dispatched) dot product value.
     """
-    _check_dims(rw, x)
-    rx = to_representation(x)
-    aligned = np.zeros((rw.order, rw.order, rw.attr_dim))
-    pairs = _match(rw.cells, rx.cells, cfg or MatcherConfig())
-    rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    aligned[rows[:, None], rows] = rx.cells[cols[:, None], cols]
-    return Representation._own(aligned)  # gathered from checked cells
+    cfg = cfg or MatcherConfig()
+    rx, = _encodings(rw, [x], cfg)
+    return _aligned(rw.order, rx, _solve([(rw.cells, rx.cells, cfg)])[0])
 
 
 def induced_distance(x: AttributedGraph, y: AttributedGraph, cfg: MatcherConfig | None = None) -> float:
@@ -534,11 +577,10 @@ def _sdp_values(x: AttributedGraph, ys, cfg: MatcherConfig) -> list:
     Every pair is checked as `sdp` checks it (attribute dimensions, encoding,
     then the exact cap), in order and before any is solved, so the first bad y
     raises the error `sdp` would. A y that is x gets the closed-form
-    self-product. The exact pairs are grouped by the order of y, and each group
-    is scored by one `_best_pairs` call, whose winners are those of scoring each
-    pair alone; graduated assignment and pairs with an empty graph go through
-    `_match` one at a time. Each pair counts as one solver call, and every value
-    is recomputed from its correspondence by `kernel_value`.
+    self-product. The other pairs are solved in one `_solve` batch, whose
+    winners are those of solving each pair alone; each counts as one solver
+    call, and every value is recomputed from its correspondence by
+    `kernel_value`.
     """
     reps = {}
     for index, y in enumerate(ys):
@@ -546,14 +588,6 @@ def _sdp_values(x: AttributedGraph, ys, cfg: MatcherConfig) -> list:
             _check_dims(x, y)
             rx, reps[index] = to_representation(x), to_representation(y)
             _check_capacity(x.order, y.order, cfg)
-    pairs, groups = {}, {}
-    for index, ry in reps.items():
-        if cfg.method == "exact" and x.order and ry.order:
-            groups.setdefault(ry.order, []).append(index)
-        else:
-            pairs[index] = _match(rx.cells, ry.cells, cfg)
-    for group in groups.values():
-        _note_solver_calls(len(group))
-        pairs.update(zip(group, _best_pairs([(rx.cells, reps[i].cells) for i in group])))
+    pairs = dict(zip(reps, _solve([(rx.cells, ry.cells, cfg) for ry in reps.values()])))
     return [kernel_value(rx, reps[i], MatchMatrix._own(x.order, y.order, pairs[i])) if i in reps
             else sdp(x, x, cfg).value for i, y in enumerate(ys)]

@@ -7,7 +7,6 @@ product, so the score is invariant under relabeling of the input's nodes.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -16,7 +15,7 @@ import numpy as np
 from .exceptions import DegenerateModelError, ValidationError, config_value, integer
 from .files import atomic_write
 from .graphs import AttributedGraph, Representation, to_representation
-from .matching import MatcherConfig, _finite, optimal_align
+from .matching import MatcherConfig, _aligned, _encodings, _finite, _solve
 
 MODEL_FORMAT_VERSION = 1
 
@@ -70,12 +69,68 @@ class OvaModel:
             raise ValidationError(f"member models disagree on attr_dim: {sorted(dims)}")
 
 
+def _discriminants(problems):
+    """Yield (w.aligned + b, aligned) for each (w, b, rx, matcher) of `problems`,
+    where rx is the encoding of a graph already checked against w
+    (`matching._encodings`) and aligned is that graph optimally aligned against w,
+    as `optimal_align` gives it. All pairs are solved in one `matching._solve`
+    batch before the first is yielded. Every discriminant in the package is this
+    one. Raises ValidationError when finite attributes give a value outside the
+    float range."""
+    found = _solve([(w.cells, rx.cells, matcher) for w, _, rx, matcher in problems])
+    for (w, b, rx, _), pairs in zip(problems, found):
+        aligned = _aligned(w.order, rx, pairs)
+        yield _finite(float(np.vdot(w.cells, aligned.cells)) + b), aligned
+
+
 def _score(w: Representation, b: float, x: AttributedGraph, matcher: MatcherConfig | None):
     """(w.aligned + b, aligned): the discriminant of weights (w, b) at `x`, with `x`
-    optimally aligned against `w`. Every discriminant in the package is this one.
-    Raises ValidationError when finite attributes give a value outside the float range."""
-    aligned = optimal_align(w, x, matcher)
-    return _finite(float(np.vdot(w.cells, aligned.cells)) + b), aligned
+    optimally aligned against `w`; `x` is checked as `optimal_align` checks it."""
+    matcher = matcher or MatcherConfig()
+    return next(_discriminants([(w, b, _encodings(w, [x], matcher)[0], matcher)]))
+
+
+def _checked(sides, graphs) -> list:
+    """For each (w, matcher) of `sides`, the encodings of `graphs` checked against
+    w as `matching._encodings` checks them: once per distinct weight order,
+    attribute dimension and matcher, in the order of `sides`."""
+    reps = {}
+    for w, matcher in sides:
+        key = (w.order, w.attr_dim, matcher)
+        if key not in reps:
+            reps[key] = _encodings(w, graphs, matcher)
+    return [reps[w.order, w.attr_dim, matcher] for w, matcher in sides]
+
+
+def _split_scores(weights, graphs) -> list:
+    """The discriminant of each (w, b, matcher) of `weights` at each graph of
+    `graphs`, one list per weight, as `_score` gives them one at a time. Every
+    graph is checked (`_checked`) before any pair is solved, and all pairs go
+    through one `_discriminants` batch."""
+    encoded = _checked([(w, matcher) for w, _, matcher in weights], graphs)
+    values = [value for value, _ in _discriminants(
+        [(w, b, rx, matcher) for (w, b, matcher), reps in zip(weights, encoded) for rx in reps])]
+    n = len(graphs)
+    return [values[k * n : (k + 1) * n] for k in range(len(weights))]
+
+
+def _predictions(models, graphs) -> list:
+    """The class each model of `models` gives each graph of `graphs`, one list per
+    model: +1/-1 for a binary model as `classify` gives it, a class id for a
+    one-against-all model as `predict_multiclass` gives it. Every member of every
+    model is scored in one `_split_scores` batch, one solver call per member and
+    graph."""
+    members = [m.members if isinstance(m, OvaModel) else (m,) for m in models]
+    rows = iter(_split_scores([(m.weight_rep, m.bias, m.matcher) for ms in members for m in ms],
+                              graphs))
+    out = []
+    for model, ms in zip(models, members):
+        per_graph = list(zip(*[next(rows) for _ in ms]))  # the members' values at each graph
+        if isinstance(model, OvaModel):  # the largest value; ties go to the lowest index
+            out.append([model.classes[max(range(len(v)), key=v.__getitem__)] for v in per_graph])
+        else:  # the boundary counts as positive
+            out.append([1 if v >= 0.0 else -1 for v, in per_graph])
+    return out
 
 
 def evaluate(model: SublinearModel, x: AttributedGraph) -> float:
@@ -85,7 +140,7 @@ def evaluate(model: SublinearModel, x: AttributedGraph) -> float:
 
 def classify(model: SublinearModel, x: AttributedGraph) -> int:
     """+1 if the discriminant is >= 0 (boundary counts as positive), else -1."""
-    return 1 if evaluate(model, x) >= 0.0 else -1
+    return _predictions([model], [x])[0][0]
 
 
 def weight_norm(model: SublinearModel) -> float:
@@ -110,15 +165,9 @@ def margin_lower_bound(model: SublinearModel, x: AttributedGraph) -> float:
 
 
 def predict_multiclass(ova: OvaModel, x: AttributedGraph):
-    """Class whose member discriminant is largest; ties go to the lowest class index."""
-    best_idx = 0
-    best_val = -math.inf
-    for idx, member in enumerate(ova.members):
-        val = evaluate(member, x)
-        if val > best_val:
-            best_val = val
-            best_idx = idx
-    return ova.classes[best_idx]
+    """Class whose member discriminant is largest; ties go to the lowest class index.
+    The members are scored against `x` in one batch, one solver call each."""
+    return _predictions([ova], [x])[0][0]
 
 
 def _model_doc(model: SublinearModel) -> dict:

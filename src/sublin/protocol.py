@@ -6,7 +6,9 @@ smaller value). The margin algorithm first adopts the plain perceptron's best
 learning rate, then searches the margin grid. Stage 2 retrains on
 train+validation with the selected values and reports mean, standard deviation,
 and maximum test accuracy over the repeats. Every run's seed is derived from
-(seed, stage, config index, repeat), so reports are reproducible.
+(seed, stage, config index, repeat), so reports are reproducible. The runs of
+a stage are fit together in lockstep (`learning._epochs`) and scored together,
+each as it would be alone.
 """
 from __future__ import annotations
 
@@ -18,10 +20,9 @@ import numpy as np
 
 from .data_io import Dataset
 from .exceptions import ValidationError, check_count
-from .learning import (TrainConfig, _fit_binary, _fit_one_vs_all, _signed, derive_seed,
-                       knn_classify)
+from .learning import TrainConfig, _fit_stage, _signed, derive_seed, knn_classify
 from .matching import MatcherConfig, matcher_call_count
-from .model import OvaModel, classify, predict_multiclass
+from .model import OvaModel, _predictions
 
 DEFAULT_ETA_GRID = (0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9)
 DEFAULT_LAMBDA_GRID = (0.01, 0.05, 0.075, 0.1, 0.125, 0.15, 0.2)
@@ -133,45 +134,49 @@ def _check_split(dataset: Dataset, name: str):
     return examples
 
 
-def _fit(train_examples, dataset: Dataset, cfg: ProtocolConfig, eta, lam, seed):
-    tc = TrainConfig(
-        learning_rate=eta, margin=lam, max_epochs=cfg.max_epochs,
-        weight_order=cfg.weight_order, seed=seed, matcher=cfg.matcher,
-    )
+def _fit_all(train_examples, dataset: Dataset, cfg: ProtocolConfig, runs) -> list:
+    """The model of each (eta, lambda, seed) of `runs`, all fit on `train_examples`
+    in one lockstep stage: binary on a two-class dataset, one-against-all
+    otherwise."""
+    configs = [TrainConfig(learning_rate=eta, margin=lam, max_epochs=cfg.max_epochs,
+                           weight_order=cfg.weight_order, seed=seed, matcher=cfg.matcher)
+               for eta, lam, seed in runs]
     if len(dataset.class_set) == 2:
-        return _fit_binary(_signed(train_examples, dataset.class_set[0]), tc, traced=False)[0]
-    return _fit_one_vs_all(train_examples, tc, traced=False)[0]
-
-
-def _accuracy(model, dataset: Dataset, examples) -> float:
-    if isinstance(model, OvaModel):
-        hits = sum(predict_multiclass(model, ex.graph) == ex.y for ex in examples)
+        fitted = _fit_stage(_signed(train_examples, dataset.class_set[0]), configs,
+                            multiclass=False, traced=False)
     else:
-        hits = sum(classify(model, ex.graph) == ex.y
-                   for ex in _signed(examples, dataset.class_set[0]))
-    return hits / len(examples)
+        fitted = _fit_stage(train_examples, configs, multiclass=True, traced=False)
+    return [model for model, _ in fitted]
+
+
+def _accuracies(models, dataset: Dataset, examples) -> List[float]:
+    """Accuracy of each model on `examples`, as `classify` or `predict_multiclass`
+    scores it; every member of every model is scored in one batch."""
+    if not isinstance(models[0], OvaModel):
+        examples = _signed(examples, dataset.class_set[0])
+    return [sum(p == ex.y for p, ex in zip(predicted, examples)) / len(examples)
+            for predicted in _predictions(models, [ex.graph for ex in examples])]
 
 
 def _grid_stage(cfg: ProtocolConfig, dataset, train, validation, stage, grid, eta=None):
-    """Score every grid value on validation; return (rows, best value)."""
+    """Score every grid value on validation; return (rows, best value). Every
+    (value, repeat) of the stage is fit in one lockstep stage."""
+    runs = [(value, 0.0) if stage == _STAGE_ETA else (eta, value) for value in grid]
+    models = _fit_all(train, dataset, cfg, [
+        (*runs[ci], derive_seed(cfg.seed, stage, ci, rep))
+        for ci in range(len(grid)) for rep in range(cfg.repeats)])
+    accs = _accuracies(models, dataset, validation)
     rows = []
     best_value = None
     best_mean = -1.0
     for ci, value in enumerate(grid):
-        accs = []
-        for rep in range(cfg.repeats):
-            seed = derive_seed(cfg.seed, stage, ci, rep)
-            if stage == _STAGE_ETA:
-                model = _fit(train, dataset, cfg, value, 0.0, seed)
-            else:
-                model = _fit(train, dataset, cfg, eta, value, seed)
-            accs.append(_accuracy(model, dataset, validation))
-        mean = float(np.mean(accs))
+        row_accs = accs[ci * cfg.repeats : (ci + 1) * cfg.repeats]
+        mean = float(np.mean(row_accs))
         rows.append({
             "value": value,
-            "accuracies": accs,
+            "accuracies": row_accs,
             "mean": mean,
-            "std": float(np.std(accs)),
+            "std": float(np.std(row_accs)),
         })
         if mean > best_mean:
             best_mean = mean
@@ -208,12 +213,11 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
                 cfg, dataset, train, validation, _STAGE_LAMBDA, cfg.lambda_grid,
                 eta=selected_eta,
             )
-        test_accs = []
         lam = selected_lambda if selected_lambda is not None else 0.0
-        for rep in range(cfg.repeats):
-            seed = derive_seed(cfg.seed, _STAGE_TEST, 0, rep)
-            model = _fit(trainval, dataset, cfg, selected_eta, lam, seed)
-            test_accs.append(_accuracy(model, dataset, test))
+        models = _fit_all(trainval, dataset, cfg, [
+            (selected_eta, lam, derive_seed(cfg.seed, _STAGE_TEST, 0, rep))
+            for rep in range(cfg.repeats)])
+        test_accs = _accuracies(models, dataset, test)
 
     return ProtocolReport(
         dataset=dataset.name,

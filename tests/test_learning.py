@@ -15,7 +15,7 @@ from sublin import (AttributedGraph, EpochStats, LabeledExample, MatcherConfig, 
                     hinge_loss, induced_distance, knn_classify, load_model,
                     matcher_call_count, optimal_align, save_model, sdp, subgradient_step,
                     to_representation, train_binary, train_one_vs_all, write_trace_jsonl)
-from sublin.learning import _fit_binary, _fit_one_vs_all
+from sublin.learning import _fit_stage
 
 EXACT = MatcherConfig()
 
@@ -281,7 +281,7 @@ class TestTraceFreeFit:
         data = binary_examples(generate_synthetic(spec)[0], "train", "pos")
         cfg = TrainConfig(learning_rate=0.5, margin=margin, max_epochs=max_epochs,
                           seed=seed, matcher=EXACT)
-        model, trace = _fit_binary(data, cfg, traced=False)
+        model, trace = _fit_stage(data, [cfg], multiclass=False, traced=False)[0]
         want = train_binary(data, cfg)[0]
         assert trace is None
         assert model.metadata["converged"] is converged
@@ -293,7 +293,7 @@ class TestTraceFreeFit:
         data = three_class_examples(np.random.default_rng(3), 9)
         cfg = TrainConfig(learning_rate=0.5, margin=margin, max_epochs=max_epochs,
                           seed=seed, matcher=EXACT)
-        ova, traces = _fit_one_vs_all(data, cfg, traced=False)
+        ova, traces = _fit_stage(data, [cfg], multiclass=True, traced=False)[0]
         want = train_one_vs_all(data, cfg)[0]
         assert traces == (None, None, None)
         assert ova.classes == want.classes
