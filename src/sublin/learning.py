@@ -116,14 +116,19 @@ def _update(w: Representation, b: float, y_hat: float, aligned: Representation, 
     return w, b, False
 
 
-def _split_metrics(values, labels, margin):
-    """(mean hinge risk, errors) of discriminant values against +1/-1 labels."""
-    risk = 0.0
-    errors = 0
-    for y_hat, y in zip(values, labels):
-        risk += hinge_loss(y_hat, y, margin)
-        errors += (1 if y_hat >= 0.0 else -1) != y
-    return risk / len(values), errors
+def _split_metrics(scored, graphs) -> list:
+    """(mean hinge risk, errors) over `graphs` of each (w, b, matcher, labels,
+    margin) of `scored`, against its +1/-1 labels. The graphs are scored one at
+    a time (`model._split_scores`), and each risk sums its losses in split
+    order."""
+    totals = [[0.0, 0] for _ in scored]
+    rows = _split_scores([(w, b, matcher) for w, b, matcher, _, _ in scored], graphs)
+    for index, values in enumerate(rows):
+        for total, (*_, labels, margin), y_hat in zip(totals, scored, values):
+            y = labels[index]
+            total[0] += hinge_loss(y_hat, y, margin)
+            total[1] += (1 if y_hat >= 0.0 else -1) != y
+    return [(risk / len(graphs), errors) for risk, errors in totals]
 
 
 def _check_examples(data: Sequence[LabeledExample], binary: bool):
@@ -208,9 +213,10 @@ def _epochs(graphs, fits: List[_Fit], traced: bool) -> None:
                                                 cfg.learning_rate, cfg.margin)
                 fit.updates += updated
         if traced:
-            rows = _split_scores([(fit.w, fit.b, fit.cfg.matcher) for fit in running], graphs)
-            for fit, values in zip(running, rows):
-                risk, errors = _split_metrics(values, fit.labels, fit.cfg.margin)
+            metrics = _split_metrics(
+                [(fit.w, fit.b, fit.cfg.matcher, fit.labels, fit.cfg.margin) for fit in running],
+                graphs)
+            for fit, (risk, errors) in zip(running, metrics):
                 fit.stats.append(EpochStats(fit.epoch, fit.updates, errors, risk))
         running = [fit for fit in running if fit.updates and fit.epoch < fit.cfg.max_epochs]
 
@@ -274,9 +280,8 @@ def empirical_risk(model: SublinearModel, data: Sequence[LabeledExample], margin
     data = list(data)
     if not data:
         raise ValidationError("cannot compute risk of an empty sample")
-    values = _split_scores([(model.weight_rep, model.bias, model.matcher)],
-                           [ex.graph for ex in data])[0]
-    return _split_metrics(values, [int(ex.y) for ex in data], margin)[0]
+    scored = (model.weight_rep, model.bias, model.matcher, [int(ex.y) for ex in data], margin)
+    return _split_metrics([scored], [ex.graph for ex in data])[0][0]
 
 
 def knn_classify(train: Sequence[LabeledExample], x: AttributedGraph, k: int = 1,

@@ -449,19 +449,16 @@ def _check_capacity(m: int, n: int, cfg: MatcherConfig) -> None:
         )
 
 
-def _check_dims(a, b) -> None:
-    if a.attr_dim != b.attr_dim:
-        raise ValidationError(f"attribute dimensions differ: {a.attr_dim} vs {b.attr_dim}")
-
-
-def _encodings(side, graphs, cfg: MatcherConfig) -> list:
+def _encodings(side: Representation, graphs, cfg: MatcherConfig) -> list:
     """The encoding of each graph of `graphs` as the second side of a pair with
-    `side` (a graph or a representation), each checked in order before any pair
-    is solved: attribute dimensions, the graph's encoding, then the exact cap.
-    The first bad graph raises the error it raises alone."""
+    the encoded `side`, each checked in order before any pair is solved:
+    attribute dimensions, the graph's encoding, then the exact cap. The first
+    bad graph raises the error it raises alone. Every matcher entry checks its
+    pairs here, after encoding its first side."""
     reps = []
     for g in graphs:
-        _check_dims(side, g)
+        if side.attr_dim != g.attr_dim:
+            raise ValidationError(f"attribute dimensions differ: {side.attr_dim} vs {g.attr_dim}")
         reps.append(to_representation(g))
         _check_capacity(side.order, g.order, cfg)
     return reps
@@ -470,24 +467,24 @@ def _encodings(side, graphs, cfg: MatcherConfig) -> list:
 def _aligned(order: int, ry: Representation, pairs) -> Representation:
     """`ry` in the index space of an order-`order` side matched to it by `pairs`:
     the cells of each matched node pair moved to its partners' place, zero
-    elsewhere."""
-    aligned = np.zeros((order, order, ry.attr_dim))
-    if len(pairs) == ry.order:  # every node of ry is matched: place its cells whole
-        partners = [0] * ry.order
-        for i, r in pairs:
-            partners[r] = i
-        rows = np.array(partners, dtype=np.intp)
-        aligned[rows[:, None], rows] = ry.cells
-    else:
-        rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-        aligned[rows[:, None], rows] = ry.cells[cols[:, None], cols]
-    return Representation._own(aligned)  # gathered from checked cells
+    elsewhere.
+
+    All of ry's cells are placed by one scatter, which costs about half of
+    gathering the matched cells first: a matched node goes to its partner's
+    index, an unmatched one (ry larger than `order`) past the first `order`
+    indices, which are the ones kept."""
+    partners = list(range(order, order + ry.order))
+    for i, r in pairs:
+        partners[r] = i
+    rows = np.array(partners, dtype=np.intp)
+    placed = np.zeros((order + ry.order, order + ry.order, ry.attr_dim))
+    placed[rows[:, None], rows] = ry.cells
+    return Representation._own(placed[:order, :order].copy())  # placed from checked cells
 
 
 def _sdp(x: AttributedGraph, y: AttributedGraph, cfg: MatcherConfig) -> MatchResult:
-    _check_dims(x, y)
-    rx, ry = to_representation(x), to_representation(y)
-    _check_capacity(x.order, y.order, cfg)
+    rx = to_representation(x)
+    ry, = _encodings(rx, [y], cfg)
     match = MatchMatrix._own(x.order, y.order, _solve([(rx.cells, ry.cells, cfg)])[0])
     return MatchResult(kernel_value(rx, ry, match), match, cfg.method == "exact")
 
@@ -574,20 +571,17 @@ def _distances(x: AttributedGraph, ys, cfg: MatcherConfig) -> list:
 def _sdp_values(x: AttributedGraph, ys, cfg: MatcherConfig) -> list:
     """`sdp(x, y, cfg).value` for each y of `ys`, solved together.
 
-    Every pair is checked as `sdp` checks it (attribute dimensions, encoding,
-    then the exact cap), in order and before any is solved, so the first bad y
+    x is encoded first, then every other y is checked as `sdp` checks it
+    (`_encodings`), in order and before any is solved, so the first bad y
     raises the error `sdp` would. A y that is x gets the closed-form
     self-product. The other pairs are solved in one `_solve` batch, whose
     winners are those of solving each pair alone; each counts as one solver
     call, and every value is recomputed from its correspondence by
     `kernel_value`.
     """
-    reps = {}
-    for index, y in enumerate(ys):
-        if y is not x:
-            _check_dims(x, y)
-            rx, reps[index] = to_representation(x), to_representation(y)
-            _check_capacity(x.order, y.order, cfg)
+    rx = to_representation(x)
+    others = [i for i, y in enumerate(ys) if y is not x]
+    reps = dict(zip(others, _encodings(rx, [ys[i] for i in others], cfg)))
     pairs = dict(zip(reps, _solve([(rx.cells, ry.cells, cfg) for ry in reps.values()])))
     return [kernel_value(rx, reps[i], MatchMatrix._own(x.order, y.order, pairs[i])) if i in reps
             else sdp(x, x, cfg).value for i, y in enumerate(ys)]

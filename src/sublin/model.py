@@ -102,35 +102,40 @@ def _checked(sides, graphs) -> list:
     return [reps[w.order, w.attr_dim, matcher] for w, matcher in sides]
 
 
-def _split_scores(weights, graphs) -> list:
-    """The discriminant of each (w, b, matcher) of `weights` at each graph of
-    `graphs`, one list per weight, as `_score` gives them one at a time. Every
-    graph is checked (`_checked`) before any pair is solved, and all pairs go
-    through one `_discriminants` batch."""
+def _split_scores(weights, graphs):
+    """Yield, for each graph of `graphs` in order, the discriminant of each
+    (w, b, matcher) of `weights` at it, as `_score` gives them one at a time.
+    Every graph is checked (`_checked`) before any pair is solved. Each graph's
+    pairs are one `_discriminants` batch, so a pass over a split holds
+    len(weights) pairs at a time, whatever the split's size."""
     encoded = _checked([(w, matcher) for w, _, matcher in weights], graphs)
-    values = [value for value, _ in _discriminants(
-        [(w, b, rx, matcher) for (w, b, matcher), reps in zip(weights, encoded) for rx in reps])]
-    n = len(graphs)
-    return [values[k * n : (k + 1) * n] for k in range(len(weights))]
+    for index in range(len(graphs)):
+        yield [value for value, _ in _discriminants(
+            [(w, b, reps[index], matcher) for (w, b, matcher), reps in zip(weights, encoded)])]
 
 
-def _predictions(models, graphs) -> list:
-    """The class each model of `models` gives each graph of `graphs`, one list per
-    model: +1/-1 for a binary model as `classify` gives it, a class id for a
-    one-against-all model as `predict_multiclass` gives it. Every member of every
-    model is scored in one `_split_scores` batch, one solver call per member and
-    graph."""
+def _top_class(classes, values):
+    """The class of the largest of `values`; ties go to the lowest index."""
+    return classes[max(range(len(values)), key=values.__getitem__)]
+
+
+def _predictions(models, graphs):
+    """Yield, for each graph of `graphs` in order, the class each model of
+    `models` gives it: +1/-1 for a binary model as `classify` gives it, a class
+    id for a one-against-all model as `predict_multiclass` gives it. At each
+    graph every member of every model is scored in one `_split_scores` batch,
+    one solver call per member."""
     members = [m.members if isinstance(m, OvaModel) else (m,) for m in models]
-    rows = iter(_split_scores([(m.weight_rep, m.bias, m.matcher) for ms in members for m in ms],
-                              graphs))
-    out = []
-    for model, ms in zip(models, members):
-        per_graph = list(zip(*[next(rows) for _ in ms]))  # the members' values at each graph
-        if isinstance(model, OvaModel):  # the largest value; ties go to the lowest index
-            out.append([model.classes[max(range(len(v)), key=v.__getitem__)] for v in per_graph])
-        else:  # the boundary counts as positive
-            out.append([1 if v >= 0.0 else -1 for v, in per_graph])
-    return out
+    weights = [(m.weight_rep, m.bias, m.matcher) for ms in members for m in ms]
+    for values in _split_scores(weights, graphs):
+        row, start = [], 0
+        for model, ms in zip(models, members):
+            v = values[start : start + len(ms)]
+            start += len(ms)
+            # the boundary counts as positive
+            row.append(_top_class(model.classes, v) if isinstance(model, OvaModel)
+                       else 1 if v[0] >= 0.0 else -1)
+        yield row
 
 
 def evaluate(model: SublinearModel, x: AttributedGraph) -> float:
@@ -140,7 +145,7 @@ def evaluate(model: SublinearModel, x: AttributedGraph) -> float:
 
 def classify(model: SublinearModel, x: AttributedGraph) -> int:
     """+1 if the discriminant is >= 0 (boundary counts as positive), else -1."""
-    return _predictions([model], [x])[0][0]
+    return 1 if evaluate(model, x) >= 0.0 else -1
 
 
 def weight_norm(model: SublinearModel) -> float:
@@ -167,7 +172,8 @@ def margin_lower_bound(model: SublinearModel, x: AttributedGraph) -> float:
 def predict_multiclass(ova: OvaModel, x: AttributedGraph):
     """Class whose member discriminant is largest; ties go to the lowest class index.
     The members are scored against `x` in one batch, one solver call each."""
-    return _predictions([ova], [x])[0][0]
+    weights = [(m.weight_rep, m.bias, m.matcher) for m in ova.members]
+    return _top_class(ova.classes, next(_split_scores(weights, [x])))
 
 
 def _model_doc(model: SublinearModel) -> dict:

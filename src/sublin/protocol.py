@@ -151,11 +151,13 @@ def _fit_all(train_examples, dataset: Dataset, cfg: ProtocolConfig, runs) -> lis
 
 def _accuracies(models, dataset: Dataset, examples) -> List[float]:
     """Accuracy of each model on `examples`, as `classify` or `predict_multiclass`
-    scores it; every member of every model is scored in one batch."""
+    scores it; at each graph, every member of every model is scored in one batch."""
     if not isinstance(models[0], OvaModel):
         examples = _signed(examples, dataset.class_set[0])
-    return [sum(p == ex.y for p, ex in zip(predicted, examples)) / len(examples)
-            for predicted in _predictions(models, [ex.graph for ex in examples])]
+    hits = [0] * len(models)
+    for predicted, ex in zip(_predictions(models, [ex.graph for ex in examples]), examples):
+        hits = [h + (p == ex.y) for h, p in zip(hits, predicted)]
+    return [h / len(examples) for h in hits]
 
 
 def _grid_stage(cfg: ProtocolConfig, dataset, train, validation, stage, grid, eta=None):

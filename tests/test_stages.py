@@ -5,13 +5,14 @@ import re
 import numpy as np
 import pytest
 
+import sublin.model
 from conftest import rand_graph, three_class_examples
 from sublin import (AttributedGraph, Dataset, LabeledExample, MatcherConfig, Representation,
                     SyntheticSpec, TrainConfig, ValidationError, classify, derive_seed,
                     generate_synthetic, matcher_call_count, optimal_align, predict_multiclass,
                     train_binary, train_one_vs_all, write_jsonl)
 from sublin.learning import _fit_stage
-from sublin.protocol import ProtocolConfig, ProtocolReport, run_protocol
+from sublin.protocol import ProtocolConfig, ProtocolReport, _accuracies, run_protocol
 from test_protocol_cli import run_cli
 
 EXACT = MatcherConfig()
@@ -164,6 +165,26 @@ def test_stage_models_equal_lone_fits(matcher, multiclass, traced):
     trace_calls = sum(t.final_epoch for _, ts in lone
                       for t in (ts if multiclass else (ts,))) * len(data)
     assert calls == (lone_calls if traced else lone_calls - trace_calls)
+
+
+def test_split_scoring_solves_one_graph_at_a_time(monkeypatch):
+    # a split many times the size of a benchmark's is scored one graph at a
+    # time, every member of every model in one batch, so a pass never holds
+    # more pairs than there are members; accuracies are those of lone scoring
+    data = three_class_examples(np.random.default_rng(41), 12)
+    models = [model for model, _ in _fit_stage(
+        data, [TrainConfig(learning_rate=eta, max_epochs=2, seed=seed)
+               for eta, seed in ((0.1, 0), (0.5, 1))], multiclass=True, traced=False)]
+    ds = Dataset("three-class", {"train": data, "validation": data, "test": data},
+                 ("c0", "c1", "c2"))
+    split = three_class_examples(np.random.default_rng(43), 600)
+    want = [sum(predict_multiclass(m, ex.graph) == ex.y for ex in split) / len(split)
+            for m in models]
+    batches, solve = [], sublin.model._solve
+    monkeypatch.setattr(sublin.model, "_solve",
+                        lambda problems: batches.append(len(problems)) or solve(problems))
+    assert _accuracies(models, ds, split) == want
+    assert batches == [6] * len(split)
 
 
 ZERO_EDGE = AttributedGraph([[1.0, 0.0], [0.0, 1.0]], [(0, 1, [0.0, 0.0])])
