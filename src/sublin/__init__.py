@@ -7,7 +7,7 @@ on the lifted hinge risk.
 """
 
 from .exceptions import (CapacityError, DatasetFormatError, DegenerateModelError,
-                         InfeasibleSpecError, SizeError, ValidationError)
+                         InfeasibleSpecError, ValidationError)
 from .graphs import (AttributedGraph, Representation, attach_edge_flag, from_representation,
                      to_representation)
 from .matching import (DEFAULT_EXACT_MAX_ORDER, MatchMatrix, MatchResult, MatcherConfig,
@@ -22,7 +22,7 @@ from .learning import (EpochStats, LabeledExample, TrainConfig, TrainTrace, deri
 from .data_io import (Dataset, GXL_PRESETS, GxlAttrConfig, SyntheticSpec, binary_examples,
                       generate_synthetic, margin_certificate, parse_cxl, parse_cxl_file,
                       parse_gxl, parse_gxl_file, read_cxl_dataset, read_examples_jsonl,
-                      read_jsonl, standardize_dataset, write_jsonl)
+                      read_jsonl, write_jsonl)
 from .protocol import (ALGORITHMS, DEFAULT_ETA_GRID, DEFAULT_LAMBDA_GRID, ProtocolConfig,
                        ProtocolReport, run_protocol)
 

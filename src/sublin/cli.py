@@ -20,7 +20,7 @@ from .exceptions import InfeasibleSpecError, ValidationError, config_value, inte
 from .files import atomic_write
 from .learning import TrainConfig, train_binary, train_one_vs_all, write_trace_jsonl
 from .matching import MatcherConfig, exact_sdp, ga_sdp, sdp
-from .model import OvaModel, classify, load_model, predict_multiclass, save_model
+from .model import OvaModel, _predictions, load_model, save_model
 from .protocol import ProtocolConfig, run_protocol
 
 EXIT_OK = 0
@@ -161,15 +161,14 @@ def _cmd_eval(args) -> int:
     if not examples:
         raise ValidationError(f"split {args.split!r} is empty")
     classes = list(dataset.class_set)
+    if not isinstance(loaded, OvaModel):
+        positive = loaded.metadata.get("positive_class", str(classes[0]))
+        negative = next((str(c) for c in classes if str(c) != positive), positive)
     confusion = {str(t): {str(p): 0 for p in classes} for t in classes}
     hits = 0
-    for ex in examples:
-        if isinstance(loaded, OvaModel):
-            pred = predict_multiclass(loaded, ex.graph)
-        else:
-            positive = loaded.metadata.get("positive_class", str(classes[0]))
-            negative = next((str(c) for c in classes if str(c) != positive), positive)
-            pred = positive if classify(loaded, ex.graph) == 1 else negative
+    for (pred,), ex in zip(_predictions([loaded], [ex.graph for ex in examples]), examples):
+        if not isinstance(loaded, OvaModel):
+            pred = positive if pred == 1 else negative
         confusion[str(ex.y)][str(pred)] += 1
         hits += str(pred) == str(ex.y)
     doc = {"split": args.split, "n": len(examples),

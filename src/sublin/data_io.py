@@ -392,36 +392,6 @@ def read_cxl_dataset(dirpath, cfg: GxlAttrConfig, name=None,
     )
 
 
-def standardize_dataset(dataset: Dataset, reference_split: str = "train") -> Dataset:
-    """Per-dimension standardization of node attributes using one split's statistics.
-
-    Edge attributes are left untouched (shifting them would change which cells
-    count as edges). Constant dimensions keep their scale. The applied transform
-    is recorded in provenance.
-    """
-    ref = dataset.split(reference_split)
-    if not ref:
-        raise ValidationError(f"reference split {reference_split!r} is empty")
-    stacked = np.concatenate([ex.graph.node_attrs for ex in ref], axis=0)
-    mean = stacked.mean(axis=0)
-    std = stacked.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-
-    def transform(ex: LabeledExample) -> LabeledExample:
-        g = ex.graph
-        nodes = (g.node_attrs - mean) / std
-        return LabeledExample(AttributedGraph(nodes, g.edge_attrs, g.label), ex.y)
-
-    splits = {name: [transform(ex) for ex in exs] for name, exs in dataset.splits.items()}
-    prov = dict(dataset.provenance)
-    prov["standardize"] = {
-        "reference_split": reference_split,
-        "mean": mean.tolist(),
-        "std": std.tolist(),
-    }
-    return Dataset(dataset.name, splits, dataset.class_set, prov)
-
-
 # ---------------------------------------------------------------------------
 # Synthetic generation with a certified margin
 # ---------------------------------------------------------------------------

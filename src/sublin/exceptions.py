@@ -9,10 +9,6 @@ class ValidationError(ValueError):
     """Invalid input data, operands, or configuration."""
 
 
-class SizeError(ValidationError):
-    """Operand sizes are incompatible (a match whose shape differs from its operands')."""
-
-
 class CapacityError(ValidationError):
     """Problem size exceeds the exact solver cap; use the graduated matcher."""
 

@@ -128,9 +128,6 @@ class AttributedGraph:
         """Edges as ((i, j), vector) pairs in deterministic (sorted) order."""
         return sorted(self.edge_attrs.items())
 
-    def with_label(self, label) -> "AttributedGraph":
-        return AttributedGraph(self.node_attrs, self.edge_attrs, label)
-
     def __eq__(self, other):
         if not isinstance(other, AttributedGraph):
             return NotImplemented

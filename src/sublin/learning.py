@@ -134,9 +134,6 @@ def _split_metrics(scored, graphs) -> list:
 def _check_examples(data: Sequence[LabeledExample], binary: bool):
     if not data:
         raise ValidationError("training data is empty")
-    dims = {ex.graph.attr_dim for ex in data}
-    if len(dims) > 1:
-        raise ValidationError(f"training graphs disagree on attr_dim: {sorted(dims)}")
     for ex in data:
         if binary and ex.y not in (1, -1):
             raise ValidationError(f"binary labels must be +1/-1, got {ex.y!r}")
@@ -239,7 +236,7 @@ def _fit_stage(data: Sequence[LabeledExample], cfgs: Sequence[TrainConfig], mult
     classes = sorted({ex.y for ex in data})
     if len(classes) < 2:
         raise ValidationError(f"one-against-all needs at least 2 classes, got {len(classes)}")
-    labels = [[1 if ex.y == cls else -1 for ex in data] for cls in classes]
+    labels = [[ex.y for ex in _signed(data, cls)] for cls in classes]
     fits = [_Fit(labels[idx], replace(cfg, seed=derive_seed(cfg.seed, idx)), graphs)
             for cfg in cfgs for idx in range(len(classes))]
     _epochs(graphs, fits, traced)

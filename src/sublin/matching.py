@@ -8,11 +8,11 @@ returns the assigned node pairs of each from one of two solvers: exhaustive
 enumeration of the injections of the smaller node set into the larger (exact,
 small orders) or graduated assignment (heuristic, any order). The exact pairs
 of one shape are scored in one batch, each getting the winner it gets alone.
-`induced_distance` and k-NN solve one graph against many through `_sdp_values`,
-and training and prediction over a split solve many weights against many
-graphs through the same core (see `model._discriminants`). Values returned to callers are
-always recomputed from the hard correspondence, never taken from solver
-internals.
+`sdp`, `induced_distance` and k-NN solve one graph against one or many through
+`_results`, and training and prediction over a split solve many weights against
+many graphs through the same core (see `model._discriminants`). Values returned
+to callers are always recomputed from the hard correspondence, never taken from
+solver internals.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 import numpy as np
 
-from .exceptions import CapacityError, SizeError, ValidationError, config_value, integer
+from .exceptions import CapacityError, ValidationError, check_count, config_value, integer
 from .graphs import AttributedGraph, Representation, to_representation
 
 DEFAULT_EXACT_MAX_ORDER = 8
@@ -34,16 +34,12 @@ DEFAULT_EXACT_MAX_ORDER = 8
 # The cache is not bounded below its 81 possible keys: evicting a table would
 # only rebuild it on the next call with those orders.
 _HARD_ENUM_LIMIT = 9
-# Injections scored per gather, at most: each table is split into chunks of the
-# largest injection count that divides its total and does not exceed this,
-# which bounds the per-call buffers (0.16 MB of terms at order 7). 720 = 6!
-# divides n! from order 6 up, so equal orders always walk full chunks of 720.
-_ENUM_CHUNK = 720
 # One gather of `_best_pairs` holds at most this many (injection, pair) cells per
-# term, so its buffer has one bound for any batch (0.65 MB at order 7): up to 4
-# pairs take whole chunks, more pairs take fewer injections per gather, and
-# pairs beyond `_GATHER_PAIRS` are scored in successive groups.
-_GATHER = 4 * _ENUM_CHUNK
+# term (0.65 MB at order 7). Up to 4 pairs take windows of 720 injections (with
+# 2,880, a lone pair's buffer and np.take's index copy go back to the system and
+# fault in again on every call), more pairs fewer, and pairs beyond
+# `_GATHER_PAIRS` go in successive groups, which bounds the compatibility array.
+_GATHER = 2880
 _GATHER_PAIRS = 32
 
 # Count of hard matching problems actually solved (enumeration or annealing).
@@ -147,10 +143,8 @@ class MatcherConfig:
     def __post_init__(self):
         if self.method not in ("exact", "graduated"):
             raise ValidationError(f"unknown matcher method {self.method!r}")
-        if type(self.exact_max_order) is bool or not isinstance(self.exact_max_order, int):
-            raise ValidationError(f"exact_max_order must be an integer, got {self.exact_max_order!r}")
-        if self.exact_max_order < 1:
-            raise ValidationError("exact_max_order must be at least 1")
+        object.__setattr__(self, "exact_max_order",
+                           check_count("exact_max_order", self.exact_max_order))
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -184,7 +178,7 @@ def kernel_value(rx: Representation, ry: Representation, match: MatchMatrix) -> 
     attributes give a value outside the float range.
     """
     if match.rows != rx.order or match.cols != ry.order:
-        raise SizeError(
+        raise ValidationError(
             f"match is {match.rows}x{match.cols} but representations have orders "
             f"{rx.order} and {ry.order}"
         )
@@ -220,8 +214,8 @@ def _injection_table(m: int, n: int) -> np.ndarray:
     the lexicographic order of the row permutation each completes to once both
     graphs are padded with isolated zero nodes to order max(m, n), the free rows
     taking the padded columns in ascending order. The read-only uint16 array (the
-    largest position, 6,560, is at (9, 9)) is shaped (chunks, k(k+1)/2,
-    injections per chunk): terms-major, for the scorer's walk.
+    largest position, 6,560, is at (9, 9)) is shaped (k(k+1)/2, injections):
+    terms-major, for the scorer's walk.
     """
     k = min(m, n)
     count = math.perm(max(m, n), k)
@@ -238,16 +232,15 @@ def _injection_table(m: int, n: int) -> np.ndarray:
         completed = np.full((count, m), n, dtype=np.uint16)
         completed[np.arange(count)[:, None], rows] = cols
         rows = rows[np.lexsort(completed.T[::-1])]
-    chunk = next(c for c in range(min(count, _ENUM_CHUNK), 0, -1) if count % c == 0)
     # the a part (i_a*m*n*n + r_a*n) and the b part (i_b*n*n + r_b) of each
-    # injection, read node-major as (k, chunks, chunk) views; every term is
-    # written straight into its slot of the final layout
-    a_part = (rows * (m * n * n) + cols * n).T.reshape(k, -1, chunk)
-    b_part = (rows * (n * n) + cols).T.reshape(k, -1, chunk)
-    table = np.empty((count // chunk, k * (k + 1) // 2, chunk), dtype=np.uint16)
+    # injection, read node-major as (k, injections) views; every term is
+    # written straight into its row of the final layout
+    a_part = (rows * (m * n * n) + cols * n).T
+    b_part = (rows * (n * n) + cols).T
+    table = np.empty((k * (k + 1) // 2, count), dtype=np.uint16)
     term_nodes = itertools.chain(((a, a) for a in range(k)), itertools.combinations(range(k), 2))
     for p, (a, b) in enumerate(term_nodes):
-        np.add(a_part[a], b_part[b], out=table[:, p])
+        np.add(a_part[a], b_part[b], out=table[p])
     table.flags.writeable = False
     return table
 
@@ -264,24 +257,24 @@ def _best_pairs(cells):
     each term a < b stands for itself and its mirror (b, a). Up to
     `_GATHER_PAIRS` pairs are scored together: their products are the columns of
     one (positions, pairs) array, and one gather takes the k(k+1)/2 terms of a
-    run of injections for all of them, at most `_GATHER` (injection, pair) cells
-    per term. Summing along the terms axis adds them in the table's order, the
-    same for every injection and pair. The first maximizer of a run wins, and a
-    later run only on a strictly larger score; runs tile the table's chunks in
-    order, so each pair gets the winner it gets alone (unless a run holds a NaN
-    score, from overflowing attributes: a NaN never wins, and its run gives no
-    winner). Terms are placed by the smaller graph's nodes, so injections that
-    differ only in which zero nodes they match sum the same terms in the same
-    places and tie exactly, as the padded permutations did.
+    window of min(injections, `_GATHER` // max(pairs, 4)) injections for all of
+    them. Summing along the terms axis adds them in the table's order, the same
+    for every injection and pair. The first maximizer of a window wins, and a
+    later window only on a strictly larger score; windows walk the table in
+    order, so each pair gets the winner it gets alone (unless a window holds a
+    NaN score, from overflowing attributes: a NaN never wins, and its window
+    gives no winner). Terms are placed by the smaller graph's nodes, so
+    injections that differ only in which zero nodes they match sum the same
+    terms in the same places and tie exactly.
     """
     if len(cells) > _GATHER_PAIRS:
         return [pairs for start in range(0, len(cells), _GATHER_PAIRS)
                 for pairs in _best_pairs(cells[start : start + _GATHER_PAIRS])]
     cx, cy = cells[0]
     m, n, d = cx.shape[0], cy.shape[0], cx.shape[2]
-    k = min(m, n)
-    blocks = _injection_table(m, n)
-    _, size, chunk = blocks.shape
+    k, batch = min(m, n), len(cells)
+    table = _injection_table(m, n)
+    size, count = table.shape
     columns = []
     for cx, cy in cells:
         flat = cx.reshape(m * m, d)
@@ -289,35 +282,30 @@ def _best_pairs(cells):
         doubled[:: m + 1] = flat[:: m + 1]  # the diagonal cells (i, i) stay single
         columns.append(np.dot(doubled, cy.transpose(2, 0, 1).reshape(d, n * n)).reshape(-1, 1))
     # one row per position; a lone pair's product is that column already
-    compat = np.hstack(columns) if len(cells) > 1 else columns[0]
-    run = _run_length(chunk, len(cells))
-    # one buffer per call: a fresh array per run costs page faults once the
+    compat = np.hstack(columns) if batch > 1 else columns[0]
+    window = min(count, _GATHER // max(batch, 4))
+    # one buffer per call: a fresh array per window costs page faults once the
     # allocator returns it to the system; "clip" lets take fill it directly, and
     # every position is in range by construction
-    terms = np.empty((size, run, len(cells)))
-    scores = np.empty((run, len(cells)))
-    best = [-np.inf] * len(cells)
-    rows = [blocks[0, :k, 0]] * len(cells)
-    for block in blocks:
-        for lo in range(0, chunk, run):
-            part = block if run == chunk else block[:, lo : lo + run]
-            np.take(compat, part, axis=0, out=terms, mode="clip").sum(axis=0, out=scores)
-            for b, t in enumerate(scores.argmax(axis=0).tolist()):
-                score = scores[t, b]
-                if score > best[b]:
-                    best[b] = score
-                    rows[b] = part[:k, t]
+    terms, scores = np.empty((size, window, batch)), np.empty((window, batch))
+    best = [-np.inf] * batch
+    rows = [table[:k, 0]] * batch
+    for lo in range(0, count, window):
+        part = table[:, lo : lo + window]
+        if part.shape[1] < window:  # the last window: contiguous views of the buffers' start
+            window = part.shape[1]
+            terms = terms.ravel()[: size * window * batch].reshape(size, window, batch)
+            scores = scores.ravel()[: window * batch].reshape(window, batch)
+        np.take(compat, part, axis=0, out=terms, mode="clip").sum(axis=0, out=scores)
+        for b, t in enumerate(scores.argmax(axis=0).tolist()):
+            score = scores[t, b]
+            if score > best[b]:
+                best[b] = score
+                rows[b] = part[:k, t]
     # the first k terms are the diagonal ones, at i_a*(m + 1)*n*n + r_a*(n + 1);
     # k Python divisions cost less than numpy's on a row this short
     step = (m + 1) * n * n
     return [tuple(sorted((p // step, p % step // (n + 1)) for p in row.tolist())) for row in rows]
-
-
-@lru_cache(maxsize=None)
-def _run_length(chunk: int, pairs: int) -> int:
-    """Injections per gather of `_best_pairs` for `pairs` pairs: the largest
-    divisor of `chunk` whose run holds at most `_GATHER` cells per term."""
-    return next(run for run in range(min(chunk, _GATHER // pairs), 0, -1) if chunk % run == 0)
 
 
 def _ga_soft(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
@@ -332,20 +320,17 @@ def _ga_soft(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     A Sinkhorn pass stops after the first sweep whose row sums all lie within
     `sinkhorn_tol` of one (a NaN row error never passes), or after
     `sinkhorn_max_iters` sweeps. The row sums that test a sweep are the divisors
-    of the next sweep's row step. The first-written loop tested the column sums
-    too, but a sweep ends with the column division, after which every column
-    sums to one within a few ulps (a sum of m + 1 correctly rounded quotients),
-    far inside the tolerance, and a NaN column error never held a pass open: the
-    row test alone ends every pass where both did. A round is a deterministic
-    function of Q at a fixed beta, so once a round's Q equals the previous
-    round's bit for bit, the soft matrix already in the buffer is what every
-    remaining round at that beta would produce, and they are skipped.
+    of the next sweep's row step. Columns need no test: a sweep ends with the
+    column division, after which every column sums to one within a few ulps (a
+    sum of m + 1 correctly rounded quotients), far inside the tolerance. A round
+    is a deterministic function of Q at a fixed beta, so once a round's Q equals
+    the previous round's bit for bit, the soft matrix already in the buffer is
+    what every remaining round at that beta would produce, and they are skipped.
 
-    The loop keeps the bits of the first-written schedule with less numpy
-    dispatch. The compatibilities are stored once per call in (i, r, j, s)
-    layout, which einsum contracts faster than (i, j, r, s); it sums in the same
-    order only while `real` stays the strided view `soft[:m, :n]` (a contiguous
-    copy lets einsum merge the j and s axes and changes the rounding). A sweep
+    The compatibilities are stored once per call in (i, r, j, s) layout, which
+    einsum contracts faster than (i, j, r, s); it sums in the same order only
+    while `real` stays the strided view `soft[:m, :n]` (a contiguous copy lets
+    einsum merge the j and s axes and changes the rounding). A sweep
     is four ufunc calls into buffers allocated once per call: the row sums
     (whose (m, 1) view is the row divisor), the row division, the column sums
     and the column division. The row test reads the row sums as Python floats,
@@ -469,10 +454,9 @@ def _aligned(order: int, ry: Representation, pairs) -> Representation:
     the cells of each matched node pair moved to its partners' place, zero
     elsewhere.
 
-    All of ry's cells are placed by one scatter, which costs about half of
-    gathering the matched cells first: a matched node goes to its partner's
-    index, an unmatched one (ry larger than `order`) past the first `order`
-    indices, which are the ones kept."""
+    All of ry's cells are placed by one scatter: a matched node goes to its
+    partner's index, an unmatched one (ry larger than `order`) past the first
+    `order` indices, which are the ones kept."""
     partners = list(range(order, order + ry.order))
     for i, r in pairs:
         partners[r] = i
@@ -480,13 +464,6 @@ def _aligned(order: int, ry: Representation, pairs) -> Representation:
     placed = np.zeros((order + ry.order, order + ry.order, ry.attr_dim))
     placed[rows[:, None], rows] = ry.cells
     return Representation._own(placed[:order, :order].copy())  # placed from checked cells
-
-
-def _sdp(x: AttributedGraph, y: AttributedGraph, cfg: MatcherConfig) -> MatchResult:
-    rx = to_representation(x)
-    ry, = _encodings(rx, [y], cfg)
-    match = MatchMatrix._own(x.order, y.order, _solve([(rx.cells, ry.cells, cfg)])[0])
-    return MatchResult(kernel_value(rx, ry, match), match, cfg.method == "exact")
 
 
 def exact_sdp(x: AttributedGraph, y: AttributedGraph, max_order: int = DEFAULT_EXACT_MAX_ORDER) -> MatchResult:
@@ -497,7 +474,7 @@ def exact_sdp(x: AttributedGraph, y: AttributedGraph, max_order: int = DEFAULT_E
     graphs padded with isolated zero nodes to the larger order, free rows taking
     the padded columns in ascending order) is lexicographically smallest.
     """
-    return _sdp(x, y, MatcherConfig(exact_max_order=max_order))
+    return _results(x, [y], MatcherConfig(exact_max_order=max_order))[0]
 
 
 def ga_sdp(x: AttributedGraph, y: AttributedGraph) -> MatchResult:
@@ -506,7 +483,7 @@ def ga_sdp(x: AttributedGraph, y: AttributedGraph) -> MatchResult:
     Always returns a feasible correspondence, so the value is a lower bound on
     the exact optimum; it is recomputed from the hard match.
     """
-    return _sdp(x, y, MatcherConfig("graduated"))
+    return _results(x, [y], MatcherConfig("graduated"))[0]
 
 
 def sdp(x: AttributedGraph, y: AttributedGraph, cfg: MatcherConfig | None = None) -> MatchResult:
@@ -561,27 +538,28 @@ def induced_distance(x: AttributedGraph, y: AttributedGraph, cfg: MatcherConfig 
 
 
 def _distances(x: AttributedGraph, ys, cfg: MatcherConfig) -> list:
-    """`induced_distance(x, y, cfg)` for each y of `ys`: x's self-product, then
-    every cross product through `_sdp_values`, then each y's self-product."""
+    """`induced_distance(x, y, cfg)` for each y of `ys`: x's self-product, the cross
+    product with every y but x through `_results`, then each y's self-product."""
     sxx = sdp(x, x, cfg).value
-    return [math.sqrt(max(0.0, sxx - 2.0 * sxy + sdp(y, y, cfg).value))
-            for y, sxy in zip(ys, _sdp_values(x, ys, cfg))]
+    cross = iter(_results(x, [y for y in ys if y is not x], cfg))
+    return [math.sqrt(max(0.0, sxx - 2.0 * (sxx if y is x else next(cross).value)
+                          + sdp(y, y, cfg).value)) for y in ys]
 
 
-def _sdp_values(x: AttributedGraph, ys, cfg: MatcherConfig) -> list:
-    """`sdp(x, y, cfg).value` for each y of `ys`, solved together.
+def _results(x: AttributedGraph, ys, cfg: MatcherConfig) -> list:
+    """`sdp(x, y, cfg)` for each y of `ys`, solved together, each as a cross
+    product (a y that is x is solved, not taken in closed form).
 
-    x is encoded first, then every other y is checked as `sdp` checks it
-    (`_encodings`), in order and before any is solved, so the first bad y
-    raises the error `sdp` would. A y that is x gets the closed-form
-    self-product. The other pairs are solved in one `_solve` batch, whose
-    winners are those of solving each pair alone; each counts as one solver
-    call, and every value is recomputed from its correspondence by
-    `kernel_value`.
+    x is encoded first, then every y is checked (`_encodings`), in order and
+    before any is solved, so the first bad y raises the error it raises alone.
+    The pairs are solved in one `_solve` batch, whose winners are those of
+    solving each pair alone; each counts as one solver call, and every value is
+    recomputed from its correspondence by `kernel_value`.
     """
     rx = to_representation(x)
-    others = [i for i, y in enumerate(ys) if y is not x]
-    reps = dict(zip(others, _encodings(rx, [ys[i] for i in others], cfg)))
-    pairs = dict(zip(reps, _solve([(rx.cells, ry.cells, cfg) for ry in reps.values()])))
-    return [kernel_value(rx, reps[i], MatchMatrix._own(x.order, y.order, pairs[i])) if i in reps
-            else sdp(x, x, cfg).value for i, y in enumerate(ys)]
+    reps = _encodings(rx, ys, cfg)
+    results = []
+    for ry, pairs in zip(reps, _solve([(rx.cells, ry.cells, cfg) for ry in reps])):
+        match = MatchMatrix._own(rx.order, ry.order, pairs)
+        results.append(MatchResult(kernel_value(rx, ry, match), match, cfg.method == "exact"))
+    return results

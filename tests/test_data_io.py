@@ -6,8 +6,8 @@ from sublin import (AttributedGraph, Dataset, DatasetFormatError, DegenerateMode
                     MatcherConfig, Representation, SublinearModel, SyntheticSpec,
                     ValidationError, binary_examples, classify, evaluate,
                     generate_synthetic, margin_certificate, parse_cxl, parse_gxl,
-                    read_cxl_dataset, read_examples_jsonl, read_jsonl, standardize_dataset,
-                    weight_norm, write_jsonl)
+                    read_cxl_dataset, read_examples_jsonl, read_jsonl, weight_norm,
+                    write_jsonl)
 
 EXACT = MatcherConfig()
 
@@ -304,23 +304,6 @@ class TestSyntheticGenerator:
         doc = SyntheticSpec(n_examples={"train": 5}, seed=3, **self.SPEC).to_json()
         with pytest.raises(ValidationError, match=repr(key)):
             SyntheticSpec.from_json({**doc, key: value})
-
-
-class TestStandardize:
-    def test_transform_and_provenance(self):
-        rng = np.random.default_rng(0)
-        graphs = [AttributedGraph(rng.uniform(5, 9, (3, 2)), [(0, 1, [1.0, 0.0])])
-                  for _ in range(6)]
-        ds = Dataset("s", {"train": [LabeledExample(g, "a") for g in graphs[:4]],
-                           "test": [LabeledExample(g, "b") for g in graphs[4:]]},
-                     ("a", "b"))
-        out = standardize_dataset(ds)
-        stacked = np.concatenate([ex.graph.node_attrs for ex in out.split("train")])
-        np.testing.assert_allclose(stacked.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(stacked.std(axis=0), 1.0, atol=1e-12)
-        assert "standardize" in out.provenance
-        # edges untouched
-        np.testing.assert_array_equal(out.split("train")[0].graph.edge_attrs[(0, 1)], [1.0, 0.0])
 
 
 class TestDataset:

@@ -181,6 +181,14 @@ class TestTrainBinary:
         with pytest.raises(ValidationError):
             train_binary([single_node(1.0, 2)], TrainConfig(learning_rate=0.1))
 
+    def test_mixed_attr_dims_rejected_before_any_solve(self):
+        data = [LabeledExample(AttributedGraph([[1.0, 0.0]]), 1),
+                LabeledExample(AttributedGraph([[1.0]]), -1)]
+        before = matcher_call_count()
+        with pytest.raises(ValidationError, match="attribute dimensions differ: 2 vs 1"):
+            train_binary(data, TrainConfig(learning_rate=0.1))
+        assert matcher_call_count() == before
+
     @pytest.mark.parametrize("field, value", [
         ("max_epochs", 2.5), ("max_epochs", True), ("weight_order", 2.5), ("weight_order", False),
     ])

@@ -8,9 +8,10 @@ import pytest
 from conftest import FIRST_GA_SCHEDULE, permuted_graph, rand_graph, rand_sym_cells, rel_close
 from sublin import (AttributedGraph, CapacityError, MatcherConfig, MatchMatrix,
                     Representation, ValidationError, exact_sdp, ga_sdp, induced_distance,
-                    kernel_value, matcher_call_count, optimal_align, sdp, to_representation)
+                    SublinearModel, kernel_value, load_model, matcher_call_count, optimal_align,
+                    save_model, sdp, to_representation)
 from sublin import matching
-from sublin.matching import _ENUM_CHUNK, _best_pairs, _ga_soft, _injection_table
+from sublin.matching import _best_pairs, _ga_soft, _injection_table
 
 EXACT = MatcherConfig()
 GRADUATED = MatcherConfig(method="graduated")
@@ -54,7 +55,7 @@ class TestKernelValue:
         assert kernel_value(rx, rx, ident) == 7.0  # 1 + 4 + 1 + 1
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="match is 3x3 but representations have orders 2 and 2"):
             kernel_value(to_representation(GX), to_representation(GY), MatchMatrix.identity(3))
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
@@ -340,10 +341,9 @@ class TestExactBitIdentity:
             for n in range(1, 9):
                 table = _injection_table(m, n)
                 k = min(m, n)
-                assert table.size == math.perm(max(m, n), k) * k * (k + 1) // 2, (m, n)
-                assert table.shape[1] == k * (k + 1) // 2
+                assert table.shape == (k * (k + 1) // 2, math.perm(max(m, n), k)), (m, n)
                 assert table.dtype == np.uint16 and not table.flags.writeable
-                assert (table[:, :k] // (n * n) % (m + 1) == 0).all()  # i_a*m + i_a
+                assert (table[:k] // (n * n) % (m + 1) == 0).all()  # i_a*m + i_a
                 nbytes += table.nbytes
         assert round(nbytes / 1e6, 1) == 10.6
 
@@ -390,9 +390,10 @@ class TestBatchedScorer:
     @pytest.mark.parametrize("m, n", [(7, 7), (8, 8), (7, 8), (8, 7)])
     @pytest.mark.parametrize("count", [1, 2, 7, 40])
     def test_batch_equals_each_pair_alone(self, m, n, count):
-        # every table here has several chunks; 7 pairs already split a chunk over
-        # several gathers, and 40 pairs also span two groups
-        assert 7 * _ENUM_CHUNK > matching._GATHER and 40 > matching._GATHER_PAIRS
+        # every table here takes several windows, the (7, 7) one with 7 pairs a
+        # partial last one: 5,040 = 12 x 411 + 108; 40 pairs also span two groups
+        assert matching._GATHER // 7 == 411 and 5040 % 411 == 108
+        assert 40 > matching._GATHER_PAIRS
         rng = np.random.default_rng(100 * m + 10 * n + count)
         cells = self._cells(rng, m, n, count)
         assert _best_pairs(cells) == [_best_pairs([pair])[0] for pair in cells]
@@ -587,10 +588,20 @@ class TestMatcherConfig:
         with pytest.raises(ValidationError, match=match):
             MatcherConfig.from_json(doc)
 
-    @pytest.mark.parametrize("value", [6.5, True, np.int64(6)], ids=["float", "bool", "numpy"])
-    def test_exact_max_order_must_be_an_int(self, value):
-        with pytest.raises(ValidationError, match="exact_max_order must be an integer"):
+    @pytest.mark.parametrize("value, match", [(7.9, "must be an integer"),
+                                              (True, "must be an integer"),
+                                              (0, "must be at least 1")],
+                             ids=["float", "bool", "zero"])
+    def test_exact_max_order_must_be_an_int(self, value, match):
+        with pytest.raises(ValidationError, match=f"exact_max_order {match}"):
             MatcherConfig(exact_max_order=value)
+
+    def test_numpy_exact_max_order_is_stored_as_int(self, tmp_path):
+        cfg = MatcherConfig(exact_max_order=np.int64(7))
+        assert type(cfg.exact_max_order) is int and cfg == MatcherConfig(exact_max_order=7)
+        model = SublinearModel(to_representation(GX), matcher=cfg)
+        save_model(model, tmp_path / "model.json")
+        assert load_model(tmp_path / "model.json").matcher == cfg
 
     @pytest.mark.parametrize("ga_params", [FIRST_GA_SCHEDULE, {"sinkhorn_tol": 0.005}, {}],
                              ids=["full", "subset", "empty"])
@@ -609,7 +620,7 @@ class TestDispatch:
     def test_exact_mode_capacity_error(self):
         g = rand_graph(np.random.default_rng(2), 20, 1)
         with pytest.raises(CapacityError):
-            sdp(g, g.with_label(None), MatcherConfig(exact_max_order=8))
+            sdp(g, AttributedGraph(g.node_attrs, g.edge_attrs), MatcherConfig(exact_max_order=8))
 
     def test_attr_dim_mismatch(self):
         with pytest.raises(ValidationError):

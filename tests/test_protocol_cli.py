@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import sublin
-from conftest import FIRST_GA_SCHEDULE
-from sublin import (AttributedGraph, Dataset, LabeledExample, MatcherConfig,
-                    SyntheticSpec, ValidationError, generate_synthetic,
-                    knn_classify, matcher_call_count, predict_multiclass,
-                    reset_matcher_call_count, train_one_vs_all, TrainConfig,
-                    write_jsonl)
+from conftest import FIRST_GA_SCHEDULE, rand_graph, three_class_examples
+from sublin import (AttributedGraph, CapacityError, Dataset, LabeledExample, MatcherConfig,
+                    OvaModel, SyntheticSpec, ValidationError, binary_examples, classify,
+                    generate_synthetic, knn_classify, matcher_call_count, predict_multiclass,
+                    read_jsonl, reset_matcher_call_count, save_model, train_binary,
+                    train_one_vs_all, TrainConfig, write_jsonl)
 from sublin.protocol import ProtocolConfig, run_protocol
 
 
@@ -195,6 +195,69 @@ class TestCli:
                        "--data", str(data_dir), "--split", "train")
         assert proc.returncode == 0, proc.stderr
         assert "accuracy 1.0000" in proc.stdout
+
+    @staticmethod
+    def _eval_doc(model, dataset, split):
+        """What `sublin eval --json` reports, scored one example at a time."""
+        examples = dataset.split(split)
+        classes = list(dataset.class_set)
+        confusion = {str(t): {str(p): 0 for p in classes} for t in classes}
+        hits = 0
+        for ex in examples:
+            if isinstance(model, OvaModel):
+                pred = predict_multiclass(model, ex.graph)
+            else:
+                positive = model.metadata["positive_class"]
+                negative = next(str(c) for c in classes if str(c) != positive)
+                pred = positive if classify(model, ex.graph) == 1 else negative
+            confusion[str(ex.y)][str(pred)] += 1
+            hits += str(pred) == str(ex.y)
+        return {"split": split, "n": len(examples), "accuracy": hits / len(examples),
+                "confusion": confusion}
+
+    @pytest.mark.parametrize("kind", ["binary", "ova"])
+    def test_eval_equals_example_by_example_loop(self, tmp_path, dataset_dir, kind):
+        cfg = TrainConfig(learning_rate=0.3, margin=0.1, max_epochs=2, seed=4)
+        if kind == "binary":
+            data = dataset_dir
+            dataset = read_jsonl(data)
+            positive = dataset.class_set[1]  # not the default, so the mapping shows
+            model, _ = train_binary(binary_examples(dataset, "train", positive), cfg)
+            model.metadata["positive_class"] = str(positive)
+        else:
+            data = tmp_path / "three"
+            rng = np.random.default_rng(8)
+            write_jsonl(Dataset("three", {"train": three_class_examples(rng, 9),
+                                          "test": three_class_examples(rng, 12)},
+                                ("c0", "c1", "c2")), data)
+            dataset = read_jsonl(data)
+            model, _ = train_one_vs_all(dataset.split("train"), cfg)
+        save_model(model, tmp_path / "model.json")
+        proc = run_cli("eval", "--model", str(tmp_path / "model.json"), "--data", str(data),
+                       "--json")
+        assert proc.returncode == 0, proc.stderr
+        expected = self._eval_doc(model, dataset, "test")
+        assert proc.stdout == json.dumps(expected, indent=2) + "\n"
+        assert len({p for row in expected["confusion"].values() for p, c in row.items() if c}) > 1
+
+    def test_eval_over_exact_cap_exits_1(self, tmp_path, dataset_dir):
+        # the second test graph is over the cap; the message is the one classify raises
+        dataset = read_jsonl(dataset_dir)
+        model, _ = train_binary(binary_examples(dataset, "train"),
+                                TrainConfig(learning_rate=0.3, max_epochs=2))
+        model.metadata["positive_class"] = str(dataset.class_set[0])
+        big = rand_graph(np.random.default_rng(5), 9, dataset.attr_dim)
+        test = dataset.split("test")
+        test.insert(1, LabeledExample(big, test[0].y))
+        data = tmp_path / "data"
+        write_jsonl(Dataset("capped", {"test": test}, dataset.class_set), data)
+        with pytest.raises(CapacityError) as exc:
+            classify(model, big)
+        save_model(model, tmp_path / "model.json")
+        proc = run_cli("eval", "--model", str(tmp_path / "model.json"), "--data", str(data))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {exc.value}\n"
+        assert proc.stdout == ""
 
     def test_protocol_command(self, dataset_dir, tmp_path):
         cfg = {"dataset": str(dataset_dir), "algorithm": "perceptron",
