@@ -13,10 +13,10 @@ import time
 
 import numpy as np
 
-from . import data_io, matching, protocol
+from . import data_io, matching
 from .data_io import (GXL_PRESETS, GxlAttrConfig, SyntheticSpec, binary_examples,
                       generate_synthetic, read_examples_jsonl, read_jsonl, write_jsonl)
-from .exceptions import InfeasibleSpecError, ValidationError, config_value, integer
+from .exceptions import InfeasibleSpecError, ValidationError, config_fields, config_value, integer
 from .files import atomic_write
 from .learning import TrainConfig, train_binary, train_one_vs_all, write_trace_jsonl
 from .matching import MatcherConfig, exact_sdp, ga_sdp, sdp
@@ -39,27 +39,13 @@ def _matcher_from_args(args) -> MatcherConfig:
     return MatcherConfig(method=args.matcher, exact_max_order=args.exact_max_order)
 
 
-def _load_graph(path, gxl_cfg: GxlAttrConfig | None):
+def _load_graph(path, gxl_cfg: GxlAttrConfig):
     if str(path).endswith(".gxl"):
-        cfg = gxl_cfg or GXL_PRESETS["letter"]
-        return data_io.parse_gxl_file(path, cfg)
+        return data_io.parse_gxl_file(path, gxl_cfg)
     examples = read_examples_jsonl(path)
     if not examples:
         raise ValidationError(f"{path} contains no graphs")
     return examples[0].graph
-
-
-def _gxl_config(args) -> GxlAttrConfig | None:
-    if getattr(args, "gxl_preset", None):
-        try:
-            return GXL_PRESETS[args.gxl_preset]
-        except KeyError:
-            raise ValidationError(
-                f"unknown GXL preset {args.gxl_preset!r}; available: {sorted(GXL_PRESETS)}"
-            )
-    if getattr(args, "gxl_config", None):
-        return GxlAttrConfig.from_json(_read_json(args.gxl_config))
-    return None
 
 
 def _read_json(path):
@@ -100,7 +86,8 @@ def _write_json(doc, path=None):
 
 
 def _cmd_dot(args) -> int:
-    gxl_cfg = _gxl_config(args)
+    gxl_cfg = (GxlAttrConfig.from_json(_read_json(args.gxl_config)) if args.gxl_config
+               else GXL_PRESETS["letter"])
     a = _load_graph(args.file_a, gxl_cfg)
     b = _load_graph(args.file_b, gxl_cfg)
     result = sdp(a, b, _matcher_from_args(args))
@@ -122,11 +109,10 @@ def _cmd_train(args) -> int:
     cfg_doc = _read_json(args.config)
     tc = TrainConfig(
         learning_rate=config_value(cfg_doc, "eta", float, 0.1),
-        margin=config_value(cfg_doc, "lambda", float, 0.0),
-        max_epochs=config_value(cfg_doc, "max_epochs", integer, 200),
-        weight_order=config_value(cfg_doc, "weight_order", _int_or_none, None),
         seed=config_value(cfg_doc, "seed", integer, args.seed),
         matcher=config_value(cfg_doc, "matcher", MatcherConfig.from_json, _matcher_from_args(args)),
+        **config_fields(cfg_doc, {"margin": float, "max_epochs": integer,
+                                  "weight_order": _int_or_none}, keys={"margin": "lambda"}),
     )
     dataset = read_jsonl(config_value(cfg_doc, "data", str))
     split = config_value(cfg_doc, "split", _text, "train")
@@ -165,6 +151,9 @@ def _cmd_eval(args) -> int:
         positive = loaded.metadata.get("positive_class", str(classes[0]))
         negative = next((str(c) for c in classes if str(c) != positive), positive)
     confusion = {str(t): {str(p): 0 for p in classes} for t in classes}
+    for cls in loaded.classes if isinstance(loaded, OvaModel) else [positive]:
+        if str(cls) not in confusion:
+            raise ValidationError(f"the model's class {cls!r} is not a class of the dataset")
     hits = 0
     for (pred,), ex in zip(_predictions([loaded], [ex.graph for ex in examples]), examples):
         if not isinstance(loaded, OvaModel):
@@ -255,13 +244,10 @@ def _cmd_protocol(args) -> int:
     cfg = ProtocolConfig(
         dataset=read_jsonl(config_value(doc, "dataset", str)),
         algorithm=config_value(doc, "algorithm", str),
-        eta_grid=config_value(doc, "eta_grid", _numbers, protocol.DEFAULT_ETA_GRID),
-        lambda_grid=config_value(doc, "lambda_grid", _numbers, protocol.DEFAULT_LAMBDA_GRID),
-        repeats=config_value(doc, "repeats", integer, 10),
         seed=config_value(doc, "seed", integer, args.seed),
         matcher=config_value(doc, "matcher", MatcherConfig.from_json, _matcher_from_args(args)),
-        max_epochs=config_value(doc, "max_epochs", integer, 200),
-        weight_order=config_value(doc, "weight_order", _int_or_none, None),
+        **config_fields(doc, {"eta_grid": _numbers, "lambda_grid": _numbers, "repeats": integer,
+                              "max_epochs": integer, "weight_order": _int_or_none}),
     )
     report = run_protocol(cfg)
     print(report.to_text())
@@ -274,7 +260,7 @@ def _cmd_protocol(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sublin",
                      description="Graph classifiers built on the correspondence-maximized dot product")
-    parser.add_argument("--matcher", choices=("exact", "graduated"), default="exact")
+    parser.add_argument("--matcher", choices=matching._METHODS, default=MatcherConfig.method)
     parser.add_argument("--exact-max-order", type=int, default=matching.DEFAULT_EXACT_MAX_ORDER)
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -282,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dot", help="dot product of two graph files (.jsonl or .gxl)")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--gxl-preset", default=None)
     p.add_argument("--gxl-config", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_dot)

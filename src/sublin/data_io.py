@@ -22,8 +22,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exceptions import (DatasetFormatError, InfeasibleSpecError, ValidationError, config_value,
-                         integer)
+from .exceptions import (DatasetFormatError, InfeasibleSpecError, ValidationError, config_fields,
+                         config_value, integer, name_list)
 from .files import atomic_write
 from .graphs import AttributedGraph
 from .learning import LabeledExample, _signed
@@ -33,17 +33,20 @@ from .model import SublinearModel, margin_lower_bound
 META_FILENAME = "meta.json"
 
 
+@dataclass(slots=True)
 class Dataset:
     """Named, labeled graph collection with named splits and provenance."""
 
-    __slots__ = ("name", "splits", "class_set", "provenance")
+    name: str
+    splits: Mapping[str, Sequence[LabeledExample]]
+    class_set: Sequence
+    provenance: dict | None = None
 
-    def __init__(self, name: str, splits: Mapping[str, Sequence[LabeledExample]],
-                 class_set: Sequence, provenance: dict | None = None):
-        self.name = str(name)
-        self.splits = {str(k): list(v) for k, v in splits.items()}
-        self.class_set = tuple(class_set)
-        self.provenance = dict(provenance or {})
+    def __post_init__(self):
+        self.name = str(self.name)
+        self.splits = {str(k): list(v) for k, v in self.splits.items()}
+        self.class_set = tuple(self.class_set)
+        self.provenance = dict(self.provenance or {})
         if len(set(self.class_set)) != len(self.class_set):
             raise ValidationError("duplicate entries in class_set")
         dims = {ex.graph.attr_dim for exs in self.splits.values() for ex in exs}
@@ -68,17 +71,6 @@ class Dataset:
         if name not in self.splits:
             raise ValidationError(f"dataset {self.name!r} has no split {name!r}")
         return self.splits[name]
-
-    def __eq__(self, other):
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.class_set == other.class_set
-            and self.provenance == other.provenance
-            and self.splits.keys() == other.splits.keys()
-            and all(self.splits[k] == other.splits[k] for k in self.splits)
-        )
 
     def __repr__(self):
         sizes = {k: len(v) for k, v in self.splits.items()}
@@ -190,7 +182,7 @@ def read_jsonl(dirpath) -> Dataset:
     splits = {name: read_examples_jsonl(os.path.join(dirpath, filename))
               for name, filename in config_value(meta, "splits", _split_files, {}).items()}
     return Dataset(config_value(meta, "name", str, os.path.basename(os.path.normpath(dirpath))),
-                   splits, config_value(meta, "classes", tuple, ()),
+                   splits, config_value(meta, "classes", name_list, ()),
                    config_value(meta, "provenance", dict, {}))
 
 
@@ -232,11 +224,8 @@ class GxlAttrConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GxlAttrConfig":
-        return cls(
-            node_attr_names=config_value(doc, "node_attr_names", tuple, ()),
-            edge_attr_names=config_value(doc, "edge_attr_names", tuple, ()),
-            append_edge_flag=doc.get("append_edge_flag"),
-        )
+        return cls(config_value(doc, "node_attr_names", name_list, ()), **config_fields(
+            doc, {"edge_attr_names": name_list, "append_edge_flag": lambda v: v}))
 
 
 GXL_PRESETS = {
@@ -366,16 +355,13 @@ def parse_cxl_file(path, base_dir, cfg: GxlAttrConfig):
         return parse_cxl(fh.read(), base_dir, cfg, path=str(path))
 
 
-def read_cxl_dataset(dirpath, cfg: GxlAttrConfig, name=None,
-                     split_files=(("train", "train.cxl"),
-                                  ("validation", "validation.cxl"),
-                                  ("test", "test.cxl"))) -> Dataset:
-    """Load a repository-style dataset directory with one CXL listing per split."""
+def read_cxl_dataset(dirpath, cfg: GxlAttrConfig, name=None) -> Dataset:
+    """Load a repository-style dataset directory with one CXL listing per split:
+    `train.cxl`, `validation.cxl` and `test.cxl`."""
     splits = {}
     classes: List[str] = []
-    for split, filename in split_files:
-        listing = os.path.join(dirpath, filename)
-        examples, listed = parse_cxl_file(listing, dirpath, cfg)
+    for split in ("train", "validation", "test"):
+        examples, listed = parse_cxl_file(os.path.join(dirpath, f"{split}.cxl"), dirpath, cfg)
         splits[split] = examples
         for c in listed:
             if c not in classes:
@@ -454,8 +440,7 @@ class SyntheticSpec:
             planted_order=config_value(doc, "planted_order", integer),
             planted_margin=config_value(doc, "planted_margin", float),
             edge_density=config_value(doc, "edge_density", float),
-            attribute_scale=config_value(doc, "attribute_scale", float, 1.0),
-            seed=config_value(doc, "seed", integer, 0),
+            **config_fields(doc, {"attribute_scale": float, "seed": integer}),
         )
 
 

@@ -1,8 +1,10 @@
 """Exception types shared across the package, and the checks that read config values."""
 
 import operator
+from collections.abc import Hashable
 
 _REQUIRED = object()
+_ABSENT = object()
 
 
 class ValidationError(ValueError):
@@ -49,6 +51,25 @@ def config_value(doc, key, kind, default=_REQUIRED):
         return kind(doc[key])
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{key!r}: {exc}") from None
+
+
+def config_fields(doc, kinds, keys=None) -> dict:
+    """`{field: config_value(doc, key, kind)}` for each `field: kind` of `kinds` whose
+    key is in `doc`; a field's key is its name unless `keys` maps it to another. A
+    config class built from the result keeps its own default for every key left
+    out, so no reader restates it."""
+    keys = keys or {}
+    return {field: value for field, kind in kinds.items()
+            if (value := config_value(doc, keys.get(field, field), kind, _ABSENT)) is not _ABSENT}
+
+
+def name_list(value) -> tuple:
+    """`value`, a JSON list of hashable names, as a tuple: the one reader of the class
+    lists of datasets and models and of GXL attribute names. A bare string, which
+    would read as one name per character, and unhashable entries are refused."""
+    if not isinstance(value, list) or not all(isinstance(v, Hashable) for v in value):
+        raise TypeError(f"expected a list of hashable names, got {value!r}")
+    return tuple(value)
 
 
 def integer(value) -> int:

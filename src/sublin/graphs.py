@@ -60,9 +60,9 @@ class AttributedGraph:
     # of `edge_attrs`. `_rep` and `_self_product` are computed on first use and
     # kept: the dense encoding (`to_representation`) and the dot product with
     # itself (`matching.sdp`)
-    __slots__ = ("node_attrs", "edge_attrs", "label", "_edges", "_rep", "_self_product")
+    __slots__ = ("node_attrs", "edge_attrs", "_edges", "_rep", "_self_product")
 
-    def __init__(self, node_attrs, edges=(), label=None):
+    def __init__(self, node_attrs, edges=()):
         nodes = np.asarray(node_attrs, dtype=np.float64)
         if nodes.ndim != 2:
             raise ValidationError(
@@ -100,7 +100,6 @@ class AttributedGraph:
         object.__setattr__(self, "node_attrs", attrs[:order])
         object.__setattr__(self, "_edges", attrs[order:])
         object.__setattr__(self, "edge_attrs", dict(zip(first, self._edges)))
-        object.__setattr__(self, "label", label)
         object.__setattr__(self, "_rep", None)
         object.__setattr__(self, "_self_product", None)
 
@@ -108,9 +107,9 @@ class AttributedGraph:
         raise AttributeError("AttributedGraph is immutable")
 
     @classmethod
-    def empty(cls, attr_dim: int, order: int = 0, label=None) -> "AttributedGraph":
+    def empty(cls, attr_dim: int, order: int = 0) -> "AttributedGraph":
         """Graph with `order` zero-attribute nodes and no edges."""
-        return cls(np.zeros((order, attr_dim)), (), label)
+        return cls(np.zeros((order, attr_dim)))
 
     @property
     def order(self) -> int:
@@ -131,16 +130,12 @@ class AttributedGraph:
     def __eq__(self, other):
         if not isinstance(other, AttributedGraph):
             return NotImplemented
-        return (
-            self.label == other.label
-            and np.array_equal(self.node_attrs, other.node_attrs)
-            and self.edge_attrs.keys() == other.edge_attrs.keys()
-            and all(np.array_equal(v, other.edge_attrs[k]) for k, v in self.edge_attrs.items())
-        )
+        return (np.array_equal(self.node_attrs, other.node_attrs)
+                and self.edge_attrs.keys() == other.edge_attrs.keys()
+                and all(np.array_equal(v, other.edge_attrs[k]) for k, v in self.edge_attrs.items()))
 
     def __repr__(self):
-        lbl = f", label={self.label!r}" if self.label is not None else ""
-        return f"AttributedGraph(order={self.order}, attr_dim={self.attr_dim}, edges={self.n_edges}{lbl})"
+        return f"AttributedGraph(order={self.order}, attr_dim={self.attr_dim}, edges={self.n_edges})"
 
 
 class Representation:
@@ -217,7 +212,7 @@ def attach_edge_flag(graph: AttributedGraph) -> AttributedGraph:
     """
     nodes = np.concatenate([graph.node_attrs, np.zeros((graph.order, 1))], axis=1)
     edges = [(i, j, np.concatenate([v, [1.0]])) for (i, j), v in graph.edge_items()]
-    return AttributedGraph(nodes, edges, graph.label)
+    return AttributedGraph(nodes, edges)
 
 
 def to_representation(graph: AttributedGraph) -> Representation:
@@ -247,7 +242,7 @@ def to_representation(graph: AttributedGraph) -> Representation:
     return graph._rep
 
 
-def from_representation(rep: Representation, label=None) -> AttributedGraph:
+def from_representation(rep: Representation) -> AttributedGraph:
     """Project a representation back to a graph: zero off-diagonal cells become non-edges."""
     cells = rep.cells
     n = rep.order
@@ -258,4 +253,4 @@ def from_representation(rep: Representation, label=None) -> AttributedGraph:
         for j in range(i + 1, n)
         if np.any(cells[i, j])
     ]
-    return AttributedGraph(nodes, edges, label)
+    return AttributedGraph(nodes, edges)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -303,10 +303,8 @@ def knn_classify(train: Sequence[LabeledExample], x: AttributedGraph, k: int = 1
 
 
 def write_trace_jsonl(trace: TrainTrace, path) -> None:
-    """One JSON record per epoch: {epoch, updates, errors, risk}."""
+    """One JSON record per epoch: the fields of its `EpochStats`, in order."""
     with atomic_write(path) as fh:
         for s in trace.epochs:
-            fh.write(json.dumps(
-                {"epoch": s.epoch, "updates": s.updates, "errors": s.errors, "risk": s.risk}
-            ))
+            fh.write(json.dumps(asdict(s)))
             fh.write("\n")

@@ -22,10 +22,12 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 import numpy as np
 
-from .exceptions import CapacityError, ValidationError, check_count, config_value, integer
+from .exceptions import (CapacityError, ValidationError, check_count, config_fields, config_value,
+                         integer)
 from .graphs import AttributedGraph, Representation, to_representation
 
 DEFAULT_EXACT_MAX_ORDER = 8
+_METHODS = ("exact", "graduated")  # what `MatcherConfig.method` and `sublin --matcher` accept
 # Orders above this are never enumerated. The enumerator keeps, for the life of
 # the process, one uint16 table of P(max, min) x min(min + 1)/2 flat positions
 # per pair of orders (m, n) it has seen (`_injection_table`): 10.6 MB for every
@@ -141,7 +143,7 @@ class MatcherConfig:
     exact_max_order: int = DEFAULT_EXACT_MAX_ORDER
 
     def __post_init__(self):
-        if self.method not in ("exact", "graduated"):
+        if self.method not in _METHODS:
             raise ValidationError(f"unknown matcher method {self.method!r}")
         object.__setattr__(self, "exact_max_order",
                            check_count("exact_max_order", self.exact_max_order))
@@ -152,10 +154,7 @@ class MatcherConfig:
     @classmethod
     def from_json(cls, doc: dict) -> "MatcherConfig":
         config_value(doc, "ga_params", _fixed_schedule, None)
-        return cls(
-            method=config_value(doc, "method", str, "exact"),
-            exact_max_order=config_value(doc, "exact_max_order", integer, DEFAULT_EXACT_MAX_ORDER),
-        )
+        return cls(**config_fields(doc, {"method": str, "exact_max_order": integer}))
 
 
 @dataclass(frozen=True)
@@ -253,19 +252,19 @@ def _best_pairs(cells):
 
     Every cell array must have order at least 1. A pair's compatibilities are one
     (m*m, d) x (d, n*n) matrix product, read as the (i, j, r, s) array the table
-    indexes, with the off-diagonal cells of cx doubled first (x2 is exact), so
-    each term a < b stands for itself and its mirror (b, a). Up to
-    `_GATHER_PAIRS` pairs are scored together: their products are the columns of
-    one (positions, pairs) array, and one gather takes the k(k+1)/2 terms of a
-    window of min(injections, `_GATHER` // max(pairs, 4)) injections for all of
-    them. Summing along the terms axis adds them in the table's order, the same
-    for every injection and pair. The first maximizer of a window wins, and a
-    later window only on a strictly larger score; windows walk the table in
-    order, so each pair gets the winner it gets alone (unless a window holds a
-    NaN score, from overflowing attributes: a NaN never wins, and its window
-    gives no winner). Terms are placed by the smaller graph's nodes, so
-    injections that differ only in which zero nodes they match sum the same
-    terms in the same places and tie exactly.
+    indexes, with the off-diagonal cells of cx doubled first (x2 is exact), so each
+    term a < b stands for itself and its mirror (b, a). Up to `_GATHER_PAIRS` pairs
+    are scored together: each product is its own `np.dot` (so each column rounds as
+    it does alone), written into one preallocated array whose transpose is the
+    (positions, pairs) array, and one gather takes the k(k+1)/2 terms of a window of
+    min(injections, `_GATHER` // max(pairs, 4)) injections for all of them. Summing
+    along the terms axis adds them in the table's order, the same for every
+    injection and pair. The first maximizer of a window wins, and a later window
+    only on a strictly larger score; windows walk the table in order, so each pair
+    gets the winner it gets alone (unless a window holds a NaN score, from
+    overflowing attributes: a NaN never wins, and its window gives no winner). Terms
+    are placed by the smaller graph's nodes, so injections that differ only in which
+    zero nodes they match sum the same terms in the same places and tie exactly.
     """
     if len(cells) > _GATHER_PAIRS:
         return [pairs for start in range(0, len(cells), _GATHER_PAIRS)
@@ -275,14 +274,14 @@ def _best_pairs(cells):
     k, batch = min(m, n), len(cells)
     table = _injection_table(m, n)
     size, count = table.shape
-    columns = []
-    for cx, cy in cells:
+    compat = np.empty((batch, m * m, n * n))
+    for b, (cx, cy) in enumerate(cells):
         flat = cx.reshape(m * m, d)
         doubled = flat * 2.0
         doubled[:: m + 1] = flat[:: m + 1]  # the diagonal cells (i, i) stay single
-        columns.append(np.dot(doubled, cy.transpose(2, 0, 1).reshape(d, n * n)).reshape(-1, 1))
-    # one row per position; a lone pair's product is that column already
-    compat = np.hstack(columns) if batch > 1 else columns[0]
+        np.dot(doubled, cy.transpose(2, 0, 1).reshape(d, n * n), out=compat[b])
+    # one row per position; a lone pair's (positions, 1) view is contiguous already
+    compat = np.ascontiguousarray(compat.reshape(batch, -1).T)
     window = min(count, _GATHER // max(batch, 4))
     # one buffer per call: a fresh array per window costs page faults once the
     # allocator returns it to the system; "clip" lets take fill it directly, and

@@ -12,7 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .exceptions import DegenerateModelError, ValidationError, config_value, integer
+from .exceptions import DegenerateModelError, ValidationError, config_value, integer, name_list
 from .files import atomic_write
 from .graphs import AttributedGraph, Representation, to_representation
 from .matching import MatcherConfig, _aligned, _encodings, _finite, _solve
@@ -238,5 +238,5 @@ def load_model(path):
         doc = json.load(fh)
     if config_value(doc, "kind", str, None) == "ova":
         members = config_value(doc, "members", lambda docs: tuple(map(_model_from_doc, docs)))
-        return OvaModel(config_value(doc, "classes", tuple), members)
+        return OvaModel(config_value(doc, "classes", name_list), members)
     return _model_from_doc(doc)

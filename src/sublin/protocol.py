@@ -13,7 +13,7 @@ each as it would be alone.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -41,10 +41,11 @@ class ProtocolConfig:
     eta_grid: Tuple[float, ...] = DEFAULT_ETA_GRID
     lambda_grid: Tuple[float, ...] = DEFAULT_LAMBDA_GRID
     repeats: int = 10
-    seed: int = 0
+    # every fit's TrainConfig takes these, so they default as it does
+    seed: int = TrainConfig.seed
     matcher: MatcherConfig = field(default_factory=MatcherConfig)
-    max_epochs: int = 200
-    weight_order: Optional[int] = None
+    max_epochs: int = TrainConfig.max_epochs
+    weight_order: Optional[int] = TrainConfig.weight_order
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -80,26 +81,14 @@ class ProtocolReport:
     wall_time_s: float
 
     def to_json(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "repeats": self.repeats,
-            "eta_search": self.eta_search,
-            "lambda_search": self.lambda_search,
-            "selected_eta": self.selected_eta,
-            "selected_lambda": self.selected_lambda,
-            "test": {
-                "accuracies": self.test_accuracies,
-                "mean": self.test_mean,
-                "std": self.test_std,
-                "max": self.test_max,
-            },
-            "matcher_calls": self.matcher_calls,
-            "max_epochs": self.max_epochs,
-            "weight_order": self.weight_order,
-            "wall_time_s": self.wall_time_s,
-        }
+        """The fields in order, the `test_*` ones nested under "test" without the prefix."""
+        doc = {}
+        for name, value in asdict(self).items():
+            if name.startswith("test_"):
+                doc.setdefault("test", {})[name[len("test_"):]] = value
+            else:
+                doc[name] = value
+        return doc
 
     def to_text(self) -> str:
         lines = [

@@ -52,7 +52,7 @@ def relabeled(rep, mapping):
 
 def permuted_graph(graph, mapping):
     """The same graph with nodes relabeled by `mapping`."""
-    return from_representation(relabeled(to_representation(graph), mapping), label=graph.label)
+    return from_representation(relabeled(to_representation(graph), mapping))
 
 
 def rel_close(a, b, tol):

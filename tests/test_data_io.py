@@ -176,6 +176,15 @@ class TestGxl:
         assert g.attr_dim == 2  # no implicit flag when edge attrs exist
         np.testing.assert_array_equal(g.edge_attrs[(0, 1)], [0.0, 0.7])
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"node_attr_names": "xy"}, "node_attr_names"),
+        ({"node_attr_names": ["x"], "edge_attr_names": [["w"]]}, "edge_attr_names"),
+    ], ids=["bare-string", "unhashable"])
+    def test_from_json_refuses_bad_name_lists(self, doc, key):
+        # a bare string would read as one attribute per character
+        with pytest.raises(ValidationError, match=f"'{key}': expected a list of hashable names"):
+            GxlAttrConfig.from_json(doc)
+
     def test_flag_defaults(self):
         assert GxlAttrConfig(node_attr_names=("x",)).append_edge_flag
         assert not GxlAttrConfig(node_attr_names=("x",), edge_attr_names=("w",)).append_edge_flag
@@ -216,14 +225,36 @@ class TestCxl:
         with pytest.raises(DatasetFormatError, match="no .file, class."):
             parse_cxl("<GraphCollection/>", tmp_path, GXL_PRESETS["letter"])
 
+    def _write_listings(self, tmp_path, listings):
+        for split, entries in listings.items():
+            prints = "".join(f'<print file="{f}" class="{c}"/>' for f, c in entries)
+            (tmp_path / f"{split}.cxl").write_text(
+                f"<GraphCollection><x>{prints}</x></GraphCollection>")
+
+    def test_read_dataset(self, tmp_path):
+        for k in range(6):
+            self._write_gxl(tmp_path, f"g{k}.gxl", float(k))
+        self._write_listings(tmp_path, {
+            "train": [("g0.gxl", "Z"), ("g1.gxl", "A"), ("g2.gxl", "Z")],
+            "validation": [("g3.gxl", "M")],
+            "test": [("g4.gxl", "A"), ("g5.gxl", "Z")]})
+        ds = read_cxl_dataset(tmp_path, GXL_PRESETS["letter"], name="letters")
+        assert ds.name == "letters"
+        assert ds.class_set == ("Z", "A", "M")  # listing order, train first
+        assert {split: len(exs) for split, exs in ds.splits.items()} == {
+            "train": 3, "validation": 1, "test": 2}
+        assert ds.attr_dim == 3  # x, y and the edge flag
+        assert [ex.graph.node_attrs[0, 0] for ex in ds.split("test")] == [4.0, 5.0]
+        assert ds.provenance["attr_config"] == {
+            "node_attr_names": ["x", "y"], "edge_attr_names": [], "append_edge_flag": True}
+
     def test_non_finite_attribute_names_its_file(self, tmp_path):
         self._write_gxl(tmp_path, "a.gxl", 1.0)
         self._write_gxl(tmp_path, "b.gxl", "nan")
-        (tmp_path / "train.cxl").write_text(
-            '<GraphCollection><x><print file="a.gxl" class="A"/>'
-            '<print file="b.gxl" class="B"/></x></GraphCollection>')
+        self._write_listings(tmp_path, {"train": [("a.gxl", "A")], "validation": [("a.gxl", "A")],
+                                        "test": [("a.gxl", "A"), ("b.gxl", "B")]})
         with pytest.raises(DatasetFormatError, match=r"b\.gxl: graph attributes must be finite"):
-            read_cxl_dataset(tmp_path, GXL_PRESETS["letter"], split_files=(("train", "train.cxl"),))
+            read_cxl_dataset(tmp_path, GXL_PRESETS["letter"])
 
 
 class TestSyntheticGenerator:

@@ -49,7 +49,7 @@ class TestAttributedGraph:
     def test_immutable(self):
         g = running_graph()
         with pytest.raises(AttributeError):
-            g.label = "x"
+            g.node_attrs = np.zeros((2, 1))
         with pytest.raises(ValueError):
             g.node_attrs[0, 0] = 9.0
 

@@ -36,6 +36,21 @@ class TestRunProtocol:
         d2.pop("wall_time_s")
         assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
+    @pytest.mark.parametrize("algorithm", ["margin_perceptron", "knn"])
+    def test_report_json_key_order(self, algorithm):
+        # report.json lists keys in this order; the benchmark's digests sort keys,
+        # so they cannot see a reordering
+        cfg = ProtocolConfig(dataset=synth(), algorithm=algorithm, eta_grid=(0.5,),
+                             lambda_grid=(0.1,), repeats=1, max_epochs=3)
+        doc = json.loads(json.dumps(run_protocol(cfg).to_json()))
+        assert list(doc) == ["dataset", "algorithm", "seed", "repeats", "eta_search",
+                             "lambda_search", "selected_eta", "selected_lambda", "test",
+                             "matcher_calls", "max_epochs", "weight_order", "wall_time_s"]
+        assert list(doc["test"]) == ["accuracies", "mean", "std", "max"]
+        for row in doc["eta_search"] + doc["lambda_search"]:
+            assert list(row) == ["value", "accuracies", "mean", "std"]
+        assert len(doc["lambda_search"]) == (algorithm == "margin_perceptron")
+
     def test_summary_consistent_with_stored_runs(self):
         ds = synth(seed=12)
         cfg = ProtocolConfig(dataset=ds, algorithm="perceptron", eta_grid=(0.1, 0.5),
@@ -168,7 +183,7 @@ class TestCli:
                '<attr name="y"><float>0</float></attr></node></graph></gxl>')
         p = tmp_path / "g.gxl"
         p.write_text(gxl)
-        proc = run_cli("dot", str(p), str(p), "--gxl-preset", "letter", "--json")
+        proc = run_cli("dot", str(p), str(p), "--json")  # .gxl files read the letter schema
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"] == 1.0
 
@@ -258,6 +273,23 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stderr == f"error: {exc.value}\n"
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("kind", ["binary", "ova"])
+    def test_eval_refuses_a_class_the_dataset_lacks(self, tmp_path, dataset_dir, kind):
+        # the confusion matrix has no row for it: refused, not a KeyError traceback
+        dataset = read_jsonl(dataset_dir)
+        cfg = TrainConfig(learning_rate=0.3, max_epochs=2, seed=4)
+        if kind == "binary":
+            model, _ = train_binary(binary_examples(dataset, "train"), cfg)
+            model.metadata["positive_class"] = "zzz"
+        else:
+            train = [LabeledExample(ex.graph, "zzz" if k % 3 == 0 else ex.y)
+                     for k, ex in enumerate(dataset.split("train"))]
+            model, _ = train_one_vs_all(train, cfg)
+        save_model(model, tmp_path / "model.json")
+        proc = run_cli("eval", "--model", str(tmp_path / "model.json"), "--data", str(dataset_dir))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: the model's class 'zzz' is not a class of the dataset\n"
 
     def test_protocol_command(self, dataset_dir, tmp_path):
         cfg = {"dataset": str(dataset_dir), "algorithm": "perceptron",
@@ -374,6 +406,8 @@ class TestCli:
         "model-bias", "model-weight_cells", "model-weight_cells-string",
         "model-weight_cells-ragged", "model-list", "ova-members",
         "meta-list", "meta-splits-list", "meta-classes-number", "meta-splits-number",
+        "meta-classes-string", "meta-classes-unhashable", "ova-classes-unhashable",
+        "ova-classes-string",
         "model-attr_dim-huge", "model-ga_params-custom", "model-order-bool",
         "model-attr_dim-bool",
     ])
@@ -387,6 +421,10 @@ class TestCli:
             "model-weight_cells-ragged": {**model, "weight_cells": [[[0.5]], [[0.5], [1.0]]]},
             "model-list": [model],
             "ova-members": {"format_version": 1, "kind": "ova", "classes": ["a", "b"]},
+            "ova-classes-unhashable": {"format_version": 1, "kind": "ova",
+                                       "classes": [["a"], ["b"]], "members": [model, model]},
+            "ova-classes-string": {"format_version": 1, "kind": "ova", "classes": "ab",
+                                   "members": [model, model]},
             "model-attr_dim-huge": {**model, "order": 0, "weight_cells": [], "attr_dim": 2**63},
             "model-order-bool": {**model, "order": True},
             "model-attr_dim-bool": {**model, "attr_dim": True},
@@ -398,6 +436,9 @@ class TestCli:
             "meta-list": [{"splits": {}}],
             "meta-splits-list": {"splits": ["train.jsonl"]},
             "meta-classes-number": {"classes": 3},
+            # a bare string is not read as one class per letter
+            "meta-classes-string": {"classes": "posneg"},
+            "meta-classes-unhashable": {"classes": [["pos"], "neg"]},
             "meta-splits-number": {"splits": {"train": 5}},
         }
         model_path = tmp_path / "model.json"
