@@ -10,13 +10,15 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import data_io, matching
 from .data_io import (GXL_PRESETS, GxlAttrConfig, SyntheticSpec, binary_examples,
                       generate_synthetic, read_examples_jsonl, read_jsonl, write_jsonl)
-from .exceptions import InfeasibleSpecError, ValidationError, config_fields, config_value, integer
+from .exceptions import (InfeasibleSpecError, ValidationError, check_count, config_fields,
+                         config_value, text)
 from .files import atomic_write
 from .learning import TrainConfig, train_binary, train_one_vs_all, write_trace_jsonl
 from .matching import MatcherConfig, exact_sdp, ga_sdp, sdp
@@ -53,26 +55,10 @@ def _read_json(path):
         return json.load(fh)
 
 
-def _numbers(values):
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-        raise TypeError(f"expected a list of numbers, got {values!r}")
-    return tuple(values)
-
-
-def _text(value):
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
 def _task(value):
     if value not in ("auto", "binary", "ova"):
         raise ValueError(f"expected 'auto', 'binary' or 'ova', got {value!r}")
     return value
-
-
-def _int_or_none(value):
-    return None if value is None else integer(value)
 
 
 def _write_json(doc, path=None):
@@ -107,15 +93,14 @@ def _cmd_dot(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg_doc = _read_json(args.config)
-    tc = TrainConfig(
-        learning_rate=config_value(cfg_doc, "eta", float, 0.1),
-        seed=config_value(cfg_doc, "seed", integer, args.seed),
-        matcher=config_value(cfg_doc, "matcher", MatcherConfig.from_json, _matcher_from_args(args)),
-        **config_fields(cfg_doc, {"margin": float, "max_epochs": integer,
-                                  "weight_order": _int_or_none}, keys={"margin": "lambda"}),
-    )
-    dataset = read_jsonl(config_value(cfg_doc, "data", str))
-    split = config_value(cfg_doc, "split", _text, "train")
+    fields = config_fields(cfg_doc, TrainConfig, keys={"learning_rate": "eta", "margin": "lambda"},
+                           defaults={"learning_rate": 0.1, "seed": args.seed})
+    matcher = config_value(cfg_doc, "matcher", MatcherConfig.from_json, _matcher_from_args(args))
+    tc = TrainConfig(**fields | {"matcher": matcher})
+    # a model file records the rates of a JSON config as floats, `1` as 1.0
+    tc = replace(tc, learning_rate=float(tc.learning_rate), margin=float(tc.margin))
+    dataset = read_jsonl(config_value(cfg_doc, "data", text))
+    split = config_value(cfg_doc, "split", text, "train")
     examples = dataset.split(split)
     if not examples:
         raise ValidationError(f"split {split!r} of {dataset.name!r} is empty")
@@ -124,7 +109,7 @@ def _cmd_train(args) -> int:
         task = "binary" if len(dataset.class_set) == 2 else "ova"
     os.makedirs(args.out, exist_ok=True)
     if task == "binary":
-        positive = config_value(cfg_doc, "positive_class", _text, dataset.class_set[0])
+        positive = config_value(cfg_doc, "positive_class", text, dataset.class_set[0])
         trained, trace = train_binary(binary_examples(dataset, split, positive), tc)
         trained.metadata["positive_class"] = str(positive)
         write_trace_jsonl(trace, os.path.join(args.out, "trace.jsonl"))
@@ -190,16 +175,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.pairs < 1:
-        raise ValidationError(f"--pairs must be at least 1, got {args.pairs}")
-    if not 1 <= args.min_order <= args.max_order:
-        raise ValidationError(f"--min-order and --max-order need 1 <= min <= max, "
-                              f"got {args.min_order} and {args.max_order}")
-    if args.max_order > matching._HARD_ENUM_LIMIT:
-        raise ValidationError(f"--max-order must be at most {matching._HARD_ENUM_LIMIT}, "
-                              f"the exact matcher's limit, got {args.max_order}")
-    if args.attr_dim < 1:
-        raise ValidationError(f"--attr-dim must be at least 1, got {args.attr_dim}")
+    check_count("--pairs", args.pairs)
+    check_count("--attr-dim", args.attr_dim)
+    check_count("--max-order", args.max_order, 1, matching._HARD_ENUM_LIMIT)  # the exact cap
+    check_count("--min-order", args.min_order, 1, args.max_order)
     rng = np.random.default_rng(args.seed)
     gaps = []
     times = {"exact": 0.0, "graduated": 0.0}
@@ -241,14 +220,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_protocol(args) -> int:
     doc = _read_json(args.config)
-    cfg = ProtocolConfig(
-        dataset=read_jsonl(config_value(doc, "dataset", str)),
-        algorithm=config_value(doc, "algorithm", str),
-        seed=config_value(doc, "seed", integer, args.seed),
-        matcher=config_value(doc, "matcher", MatcherConfig.from_json, _matcher_from_args(args)),
-        **config_fields(doc, {"eta_grid": _numbers, "lambda_grid": _numbers, "repeats": integer,
-                              "max_epochs": integer, "weight_order": _int_or_none}),
-    )
+    fields = config_fields(doc, ProtocolConfig, defaults={"seed": args.seed})
+    cfg = ProtocolConfig(**fields | {
+        "dataset": read_jsonl(config_value(doc, "dataset", text)),
+        "matcher": config_value(doc, "matcher", MatcherConfig.from_json, _matcher_from_args(args))})
     report = run_protocol(cfg)
     print(report.to_text())
     if args.out:

@@ -22,8 +22,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exceptions import (DatasetFormatError, InfeasibleSpecError, ValidationError, config_fields,
-                         config_value, integer, name_list)
+from .exceptions import (DatasetFormatError, InfeasibleSpecError, ValidationError, check_count,
+                         check_number, checked, config_fields, config_value, name_list)
 from .files import atomic_write
 from .graphs import AttributedGraph
 from .learning import LabeledExample, _signed
@@ -181,9 +181,10 @@ def read_jsonl(dirpath) -> Dataset:
         raise DatasetFormatError(f"invalid JSON ({exc.msg})", meta_path) from exc
     splits = {name: read_examples_jsonl(os.path.join(dirpath, filename))
               for name, filename in config_value(meta, "splits", _split_files, {}).items()}
+    # each line's class is read as a string, so the class list is too
+    classes = [str(c) for c in config_value(meta, "classes", name_list, ())]
     return Dataset(config_value(meta, "name", str, os.path.basename(os.path.normpath(dirpath))),
-                   splits, config_value(meta, "classes", name_list, ()),
-                   config_value(meta, "provenance", dict, {}))
+                   splits, classes, config_value(meta, "provenance", dict, {}))
 
 
 def _split_files(doc) -> Dict[str, str]:
@@ -206,15 +207,18 @@ class GxlAttrConfig:
     attributes are declared, so unattributed edges stay non-zero.
     """
 
-    node_attr_names: Tuple[str, ...]
+    node_attr_names: Tuple[str, ...] = ()
     edge_attr_names: Tuple[str, ...] = ()
     append_edge_flag: Optional[bool] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "node_attr_names", tuple(self.node_attr_names))
-        object.__setattr__(self, "edge_attr_names", tuple(self.edge_attr_names))
+        for name in ("node_attr_names", "edge_attr_names"):
+            object.__setattr__(self, name, checked(name, name_list, getattr(self, name)))
         if self.append_edge_flag is None:
             object.__setattr__(self, "append_edge_flag", not self.edge_attr_names)
+        elif not isinstance(self.append_edge_flag, bool):
+            raise ValidationError("'append_edge_flag': expected true, false or null, "
+                                  f"got {self.append_edge_flag!r}")
         if self.attr_dim < 1:
             raise ValidationError("configured attribute dimension must be at least 1")
 
@@ -224,8 +228,7 @@ class GxlAttrConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GxlAttrConfig":
-        return cls(config_value(doc, "node_attr_names", name_list, ()), **config_fields(
-            doc, {"edge_attr_names": name_list, "append_edge_flag": lambda v: v}))
+        return cls(**config_fields(doc, cls))
 
 
 GXL_PRESETS = {
@@ -405,52 +408,35 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_examples", dict(self.n_examples))
-        object.__setattr__(self, "order_range", (int(self.order_range[0]), int(self.order_range[1])))
-        n_min, n_max = self.order_range
-        if n_min < 1 or n_min > n_max:
-            raise ValidationError("order_range must satisfy 1 <= n_min <= n_max")
-        if n_max > DEFAULT_EXACT_MAX_ORDER:
-            raise ValidationError(
-                f"n_max {n_max} exceeds the exact matcher cap {DEFAULT_EXACT_MAX_ORDER}"
-            )
-        if self.attr_dim < 1:
-            raise ValidationError("attr_dim must be at least 1")
-        if not 1 <= self.planted_order <= _HARD_ENUM_LIMIT:
-            raise ValidationError(f"planted_order must lie in 1..{_HARD_ENUM_LIMIT}, "
-                                  "the orders the exact matcher enumerates")
-        if self.planted_margin <= 0:
-            raise ValidationError("planted_margin must be positive")
-        if not 0 < self.edge_density <= 1:
-            raise ValidationError("edge_density must lie in (0, 1]")
-        if self.attribute_scale <= 0:
-            raise ValidationError("attribute_scale must be positive")
-        if any(v < 0 for v in self.n_examples.values()) or not any(self.n_examples.values()):
-            raise ValidationError("n_examples must request at least one example")
+        counts = {split: check_count("n_examples", n, 0)
+                  for split, n in checked("n_examples", dict, self.n_examples).items()}
+        if not any(counts.values()):
+            raise ValidationError(f"'n_examples': expected at least one example, got {counts!r}")
+        try:
+            n_min, n_max = self.order_range
+        except (TypeError, ValueError):
+            raise ValidationError("'order_range': expected a pair of orders, "
+                                  f"got {self.order_range!r}") from None
+        # graphs are sampled up to the default exact cap; the planted graph may
+        # take any order the exact matcher enumerates
+        n_min = check_count("order_range", n_min, 1, DEFAULT_EXACT_MAX_ORDER)
+        n_max = check_count("order_range", n_max, n_min, DEFAULT_EXACT_MAX_ORDER)
+        object.__setattr__(self, "order_range", (n_min, n_max))
+        object.__setattr__(self, "n_examples", counts)
+        object.__setattr__(self, "attr_dim", check_count("attr_dim", self.attr_dim))
+        object.__setattr__(self, "planted_order",
+                           check_count("planted_order", self.planted_order, 1, _HARD_ENUM_LIMIT))
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
+        for name in ("planted_margin", "attribute_scale"):
+            check_number(name, getattr(self, name), "a positive number", lambda v: v > 0)
+        check_number("edge_density", self.edge_density, "a number in (0, 1]", lambda v: 0 < v <= 1)
 
     def to_json(self) -> dict:
         return {**asdict(self), "order_range": list(self.order_range)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "SyntheticSpec":
-        return cls(
-            n_examples=config_value(doc, "n_examples", _split_counts),
-            order_range=config_value(doc, "order_range", _int_pair),
-            attr_dim=config_value(doc, "attr_dim", integer),
-            planted_order=config_value(doc, "planted_order", integer),
-            planted_margin=config_value(doc, "planted_margin", float),
-            edge_density=config_value(doc, "edge_density", float),
-            **config_fields(doc, {"attribute_scale": float, "seed": integer}),
-        )
-
-
-def _split_counts(doc) -> Dict[str, int]:
-    return {split: integer(n) for split, n in dict(doc).items()}
-
-
-def _int_pair(doc) -> Tuple[int, int]:
-    lo, hi = doc
-    return integer(lo), integer(hi)
+        return cls(**config_fields(doc, cls))
 
 
 def random_graph(rng, order, attr_dim, density, scale) -> AttributedGraph:

@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and the checks that read config values."""
+"""Exception types shared across the package, and the rules that judge config fields."""
 
+import math
+import numbers
 import operator
 from collections.abc import Hashable
+from dataclasses import MISSING, fields
 
 _REQUIRED = object()
 _ABSENT = object()
@@ -37,6 +40,15 @@ class InfeasibleSpecError(RuntimeError):
     """A synthetic data spec that cannot be satisfied within the sampling budget."""
 
 
+def checked(name: str, reader, value):
+    """`reader(value)`, or ValidationError naming `name` when `reader` raises
+    TypeError or ValueError."""
+    try:
+        return reader(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name!r}: {exc}") from None
+
+
 def config_value(doc, key, kind, default=_REQUIRED):
     """`kind(doc[key])`, or `default` when the key is absent. A non-object `doc`, a
     missing required key or a TypeError/ValueError from `kind` (nested reads
@@ -47,29 +59,41 @@ def config_value(doc, key, kind, default=_REQUIRED):
         if default is _REQUIRED:
             raise ValidationError(f"missing required key {key!r}")
         return default
-    try:
-        return kind(doc[key])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{key!r}: {exc}") from None
+    return checked(key, kind, doc[key])
 
 
-def config_fields(doc, kinds, keys=None) -> dict:
-    """`{field: config_value(doc, key, kind)}` for each `field: kind` of `kinds` whose
-    key is in `doc`; a field's key is its name unless `keys` maps it to another. A
-    config class built from the result keeps its own default for every key left
-    out, so no reader restates it."""
-    keys = keys or {}
-    return {field: value for field, kind in kinds.items()
-            if (value := config_value(doc, keys.get(field, field), kind, _ABSENT)) is not _ABSENT}
+def config_fields(doc, cls, keys=None, defaults=None) -> dict:
+    """The keyword arguments that the JSON object `doc` gives the dataclass `cls`,
+    unjudged (`cls.__post_init__` judges them): each field's value at its key,
+    which is the field's name unless `keys` maps it to another, else its value in
+    `defaults`. A field with neither keeps the class's default, or is a missing
+    required key when the class has none."""
+    keys, defaults = keys or {}, defaults or {}
+    found = {}
+    for f in fields(cls):
+        required = f.default is MISSING and f.default_factory is MISSING
+        value = config_value(doc, keys.get(f.name, f.name), lambda v: v,
+                             defaults.get(f.name, _REQUIRED if required else _ABSENT))
+        if value is not _ABSENT:
+            found[f.name] = value
+    return found
 
 
 def name_list(value) -> tuple:
-    """`value`, a JSON list of hashable names, as a tuple: the one reader of the class
-    lists of datasets and models and of GXL attribute names. A bare string, which
-    would read as one name per character, and unhashable entries are refused."""
-    if not isinstance(value, list) or not all(isinstance(v, Hashable) for v in value):
+    """`value`, a list (or tuple) of hashable names, as a tuple: the one reader of
+    the class lists of datasets and models and of GXL attribute names. A bare
+    string, which would read as one name per character, and unhashable entries
+    are refused."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, Hashable) for v in value):
         raise TypeError(f"expected a list of hashable names, got {value!r}")
     return tuple(value)
+
+
+def text(value) -> str:
+    """`value` if it is a string: the reader of names and paths in JSON configs."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
 def integer(value) -> int:
@@ -80,15 +104,26 @@ def integer(value) -> int:
     return operator.index(value)
 
 
-def check_count(name: str, value, minimum: int = 1) -> int:
+def check_count(name: str, value, minimum: int = 1, maximum: int | None = None) -> int:
     """`value` as a plain int, or ValidationError naming `name` unless it is an
-    integer by `integer`'s rule and at least `minimum`: the check of the count
-    and seed fields of configs built in code. They store what it returns, so a
-    numpy integer never reaches a JSON document."""
+    integer by `integer`'s rule in `minimum..maximum`. Fields store what it
+    returns, so a numpy integer never reaches a JSON document."""
+    bound = f"of at least {minimum}" if maximum is None else f"in {minimum}..{maximum}"
     try:
         count = integer(value)
+        if minimum <= count and (maximum is None or count <= maximum):
+            return count
     except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-    if count < minimum:
-        raise ValidationError(f"{name} must be at least {minimum}, got {value!r}")
-    return count
+        pass
+    raise ValidationError(f"{name!r}: expected an integer {bound}, got {value!r}")
+
+
+def check_number(name: str, value, what: str = "a finite number", test=lambda v: True):
+    """`value` as given (an int stays an int), or ValidationError naming `name` and
+    expecting `what` unless it is a finite real number that passes `test`: the
+    one rule of numeric fields. Booleans, strings, NaN and ±inf (JSON `NaN` and
+    `Infinity`) are refused."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or not test(value)):
+        raise ValidationError(f"{name!r}: expected {what}, got {value!r}")
+    return value

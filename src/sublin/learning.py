@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exceptions import ValidationError, check_count, integer
+from .exceptions import ValidationError, check_count, check_number, integer
 from .files import atomic_write
 from .graphs import AttributedGraph, Representation
 from .matching import MatcherConfig, _distances
@@ -41,10 +41,11 @@ class TrainConfig:
     matcher: MatcherConfig = field(default_factory=MatcherConfig)
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValidationError("learning rate must be positive")
-        if self.margin < 0:
-            raise ValidationError("margin must be non-negative")
+        # the learning rule and its convergence bound need a positive, finite rate
+        # and a non-negative, finite margin: the paper's eta and lambda
+        check_number("learning_rate", self.learning_rate, "a positive number ('eta')",
+                     lambda v: v > 0)
+        check_number("margin", self.margin, "a non-negative number ('lambda')", lambda v: v >= 0)
         object.__setattr__(self, "max_epochs", check_count("max_epochs", self.max_epochs))
         if self.weight_order is not None:
             object.__setattr__(self, "weight_order", check_count("weight_order", self.weight_order))

@@ -22,8 +22,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 import numpy as np
 
-from .exceptions import (CapacityError, ValidationError, check_count, config_fields, config_value,
-                         integer)
+from .exceptions import CapacityError, ValidationError, check_count, config_fields, config_value
 from .graphs import AttributedGraph, Representation, to_representation
 
 DEFAULT_EXACT_MAX_ORDER = 8
@@ -145,8 +144,8 @@ class MatcherConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValidationError(f"unknown matcher method {self.method!r}")
-        object.__setattr__(self, "exact_max_order",
-                           check_count("exact_max_order", self.exact_max_order))
+        order = check_count("exact_max_order", self.exact_max_order, 1, _HARD_ENUM_LIMIT)
+        object.__setattr__(self, "exact_max_order", order)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -154,7 +153,7 @@ class MatcherConfig:
     @classmethod
     def from_json(cls, doc: dict) -> "MatcherConfig":
         config_value(doc, "ga_params", _fixed_schedule, None)
-        return cls(**config_fields(doc, {"method": str, "exact_max_order": integer}))
+        return cls(**config_fields(doc, cls))
 
 
 @dataclass(frozen=True)
@@ -426,11 +425,9 @@ def _solve(problems) -> list:
 
 
 def _check_capacity(m: int, n: int, cfg: MatcherConfig) -> None:
-    cap = min(cfg.exact_max_order, _HARD_ENUM_LIMIT)
-    if cfg.method == "exact" and max(m, n) > cap:
-        raise CapacityError(
-            f"orders ({m}, {n}) exceed the exact cap {cap}; use the graduated matcher"
-        )
+    if cfg.method == "exact" and max(m, n) > cfg.exact_max_order:
+        raise CapacityError(f"orders ({m}, {n}) exceed the exact cap {cfg.exact_max_order}; "
+                            "use the graduated matcher")
 
 
 def _encodings(side: Representation, graphs, cfg: MatcherConfig) -> list:

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .data_io import Dataset
-from .exceptions import ValidationError, check_count
+from .exceptions import ValidationError, check_count, check_number, checked
 from .learning import TrainConfig, _fit_stage, _signed, derive_seed, knn_classify
 from .matching import MatcherConfig, matcher_call_count
 from .model import OvaModel, _predictions
@@ -41,7 +41,7 @@ class ProtocolConfig:
     eta_grid: Tuple[float, ...] = DEFAULT_ETA_GRID
     lambda_grid: Tuple[float, ...] = DEFAULT_LAMBDA_GRID
     repeats: int = 10
-    # every fit's TrainConfig takes these, so they default as it does
+    # every fit's TrainConfig takes these, so they default and are judged as there
     seed: int = TrainConfig.seed
     matcher: MatcherConfig = field(default_factory=MatcherConfig)
     max_epochs: int = TrainConfig.max_epochs
@@ -50,15 +50,17 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValidationError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
-        object.__setattr__(self, "eta_grid", tuple(sorted(self.eta_grid)))
-        object.__setattr__(self, "lambda_grid", tuple(sorted(self.lambda_grid)))
-        if not self.eta_grid or not self.lambda_grid:
-            raise ValidationError("hyperparameter grids must be non-empty")
+        for name in ("eta_grid", "lambda_grid"):
+            values = checked(name, iter, getattr(self, name))
+            grid = tuple(sorted(check_number(name, v) for v in values))
+            if not grid:
+                raise ValidationError(f"{name!r}: expected a non-empty list of numbers")
+            object.__setattr__(self, name, grid)
         object.__setattr__(self, "repeats", check_count("repeats", self.repeats))
-        object.__setattr__(self, "max_epochs", check_count("max_epochs", self.max_epochs))
-        if self.weight_order is not None:
-            object.__setattr__(self, "weight_order", check_count("weight_order", self.weight_order))
-        object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
+        fit = TrainConfig(learning_rate=1.0, max_epochs=self.max_epochs,
+                          weight_order=self.weight_order, seed=self.seed)
+        for name in ("seed", "max_epochs", "weight_order"):
+            object.__setattr__(self, name, getattr(fit, name))
 
 
 @dataclass

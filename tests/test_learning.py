@@ -194,13 +194,15 @@ class TestTrainBinary:
     ])
     def test_non_integer_count_rejected(self, field, value):
         # a float is not truncated and a bool is not read as 0 or 1
-        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+        with pytest.raises(ValidationError, match=f"'{field}': expected an integer of at least"):
             TrainConfig(learning_rate=0.1, **{field: value})
 
     @pytest.mark.parametrize("value, message", [
-        (1.5, "seed must be an integer"), (True, "seed must be an integer"),
-        (-1, "seed must be at least 0"),
-    ])
+        (1.5, "'seed': expected an integer of at least 0, got 1.5"),
+        (True, "'seed': expected an integer of at least 0, got True"),
+        (-1, "'seed': expected an integer of at least 0"),
+    ], ids=["1.5-seed must be an integer", "True-seed must be an integer",
+            "-1-seed must be at least 0"])
     def test_bad_seed_rejected(self, value, message):
         # refused when built, not later by numpy's SeedSequence
         with pytest.raises(ValidationError, match=message):
@@ -375,7 +377,7 @@ class TestKnn:
 
     @pytest.mark.parametrize("k", [2.0, True])
     def test_k_must_be_an_integer(self, k):
-        with pytest.raises(ValidationError, match="^k must be an integer"):
+        with pytest.raises(ValidationError, match="^'k': expected an integer of at least 1, got"):
             knn_classify([single_node(1.0, "a")], AttributedGraph([[1.0]]), k, EXACT)
 
     @staticmethod

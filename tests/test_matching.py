@@ -588,12 +588,14 @@ class TestMatcherConfig:
         with pytest.raises(ValidationError, match=match):
             MatcherConfig.from_json(doc)
 
-    @pytest.mark.parametrize("value, match", [(7.9, "must be an integer"),
-                                              (True, "must be an integer"),
-                                              (0, "must be at least 1")],
-                             ids=["float", "bool", "zero"])
+    @pytest.mark.parametrize("value, match", [(7.9, r"an integer in 1\.\.9, got 7\.9"),
+                                              (True, r"an integer in 1\.\.9, got True"),
+                                              (0, r"an integer in 1\.\.9, got 0"),
+                                              (10, r"an integer in 1\.\.9, got 10")],
+                             ids=["float", "bool", "zero", "above-hard-cap"])
     def test_exact_max_order_must_be_an_int(self, value, match):
-        with pytest.raises(ValidationError, match=f"exact_max_order {match}"):
+        # refused when built, not kept and later run under the hard cap 9
+        with pytest.raises(ValidationError, match=f"'exact_max_order': expected {match}"):
             MatcherConfig(exact_max_order=value)
 
     def test_numpy_exact_max_order_is_stored_as_int(self, tmp_path):

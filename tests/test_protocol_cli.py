@@ -110,13 +110,15 @@ class TestRunProtocol:
     ])
     def test_non_integer_count_rejected(self, field, value):
         # refused when built, not later as a TypeError from range
-        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+        with pytest.raises(ValidationError, match=f"'{field}': expected an integer of at least"):
             ProtocolConfig(dataset=synth(), algorithm="perceptron", **{field: value})
 
     @pytest.mark.parametrize("value, message", [
-        (1.5, "seed must be an integer"), (True, "seed must be an integer"),
-        (-1, "seed must be at least 0"),
-    ])
+        (1.5, "'seed': expected an integer of at least 0, got 1.5"),
+        (True, "'seed': expected an integer of at least 0, got True"),
+        (-1, "'seed': expected an integer of at least 0"),
+    ], ids=["1.5-seed must be an integer", "True-seed must be an integer",
+            "-1-seed must be at least 0"])
     def test_bad_seed_rejected(self, value, message):
         # refused when built: derive_seed would otherwise run seed 1.5 or True as seed 1
         with pytest.raises(ValidationError, match=message):
@@ -336,7 +338,8 @@ class TestCli:
         assert proc.returncode == 1
 
     @pytest.mark.parametrize("command, case", [
-        ("train", "data"), ("protocol", "dataset"), ("train", "matcher"),
+        ("train", "data"), ("protocol", "dataset"), ("train", "data-null"),
+        ("protocol", "dataset-null"), ("train", "matcher"),
         ("train", "ga_params"), ("train", "exact_max_order"), ("train", "exact_max_order-float"),
         ("train", "eta"),
         ("train", "max_epochs"), ("synth", "attr_dim"), ("synth", "order_range"),
@@ -357,6 +360,8 @@ class TestCli:
                  "eta_grid": [0.5], "lambda_grid": [0.1], "repeats": 1, "max_epochs": 1}
         docs = {
             "data": {}, "dataset": {},
+            # a path is a string: null is not read as the directory 'None'
+            "data-null": {"data": None}, "dataset-null": {**proto, "dataset": None},
             "matcher": {**data, "matcher": "graduated"},
             "ga_params": {**data, "matcher": {"ga_params": {"beta_start": "x"}}},
             "exact_max_order": {**data, "matcher": {"exact_max_order": "x"}},
@@ -394,12 +399,83 @@ class TestCli:
             assert "'ga_params'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("case", [
+        "margin-nan", "eta-nan", "eta-inf", "eta-string", "eta-bool", "eta_grid-nan",
+        "eta_grid-bool", "planted_margin-nan", "attribute_scale-inf", "order_range-float",
+        "append_edge_flag-string",
+    ])
+    def test_field_rule_refuses_in_code_and_in_json(self, tmp_path, dataset_dir, case):
+        # each config field has one rule: built in code or read from JSON through the
+        # CLI, the value is refused, naming the field
+        nan, inf = float("nan"), float("inf")
+        spec = {"n_examples": {"train": 4}, "order_range": [2, 3], "attr_dim": 1,
+                "planted_order": 2, "planted_margin": 0.1, "edge_density": 0.5}
+        cases = {  # case: (field, command, in-code config, JSON config)
+            "margin-nan": ("margin", "train", {"margin": nan}, {"lambda": nan}),
+            "eta-nan": ("learning_rate", "train", {"learning_rate": nan}, {"eta": nan}),
+            "eta-inf": ("learning_rate", "train", {"learning_rate": inf}, {"eta": inf}),
+            "eta-string": ("learning_rate", "train", {"learning_rate": "0.5"}, {"eta": "0.5"}),
+            "eta-bool": ("learning_rate", "train", {"learning_rate": True}, {"eta": True}),
+            "eta_grid-nan": ("eta_grid", "protocol", {"eta_grid": (0.1, nan)},
+                             {"eta_grid": [0.1, nan]}),
+            "eta_grid-bool": ("eta_grid", "protocol", {"eta_grid": (True,)}, {"eta_grid": [True]}),
+            "planted_margin-nan": ("planted_margin", "synth", {"planted_margin": nan},
+                                   {"planted_margin": nan}),
+            "attribute_scale-inf": ("attribute_scale", "synth", {"attribute_scale": inf},
+                                    {"attribute_scale": inf}),
+            "order_range-float": ("order_range", "synth", {"order_range": (3.7, 5)},
+                                  {"order_range": [3.7, 5]}),
+            "append_edge_flag-string": ("append_edge_flag", "dot", {"append_edge_flag": "no"},
+                                        {"append_edge_flag": "no"}),
+        }
+        field, command, in_code, in_json = cases[case]
+        build, doc, flag = {
+            "train": (lambda kw: TrainConfig(**{"learning_rate": 0.1, **kw}),
+                      {"data": str(dataset_dir)}, "--config"),
+            "protocol": (lambda kw: ProtocolConfig(dataset=synth(), algorithm="perceptron", **kw),
+                         {"dataset": str(dataset_dir), "algorithm": "perceptron"}, "--config"),
+            "synth": (lambda kw: SyntheticSpec(**{**spec, **kw}), spec, "--spec"),
+            "dot": (lambda kw: sublin.GxlAttrConfig(node_attr_names=("x",), **kw),
+                    {"node_attr_names": ["x"]}, "--gxl-config"),
+        }[command]
+        with pytest.raises(ValidationError, match=repr(field)):
+            build(in_code)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**doc, **in_json}))
+        if command == "dot":  # the schema is read before either graph file
+            proc = run_cli("dot", "a.gxl", "b.gxl", flag, str(cfg_path))
+        else:
+            proc = run_cli(command, flag, str(cfg_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1
+        assert repr(field) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_numeric_classes_read_and_evaluate(self, tmp_path):
+        # meta.json classes are read as strings, as each line's class is
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "meta.json").write_text(json.dumps(
+            {"name": "numeric", "classes": [1, 2], "splits": {"test": "test.jsonl"}}))
+        (data / "test.jsonl").write_text(
+            '{"id": "a", "class": 1, "nodes": [[1.0]]}\n{"id": "b", "class": 2, "nodes": [[-1.0]]}\n')
+        assert read_jsonl(data).class_set == ("1", "2")
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps({"data": str(data), "split": "test"}))
+        proc = run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "run"))
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli("eval", "--model", str(tmp_path / "run" / "model.json"),
+                       "--data", str(data), "--json")
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["accuracy"] == 1.0
+        assert doc["confusion"] == {"1": {"1": 1, "2": 0}, "2": {"1": 0, "2": 1}}
+
     def test_negative_seed_exits_1(self, tmp_path, dataset_dir):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"data": str(dataset_dir), "seed": -1}))
         proc = run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
         assert proc.returncode == 1
-        assert "seed must be at least 0" in proc.stderr
+        assert "'seed': expected an integer of at least 0" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("case", [
