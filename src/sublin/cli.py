@@ -38,7 +38,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _matcher_from_args(args) -> MatcherConfig:
-    return MatcherConfig(method=args.matcher, exact_max_order=args.exact_max_order)
+    order = check_count("--exact-max-order", args.exact_max_order, 1, matching._HARD_ENUM_LIMIT)
+    return MatcherConfig(method=args.matcher, exact_max_order=order)
+
+
+def _matcher(doc: dict, args) -> MatcherConfig:
+    """The config's `matcher`, or the flags' matcher when the config names none."""
+    if "matcher" in doc:
+        return config_value(doc, "matcher", MatcherConfig.from_json)
+    return _matcher_from_args(args)
 
 
 def _load_graph(path, gxl_cfg: GxlAttrConfig):
@@ -95,8 +103,7 @@ def _cmd_train(args) -> int:
     cfg_doc = _read_json(args.config)
     fields = config_fields(cfg_doc, TrainConfig, keys={"learning_rate": "eta", "margin": "lambda"},
                            defaults={"learning_rate": 0.1, "seed": args.seed})
-    matcher = config_value(cfg_doc, "matcher", MatcherConfig.from_json, _matcher_from_args(args))
-    tc = TrainConfig(**fields | {"matcher": matcher})
+    tc = TrainConfig(**fields | {"matcher": _matcher(cfg_doc, args)})
     # a model file records the rates of a JSON config as floats, `1` as 1.0
     tc = replace(tc, learning_rate=float(tc.learning_rate), margin=float(tc.margin))
     dataset = read_jsonl(config_value(cfg_doc, "data", text))
@@ -223,7 +230,7 @@ def _cmd_protocol(args) -> int:
     fields = config_fields(doc, ProtocolConfig, defaults={"seed": args.seed})
     cfg = ProtocolConfig(**fields | {
         "dataset": read_jsonl(config_value(doc, "dataset", text)),
-        "matcher": config_value(doc, "matcher", MatcherConfig.from_json, _matcher_from_args(args))})
+        "matcher": _matcher(doc, args)})
     report = run_protocol(cfg)
     print(report.to_text())
     if args.out:

@@ -255,15 +255,26 @@ def _best_pairs(cells):
     term a < b stands for itself and its mirror (b, a). Up to `_GATHER_PAIRS` pairs
     are scored together: each product is its own `np.dot` (so each column rounds as
     it does alone), written into one preallocated array whose transpose is the
-    (positions, pairs) array, and one gather takes the k(k+1)/2 terms of a window of
-    min(injections, `_GATHER` // max(pairs, 4)) injections for all of them. Summing
-    along the terms axis adds them in the table's order, the same for every
-    injection and pair. The first maximizer of a window wins, and a later window
-    only on a strictly larger score; windows walk the table in order, so each pair
-    gets the winner it gets alone (unless a window holds a NaN score, from
-    overflowing attributes: a NaN never wins, and its window gives no winner). Terms
-    are placed by the smaller graph's nodes, so injections that differ only in which
-    zero nodes they match sum the same terms in the same places and tie exactly.
+    (positions, pairs) array, and one gather takes the kept terms of a window of
+    min(injections, `_GATHER` // max(pairs, 4)) injections for all of them.
+
+    A term (a, b) reads one cell of the indexed side, the smaller graph's (a, b)
+    (x's when m = n), in every injection. When the batch gathers more than
+    `_GATHER` cells per term, one `np.logical_or.reduce` over the compatibilities
+    finds the terms that are +-0.0 for every pair of the batch, and the windows
+    gather only the other rows of the table; a NaN (an overflowing doubled cell
+    times a zero one) counts as non-zero. A smaller gather, which includes every
+    table of one window, takes every term: the keep test would cost more than it
+    saves. Summing along the terms axis adds the kept terms in the table's order,
+    the same for every injection and pair; leaving out an exact zero changes no
+    score but the sign of a zero one, which compares equal. One `argmax` finds
+    each window's winners: the first maximizer of a window wins, and a later
+    window only on a strictly larger score. Windows walk the table in order, so
+    each pair gets the winner it gets alone (unless a window holds a NaN score,
+    from overflowing attributes: a NaN never wins, and its window gives no
+    winner), decoded from the full table's column. Terms are placed by the
+    smaller graph's nodes, so injections that differ only in which zero nodes
+    they match sum the same terms in the same places and tie exactly.
     """
     if len(cells) > _GATHER_PAIRS:
         return [pairs for start in range(0, len(cells), _GATHER_PAIRS)
@@ -272,38 +283,50 @@ def _best_pairs(cells):
     m, n, d = cx.shape[0], cy.shape[0], cx.shape[2]
     k, batch = min(m, n), len(cells)
     table = _injection_table(m, n)
-    size, count = table.shape
+    count = table.shape[1]
     compat = np.empty((batch, m * m, n * n))
+    window = min(count, _GATHER // max(batch, 4))
     for b, (cx, cy) in enumerate(cells):
         flat = cx.reshape(m * m, d)
         doubled = flat * 2.0
         doubled[:: m + 1] = flat[:: m + 1]  # the diagonal cells (i, i) stay single
         np.dot(doubled, cy.transpose(2, 0, 1).reshape(d, n * n), out=compat[b])
+    kept = table
+    if count * batch > _GATHER:  # smaller gathers cost less than the keep test
+        # the indexed side's cell that each term's row reads in every injection:
+        # x's i_a*m + i_b when m <= n, else y's r_a*n + r_b
+        if m <= n:
+            live = np.logical_or.reduce(compat, (0, 2))[table[:, 0] // (n * n)]
+        else:
+            live = np.logical_or.reduce(compat, (0, 1))[table[:, 0] % (n * n)]
+        keep = np.flatnonzero(live)
+        if len(keep) < len(live):
+            kept = table.take(keep, 0)
+    size = kept.shape[0]
     # one row per position; a lone pair's (positions, 1) view is contiguous already
     compat = np.ascontiguousarray(compat.reshape(batch, -1).T)
-    window = min(count, _GATHER // max(batch, 4))
     # one buffer per call: a fresh array per window costs page faults once the
     # allocator returns it to the system; "clip" lets take fill it directly, and
     # every position is in range by construction
     terms, scores = np.empty((size, window, batch)), np.empty((window, batch))
-    best = [-np.inf] * batch
-    rows = [table[:k, 0]] * batch
+    best, cols = [-np.inf] * batch, [0] * batch
     for lo in range(0, count, window):
-        part = table[:, lo : lo + window]
+        part = kept[:, lo : lo + window]
         if part.shape[1] < window:  # the last window: contiguous views of the buffers' start
             window = part.shape[1]
             terms = terms.ravel()[: size * window * batch].reshape(size, window, batch)
             scores = scores.ravel()[: window * batch].reshape(window, batch)
         np.take(compat, part, axis=0, out=terms, mode="clip").sum(axis=0, out=scores)
         for b, t in enumerate(scores.argmax(axis=0).tolist()):
-            score = scores[t, b]
+            score = scores.item(t, b)  # a float: no numpy scalar per pair
             if score > best[b]:
-                best[b] = score
-                rows[b] = part[:k, t]
-    # the first k terms are the diagonal ones, at i_a*(m + 1)*n*n + r_a*(n + 1);
-    # k Python divisions cost less than numpy's on a row this short
+                best[b], cols[b] = score, lo + t
+    # the first k terms of the full table are the diagonal ones, at
+    # i_a*(m + 1)*n*n + r_a*(n + 1); k Python divisions cost less than numpy's
+    # on a row this short
     step = (m + 1) * n * n
-    return [tuple(sorted((p // step, p % step // (n + 1)) for p in row.tolist())) for row in rows]
+    return [tuple(sorted((p // step, p % step // (n + 1)) for p in table[:k, c].tolist()))
+            for c in cols]
 
 
 def _ga_soft(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:

@@ -12,7 +12,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .exceptions import DegenerateModelError, ValidationError, config_value, integer, name_list
+from .exceptions import (DegenerateModelError, ValidationError, check_number, config_value, integer,
+                         name_list)
 from .files import atomic_write
 from .graphs import AttributedGraph, Representation, to_representation
 from .matching import MatcherConfig, _aligned, _encodings, _finite, _solve
@@ -206,7 +207,7 @@ def _model_from_doc(doc: dict) -> SublinearModel:
         raise ValidationError("weight cell array does not match the declared order/attr_dim")
     return SublinearModel(
         rep,
-        bias=config_value(doc, "bias", float),
+        bias=check_number("bias", config_value(doc, "bias", lambda v: v)),
         matcher=config_value(doc, "matcher_config", MatcherConfig.from_json, None),
         metadata=config_value(doc, "training_metadata", dict, None),
     )

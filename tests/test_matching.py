@@ -406,6 +406,95 @@ class TestBatchedScorer:
         assert _best_pairs(cells) == [_best_pairs([pair])[0] for pair in cells]
 
 
+def _full_term_pairs(cells):
+    """The exact scorer before it left out terms: every term of every injection
+    gathered and summed in the same windows, each window's winners read one pair
+    at a time. The oracle the kept-term scorer must match pair for pair."""
+    if len(cells) > matching._GATHER_PAIRS:
+        return [pairs for start in range(0, len(cells), matching._GATHER_PAIRS)
+                for pairs in _full_term_pairs(cells[start : start + matching._GATHER_PAIRS])]
+    m, n, d = cells[0][0].shape[0], cells[0][1].shape[0], cells[0][0].shape[2]
+    k, batch = min(m, n), len(cells)
+    table = _injection_table(m, n)
+    count = table.shape[1]
+    compat = np.empty((batch, m * m, n * n))
+    for b, (cx, cy) in enumerate(cells):
+        flat = cx.reshape(m * m, d)
+        doubled = flat * 2.0
+        doubled[:: m + 1] = flat[:: m + 1]
+        np.dot(doubled, cy.transpose(2, 0, 1).reshape(d, n * n), out=compat[b])
+    compat = compat.reshape(batch, -1).T
+    window = min(count, matching._GATHER // max(batch, 4))
+    best, rows = [-np.inf] * batch, [table[:k, 0]] * batch
+    for lo in range(0, count, window):
+        part = table[:, lo : lo + window]
+        scores = compat[part].sum(axis=0)
+        for b, t in enumerate(scores.argmax(axis=0).tolist()):
+            if scores[t, b] > best[b]:
+                best[b], rows[b] = scores[t, b], part[:k, t]
+    step = (m + 1) * n * n
+    return [tuple(sorted((p // step, p % step // (n + 1)) for p in row.tolist())) for row in rows]
+
+
+class TestKeptTermScorer:
+    # every (m, n) up to 7 both ways; the keep test runs once a table spans
+    # several windows, from 90 injections at 32 pairs to 720 for a lone pair
+    SHAPES = [(m, n) for m in range(1, 8) for n in range(1, 8)]
+
+    @staticmethod
+    def _side(rng, kind, k, d):
+        """Cells of order k: dense, a sparse graph's (zero cells where edges are
+        absent), with 0.0 and -0.0 cells, all zero, at 1e200 (products overflow),
+        or near the float limit (a doubled cell overflows, and against a zero cell
+        gives NaN)."""
+        if kind == "dense":
+            return rand_sym_cells(rng, k, d)
+        if kind == "zero":
+            return np.zeros((k, k, d))
+        cells = to_representation(rand_graph(rng, k, d, density=0.3)).cells.copy()
+        if kind == "signed":  # a -0.0 cell, then a node of 0.0 or -0.0 cells
+            i, j = rng.integers(0, k, size=2)
+            cells[i, j] = cells[j, i] = -0.0
+            z = rng.integers(0, k)
+            cells[z] = cells[:, z] = -0.0 if rng.random() < 0.5 else 0.0
+        return cells * {"sparse": 1.0, "signed": 1.0, "huge": 1e200, "limit": 1e308}[kind]
+
+    KINDS = ("dense", "sparse", "signed", "zero", "huge", "limit")
+
+    def _batch(self, rng, m, n, size, kind, mode):
+        """`size` (cx, cy) pairs of orders m, n. The indexed side (x when m <= n,
+        else y) is one array of `kind` shared by every pair ("shared", as in k-NN),
+        `kind`'s zero cells on dense ones ("pattern"), or any kind pair by pair
+        ("mixed": sparse and dense sides in one batch); the other side's kinds are
+        drawn pair by pair."""
+        d = int(rng.integers(1, 4))
+        indexed, other = (m, n) if m <= n else (n, m)
+        shared = self._side(rng, kind, indexed, d)
+        mask = (shared != 0).any(axis=2, keepdims=True)
+        pairs = []
+        for _ in range(size):
+            if mode == "shared":
+                side = shared
+            elif mode == "pattern":
+                side = self._side(rng, "dense", indexed, d) * mask
+            else:
+                side = self._side(rng, self.KINDS[int(rng.integers(len(self.KINDS)))], indexed, d)
+            rest = self._side(rng, self.KINDS[int(rng.integers(len(self.KINDS)))], other, d)
+            pairs.append((side, rest) if m <= n else (rest, side))
+        return pairs
+
+    @pytest.mark.parametrize("m, n", SHAPES)
+    def test_equals_the_full_term_scorer(self, m, n):
+        rng = np.random.default_rng(1000 + 10 * m + n)
+        batches = [(kind, mode) for kind in self.KINDS for mode in ("shared", "pattern")]
+        batches += [("dense", "mixed")] * 2
+        with np.errstate(all="ignore"):
+            for i, (kind, mode) in enumerate(batches):
+                size = (1, 33)[i] if i < 2 else int(rng.integers(1, 34))
+                cells = self._batch(rng, m, n, size, kind, mode)
+                assert _best_pairs(cells) == _full_term_pairs(cells), (size, kind, mode)
+
+
 def _reference_ga(cx, cy, params, counts=None):
     """Graduated assignment as first written: a fresh buffer per round, both
     Sinkhorn errors every sweep, every round run. Returns the soft matrix and

@@ -217,6 +217,17 @@ class TestPersistence:
             g = rand_graph(rng, order, 2)
             assert evaluate(loaded, g) == evaluate(m, g)
 
+    @pytest.mark.parametrize("bias", ["0.5", True, float("nan"), float("-inf"), None],
+                             ids=["string", "bool", "nan", "inf", "null"])
+    def test_bias_follows_the_number_rule(self, tmp_path, bias):
+        # a model file's bias is a finite number, as a config's numbers are
+        doc = {"format_version": 1, "kind": "binary", "attr_dim": 1, "order": 1,
+               "weight_cells": [[[0.5]]], "bias": bias}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"^'bias': expected a finite number, got {bias!r}$"):
+            load_model(path)
+
     def test_ova_round_trip(self, tmp_path):
         rng = np.random.default_rng(31)
         ova = OvaModel(

@@ -470,6 +470,25 @@ class TestCli:
         assert doc["accuracy"] == 1.0
         assert doc["confusion"] == {"1": {"1": 1, "2": 0}, "2": {"1": 0, "2": 1}}
 
+    @pytest.mark.parametrize("command", ["train", "protocol"])
+    def test_matcher_flags_only_when_the_config_names_no_matcher(self, tmp_path, dataset_dir,
+                                                                command):
+        doc = {"train": {"data": str(dataset_dir), "max_epochs": 1},
+               "protocol": {"dataset": str(dataset_dir), "algorithm": "perceptron",
+                            "eta_grid": [0.5], "repeats": 1, "max_epochs": 1}}[command]
+        cfg_path = tmp_path / "cfg.json"
+        # the config's matcher is used, and the flags it overrides are not read
+        cfg_path.write_text(json.dumps({**doc, "matcher": {"method": "graduated"}}))
+        proc = run_cli("--exact-max-order", "12", command, "--config", str(cfg_path),
+                       "--out", str(tmp_path / "o"))
+        assert proc.returncode == 0, proc.stderr
+        # without one, a bad flag exits 1 naming the flag
+        cfg_path.write_text(json.dumps(doc))
+        proc = run_cli("--exact-max-order", "12", command, "--config", str(cfg_path),
+                       "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: '--exact-max-order': expected an integer in 1..9, got 12\n"
+
     def test_negative_seed_exits_1(self, tmp_path, dataset_dir):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"data": str(dataset_dir), "seed": -1}))
@@ -479,7 +498,8 @@ class TestCli:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("case", [
-        "model-bias", "model-weight_cells", "model-weight_cells-string",
+        "model-bias", "model-bias-string", "model-bias-bool", "model-bias-nan",
+        "model-weight_cells", "model-weight_cells-string",
         "model-weight_cells-ragged", "model-list", "ova-members",
         "meta-list", "meta-splits-list", "meta-classes-number", "meta-splits-number",
         "meta-classes-string", "meta-classes-unhashable", "ova-classes-unhashable",
@@ -492,6 +512,9 @@ class TestCli:
                  "weight_cells": [[[0.5]]], "bias": 0.0}
         models = {
             "model-bias": {k: v for k, v in model.items() if k != "bias"},
+            "model-bias-string": {**model, "bias": "0.5"},
+            "model-bias-bool": {**model, "bias": True},
+            "model-bias-nan": {**model, "bias": float("nan")},
             "model-weight_cells": {k: v for k, v in model.items() if k != "weight_cells"},
             "model-weight_cells-string": {**model, "weight_cells": "x"},
             "model-weight_cells-ragged": {**model, "weight_cells": [[[0.5]], [[0.5], [1.0]]]},
