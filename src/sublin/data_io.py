@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .exceptions import (DatasetFormatError, InfeasibleSpecError, ValidationError, check_count,
-                         check_number, checked, config_fields, config_value, name_list)
+                         check_number, checked, config_fields, config_value, integer, name_list)
 from .files import atomic_write
 from .graphs import AttributedGraph
 from .learning import LabeledExample, _signed
@@ -108,7 +108,7 @@ def _graph_from_doc(doc: dict, path, line: int) -> Tuple[str, LabeledExample]:
         nodes = np.asarray(doc["nodes"], dtype=np.float64)
         if nodes.size == 0:
             raise DatasetFormatError("graphs without declared nodes are not supported", path, line)
-        edges = [(int(i), int(j), vec) for i, j, vec in doc.get("edges", [])]
+        edges = [(integer(i), integer(j), vec) for i, j, vec in doc.get("edges", [])]
     except DatasetFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -147,36 +147,45 @@ def read_examples_jsonl(path) -> List[LabeledExample]:
     examples = []
     seen = set()
     dim = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                doc = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"invalid JSON ({exc.msg})", path, lineno) from exc
-            gid, ex = _graph_from_doc(doc, path, lineno)
-            if gid in seen:
-                raise DatasetFormatError(f"duplicate graph id {gid!r}", path, lineno)
-            seen.add(gid)
-            if dim is None:
-                dim = ex.graph.attr_dim
-            elif ex.graph.attr_dim != dim:
-                raise DatasetFormatError(
-                    f"attr_dim {ex.graph.attr_dim} does not match earlier graphs ({dim})",
-                    path, lineno,
-                )
-            examples.append(ex)
+    # text mode has turned every line ending into "\n"
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            doc = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise DatasetFormatError(f"invalid JSON ({exc.msg})", path, lineno) from exc
+        gid, ex = _graph_from_doc(doc, path, lineno)
+        if gid in seen:
+            raise DatasetFormatError(f"duplicate graph id {gid!r}", path, lineno)
+        seen.add(gid)
+        if dim is None:
+            dim = ex.graph.attr_dim
+        elif ex.graph.attr_dim != dim:
+            raise DatasetFormatError(
+                f"attr_dim {ex.graph.attr_dim} does not match earlier graphs ({dim})",
+                path, lineno,
+            )
+        examples.append(ex)
     return examples
+
+
+def _read_text(path) -> str:
+    """The text of a UTF-8 dataset file; other bytes raise DatasetFormatError
+    naming `path`, as invalid JSON or XML in it does."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"invalid UTF-8 ({exc})", path) from exc
 
 
 def read_jsonl(dirpath) -> Dataset:
     """Read a dataset directory written by :func:`write_jsonl`."""
     meta_path = os.path.join(dirpath, META_FILENAME)
     try:
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
+        meta = json.loads(_read_text(meta_path))
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"invalid JSON ({exc.msg})", meta_path) from exc
     splits = {name: read_examples_jsonl(os.path.join(dirpath, filename))
@@ -324,8 +333,7 @@ def parse_gxl(document, cfg: GxlAttrConfig, path="<gxl>") -> AttributedGraph:
 
 
 def parse_gxl_file(path, cfg: GxlAttrConfig) -> AttributedGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_gxl(fh.read(), cfg, path=str(path))
+    return parse_gxl(_read_text(path), cfg, path=str(path))
 
 
 def parse_cxl(document, base_dir, cfg: GxlAttrConfig, path="<cxl>"):
@@ -354,8 +362,7 @@ def parse_cxl(document, base_dir, cfg: GxlAttrConfig, path="<cxl>"):
 
 
 def parse_cxl_file(path, base_dir, cfg: GxlAttrConfig):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_cxl(fh.read(), base_dir, cfg, path=str(path))
+    return parse_cxl(_read_text(path), base_dir, cfg, path=str(path))
 
 
 def read_cxl_dataset(dirpath, cfg: GxlAttrConfig, name=None) -> Dataset:

@@ -27,21 +27,13 @@ from .graphs import AttributedGraph, Representation, to_representation
 
 DEFAULT_EXACT_MAX_ORDER = 8
 _METHODS = ("exact", "graduated")  # what `MatcherConfig.method` and `sublin --matcher` accept
-# Orders above this are never enumerated. The enumerator keeps, for the life of
-# the process, one uint16 table of P(max, min) x min(min + 1)/2 flat positions
-# per pair of orders (m, n) it has seen (`_injection_table`): 10.6 MB for every
-# (m, n) up to 8 together, 32.7 MB at (9, 9), 26.1 MB each at (9, 8) and (8, 9),
-# and 111 MB for every pair with an order-9 side together (122 MB for all 81).
-# The cache is not bounded below its 81 possible keys: evicting a table would
-# only rebuild it on the next call with those orders.
+# Orders above this are never enumerated. `_injection_table` caches one table per
+# pair of orders seen, unbounded: evicting one would only rebuild it.
 _HARD_ENUM_LIMIT = 9
-# One gather of `_best_pairs` holds at most this many (injection, pair) cells per
-# term (0.65 MB at order 7). Up to 4 pairs take windows of 720 injections (with
-# 2,880, a lone pair's buffer and np.take's index copy go back to the system and
-# fault in again on every call), more pairs fewer, and pairs beyond
-# `_GATHER_PAIRS` go in successive groups, which bounds the compatibility array.
+# (injection, pair) cells per term of one `_best_pairs` gather; windows are sized for
+# at least 4 pairs, or a lone pair's buffers would fault in again on every call.
 _GATHER = 2880
-_GATHER_PAIRS = 32
+_GATHER_PAIRS = 32  # pairs per `_best_pairs` batch, which bounds its compatibility array
 
 # Count of hard matching problems actually solved (enumeration or annealing).
 # Identity self-products are closed-form and do not count. Not thread-safe;
@@ -63,20 +55,24 @@ def _note_solver_calls(count: int = 1) -> None:
     _SOLVER_CALLS += count
 
 
+@dataclass(frozen=True, slots=True)
 class MatchMatrix:
     """One-to-one node correspondence between an m-node and an n-node graph.
 
-    `pairs` lists the assigned (row, col) couples; every row and column appears
-    at most once and exactly min(m, n) pairs are assigned.
+    `pairs` lists the assigned (row, col) couples, sorted; every row and column
+    appears at most once and exactly min(m, n) pairs are assigned. Matches are
+    immutable, hashable and equal when (rows, cols, pairs) are.
     """
 
-    __slots__ = ("rows", "cols", "pairs")
+    rows: int
+    cols: int
+    pairs: tuple
 
-    def __init__(self, rows: int, cols: int, pairs):
-        rows, cols = int(rows), int(cols)
+    def __post_init__(self):
+        rows, cols = int(self.rows), int(self.cols)
         if rows < 0 or cols < 0:
             raise ValidationError("match dimensions must be non-negative")
-        pairs = tuple(sorted((int(i), int(r)) for i, r in pairs))
+        pairs = tuple(sorted((int(i), int(r)) for i, r in self.pairs))
         if len(pairs) != min(rows, cols):
             raise ValidationError(
                 f"a match between {rows} and {cols} nodes must assign {min(rows, cols)} pairs, "
@@ -95,9 +91,6 @@ class MatchMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "pairs", pairs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MatchMatrix is immutable")
-
     @classmethod
     def _own(cls, rows: int, cols: int, pairs: tuple) -> "MatchMatrix":
         """Keep a solver's pairs without the checks: for tuples of (int, int) pairs
@@ -109,16 +102,10 @@ class MatchMatrix:
         return match
 
     @classmethod
+    @lru_cache(maxsize=None)
     def identity(cls, n: int) -> "MatchMatrix":
+        """The identity match of order n, built once per order and shared."""
         return cls(n, n, [(i, i) for i in range(n)])
-
-    def __eq__(self, other):
-        if not isinstance(other, MatchMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.pairs) == (other.rows, other.cols, other.pairs)
-
-    def __repr__(self):
-        return f"MatchMatrix({self.rows}x{self.cols}, pairs={list(self.pairs)})"
 
 
 # Graduated assignment's one annealing and Sinkhorn schedule. Model files that
@@ -244,37 +231,17 @@ def _injection_table(m: int, n: int) -> np.ndarray:
 
 
 def _best_pairs(cells):
-    """For each (cx, cy) of `cells`, all of one shape (m, n), the assigned (row, col)
-    pairs of the injection maximizing the summed dot(x_ij, y_rs) over its pairs
-    (i, r), (j, s); ties go to the lexicographically smallest completed
-    permutation (see `_injection_table`).
-
-    Every cell array must have order at least 1. A pair's compatibilities are one
-    (m*m, d) x (d, n*n) matrix product, read as the (i, j, r, s) array the table
-    indexes, with the off-diagonal cells of cx doubled first (x2 is exact), so each
-    term a < b stands for itself and its mirror (b, a). Up to `_GATHER_PAIRS` pairs
-    are scored together: each product is its own `np.dot` (so each column rounds as
-    it does alone), written into one preallocated array whose transpose is the
-    (positions, pairs) array, and one gather takes the kept terms of a window of
-    min(injections, `_GATHER` // max(pairs, 4)) injections for all of them.
-
-    A term (a, b) reads one cell of the indexed side, the smaller graph's (a, b)
-    (x's when m = n), in every injection. When the batch gathers more than
-    `_GATHER` cells per term, one `np.logical_or.reduce` over the compatibilities
-    finds the terms that are +-0.0 for every pair of the batch, and the windows
-    gather only the other rows of the table; a NaN (an overflowing doubled cell
-    times a zero one) counts as non-zero. A smaller gather, which includes every
-    table of one window, takes every term: the keep test would cost more than it
-    saves. Summing along the terms axis adds the kept terms in the table's order,
-    the same for every injection and pair; leaving out an exact zero changes no
-    score but the sign of a zero one, which compares equal. One `argmax` finds
-    each window's winners: the first maximizer of a window wins, and a later
-    window only on a strictly larger score. Windows walk the table in order, so
-    each pair gets the winner it gets alone (unless a window holds a NaN score,
-    from overflowing attributes: a NaN never wins, and its window gives no
-    winner), decoded from the full table's column. Terms are placed by the
-    smaller graph's nodes, so injections that differ only in which zero nodes
-    they match sum the same terms in the same places and tie exactly.
+    """For each (cx, cy) of `cells`, all of one shape (m, n) with m, n >= 1, the
+    assigned (row, col) pairs of the injection maximizing the summed dot(x_ij, y_rs)
+    over its pairs (i, r), (j, s); ties go to the lexicographically smallest
+    completed permutation (see `_injection_table`). Each pair gets the winner it
+    gets alone (windows and kept terms: the README's exact-matcher note): its
+    compatibilities are its own `np.dot`, with cx's off-diagonal cells doubled
+    first (exact) so a term a < b stands for its mirror too; every injection sums
+    the terms that are not +-0.0 for every pair (a NaN is kept) in the table's
+    order, placed by the smaller graph's nodes, so injections that differ only in
+    the zero nodes they match tie exactly; a later window wins only on a strictly
+    larger score, and a NaN score never wins.
     """
     if len(cells) > _GATHER_PAIRS:
         return [pairs for start in range(0, len(cells), _GATHER_PAIRS)
@@ -335,27 +302,13 @@ def _ga_soft(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
 
     Softassign with one slack row and one slack column: compatibilities
     Q_ir = sum_js M_js dot(x_ij, y_rs) + dot(x_ii, y_rr) are exponentiated at
-    inverse temperature beta, row/column-balanced by Sinkhorn iterations over the
-    real rows and columns, and beta grows geometrically (`_GA_SCHEDULE`).
-
-    A Sinkhorn pass stops after the first sweep whose row sums all lie within
-    `sinkhorn_tol` of one (a NaN row error never passes), or after
-    `sinkhorn_max_iters` sweeps. The row sums that test a sweep are the divisors
-    of the next sweep's row step. Columns need no test: a sweep ends with the
-    column division, after which every column sums to one within a few ulps (a
-    sum of m + 1 correctly rounded quotients), far inside the tolerance. A round
-    is a deterministic function of Q at a fixed beta, so once a round's Q equals
-    the previous round's bit for bit, the soft matrix already in the buffer is
-    what every remaining round at that beta would produce, and they are skipped.
-
-    The compatibilities are stored once per call in (i, r, j, s) layout, which
-    einsum contracts faster than (i, j, r, s); it sums in the same order only
-    while `real` stays the strided view `soft[:m, :n]` (a contiguous copy lets
-    einsum merge the j and s axes and changes the rounding). A sweep
-    is four ufunc calls into buffers allocated once per call: the row sums
-    (whose (m, 1) view is the row divisor), the row division, the column sums
-    and the column division. The row test reads the row sums as Python floats,
-    the same IEEE comparison per element, under which a NaN still fails.
+    inverse temperature beta, Sinkhorn-balanced over the real rows and columns,
+    and beta grows geometrically (`_GA_SCHEDULE`; the README's GA note has the
+    stopping rules). A round is a deterministic function of Q at a fixed beta, so
+    once a round's Q equals the previous one bit for bit, the rest of that beta's
+    rounds are skipped: the soft matrix in the buffer is what they would give.
+    Each sweep's row sums test it and divide the next sweep's rows; columns need
+    no test, as each sums to one within a few ulps after the column division.
     """
     m, n = cx.shape[0], cy.shape[0]
     compat = np.tensordot(cx, cy, axes=([2], [2]))  # (m, m, n, n)
@@ -372,7 +325,8 @@ def _ga_soft(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
         last_shift = None
         for _ in range(_GA_SCHEDULE["assignment_rounds_max"]):
             q, q_prev = q_prev, q
-            # bit-identical to the (i, j, r, s) contraction only while `real` is a view
+            # bit-identical to the (i, j, r, s) contraction only while `real` is a
+            # view: a contiguous copy lets einsum merge the j and s axes
             np.einsum("irjs,js->ir", compat, real, out=q)
             q += node_comp
             shift = max(float(np.maximum.reduce(q, None)), 0.0)
@@ -447,12 +401,6 @@ def _solve(problems) -> list:
     return found
 
 
-def _check_capacity(m: int, n: int, cfg: MatcherConfig) -> None:
-    if cfg.method == "exact" and max(m, n) > cfg.exact_max_order:
-        raise CapacityError(f"orders ({m}, {n}) exceed the exact cap {cfg.exact_max_order}; "
-                            "use the graduated matcher")
-
-
 def _encodings(side: Representation, graphs, cfg: MatcherConfig) -> list:
     """The encoding of each graph of `graphs` as the second side of a pair with
     the encoded `side`, each checked in order before any pair is solved:
@@ -464,7 +412,9 @@ def _encodings(side: Representation, graphs, cfg: MatcherConfig) -> list:
         if side.attr_dim != g.attr_dim:
             raise ValidationError(f"attribute dimensions differ: {side.attr_dim} vs {g.attr_dim}")
         reps.append(to_representation(g))
-        _check_capacity(side.order, g.order, cfg)
+        if cfg.method == "exact" and max(side.order, g.order) > cfg.exact_max_order:
+            raise CapacityError(f"orders ({side.order}, {g.order}) exceed the exact cap "
+                                f"{cfg.exact_max_order}; use the graduated matcher")
     return reps
 
 
@@ -506,7 +456,8 @@ def ga_sdp(x: AttributedGraph, y: AttributedGraph) -> MatchResult:
 
 
 def sdp(x: AttributedGraph, y: AttributedGraph, cfg: MatcherConfig | None = None) -> MatchResult:
-    """Dot product dispatch: exact under the order cap, graduated otherwise.
+    """Dot product under `cfg`'s matcher: the result of `exact_sdp(x, y,
+    cfg.exact_max_order)` or `ga_sdp(x, y)`, solved by one `_results` call.
 
     The self-product of a graph with itself (same object) is closed-form: the
     identity correspondence is optimal, so no matching problem is solved. Its
@@ -514,20 +465,12 @@ def sdp(x: AttributedGraph, y: AttributedGraph, cfg: MatcherConfig | None = None
     """
     cfg = cfg or MatcherConfig()
     if x is y:
-        match = _identity(x.order)
+        match = MatchMatrix.identity(x.order)
         if x._self_product is None:
             rep = to_representation(x)
             object.__setattr__(x, "_self_product", kernel_value(rep, rep, match))
         return MatchResult(x._self_product, match, True)
-    if cfg.method == "exact":
-        return exact_sdp(x, y, cfg.exact_max_order)
-    return ga_sdp(x, y)
-
-
-@lru_cache(maxsize=None)
-def _identity(order: int) -> MatchMatrix:
-    """The identity match of one order, built once: every self-product reuses it."""
-    return MatchMatrix.identity(order)
+    return _results(x, [y], cfg)[0]
 
 
 def optimal_align(rw: Representation, x: AttributedGraph, cfg: MatcherConfig | None = None) -> Representation:

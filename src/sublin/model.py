@@ -233,11 +233,17 @@ def save_model(model, path) -> None:
         fh.write("\n")
 
 
+def _kind(value):
+    if value not in ("binary", "ova"):
+        raise ValueError(f"expected 'binary' or 'ova', got {value!r}")
+    return value
+
+
 def load_model(path):
     """Load a model document written by :func:`save_model`."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if config_value(doc, "kind", str, None) == "ova":
+    if config_value(doc, "kind", _kind, "binary") == "ova":
         members = config_value(doc, "members", lambda docs: tuple(map(_model_from_doc, docs)))
         return OvaModel(config_value(doc, "classes", name_list), members)
     return _model_from_doc(doc)

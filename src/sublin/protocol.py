@@ -3,12 +3,12 @@
 Stage 1 trains on the train split and scores on validation, repeating each grid
 cell and keeping the hyperparameter with the best mean accuracy (ties go to the
 smaller value). The margin algorithm first adopts the plain perceptron's best
-learning rate, then searches the margin grid. Stage 2 retrains on
-train+validation with the selected values and reports mean, standard deviation,
-and maximum test accuracy over the repeats. Every run's seed is derived from
-(seed, stage, config index, repeat), so reports are reproducible. The runs of
-a stage are fit together in lockstep (`learning._epochs`) and scored together,
-each as it would be alone.
+learning rate, then searches the margin grid. Stage 2, a grid stage of the one
+selected value, retrains on train+validation and scores on test, reporting the
+mean, standard deviation and maximum test accuracy over the repeats. Every
+run's seed is derived from (seed, stage, config index, repeat), so reports are
+reproducible. The runs of a stage are fit together in lockstep
+(`learning._epochs`) and scored together, each as it would be alone.
 """
 from __future__ import annotations
 
@@ -125,21 +125,6 @@ def _check_split(dataset: Dataset, name: str):
     return examples
 
 
-def _fit_all(train_examples, dataset: Dataset, cfg: ProtocolConfig, runs) -> list:
-    """The model of each (eta, lambda, seed) of `runs`, all fit on `train_examples`
-    in one lockstep stage: binary on a two-class dataset, one-against-all
-    otherwise."""
-    configs = [TrainConfig(learning_rate=eta, margin=lam, max_epochs=cfg.max_epochs,
-                           weight_order=cfg.weight_order, seed=seed, matcher=cfg.matcher)
-               for eta, lam, seed in runs]
-    if len(dataset.class_set) == 2:
-        fitted = _fit_stage(_signed(train_examples, dataset.class_set[0]), configs,
-                            multiclass=False, traced=False)
-    else:
-        fitted = _fit_stage(train_examples, configs, multiclass=True, traced=False)
-    return [model for model, _ in fitted]
-
-
 def _accuracies(models, dataset: Dataset, examples) -> List[float]:
     """Accuracy of each model on `examples`, as `classify` or `predict_multiclass`
     scores it; at each graph, every member of every model is scored in one batch."""
@@ -152,29 +137,26 @@ def _accuracies(models, dataset: Dataset, examples) -> List[float]:
 
 
 def _grid_stage(cfg: ProtocolConfig, dataset, train, validation, stage, grid, eta=None):
-    """Score every grid value on validation; return (rows, best value). Every
-    (value, repeat) of the stage is fit in one lockstep stage."""
-    runs = [(value, 0.0) if stage == _STAGE_ETA else (eta, value) for value in grid]
-    models = _fit_all(train, dataset, cfg, [
-        (*runs[ci], derive_seed(cfg.seed, stage, ci, rep))
-        for ci in range(len(grid)) for rep in range(cfg.repeats)])
-    accs = _accuracies(models, dataset, validation)
+    """Fit every (value, repeat) of `grid` on `train` in one lockstep stage, binary
+    on a two-class dataset and one-against-all otherwise, and score it on
+    `validation`; return (rows, the value of the first row with the largest mean).
+    A run is (eta=value, lambda=0) on the learning-rate stage, else (eta,
+    lambda=value), and run (ci, rep) is seeded derive_seed(seed, stage, ci, rep)."""
+    binary = len(dataset.class_set) == 2
+    configs = [TrainConfig(learning_rate=value if stage == _STAGE_ETA else eta,
+                           margin=0.0 if stage == _STAGE_ETA else value,
+                           max_epochs=cfg.max_epochs, weight_order=cfg.weight_order,
+                           seed=derive_seed(cfg.seed, stage, ci, rep), matcher=cfg.matcher)
+               for ci, value in enumerate(grid) for rep in range(cfg.repeats)]
+    data = _signed(train, dataset.class_set[0]) if binary else train
+    fitted = _fit_stage(data, configs, multiclass=not binary, traced=False)
+    accs = _accuracies([model for model, _ in fitted], dataset, validation)
     rows = []
-    best_value = None
-    best_mean = -1.0
     for ci, value in enumerate(grid):
         row_accs = accs[ci * cfg.repeats : (ci + 1) * cfg.repeats]
-        mean = float(np.mean(row_accs))
-        rows.append({
-            "value": value,
-            "accuracies": row_accs,
-            "mean": mean,
-            "std": float(np.std(row_accs)),
-        })
-        if mean > best_mean:
-            best_mean = mean
-            best_value = value
-    return rows, best_value
+        rows.append({"value": value, "accuracies": row_accs,
+                     "mean": float(np.mean(row_accs)), "std": float(np.std(row_accs))})
+    return rows, max(rows, key=lambda row: row["mean"])["value"]
 
 
 def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
@@ -207,10 +189,9 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolReport:
                 eta=selected_eta,
             )
         lam = selected_lambda if selected_lambda is not None else 0.0
-        models = _fit_all(trainval, dataset, cfg, [
-            (selected_eta, lam, derive_seed(cfg.seed, _STAGE_TEST, 0, rep))
-            for rep in range(cfg.repeats)])
-        test_accs = _accuracies(models, dataset, test)
+        (test_row,), _ = _grid_stage(cfg, dataset, trainval, test, _STAGE_TEST, [lam],
+                                     eta=selected_eta)
+        test_accs = test_row["accuracies"]
 
     return ProtocolReport(
         dataset=dataset.name,

@@ -101,6 +101,35 @@ class TestJsonl:
         with pytest.raises(DatasetFormatError, match="i < j"):
             read_examples_jsonl(path)
 
+    @pytest.mark.parametrize("edge", [
+        "[0, 1.9, [1.0]]", "[0.0, 1.0, [1.0]]", "[false, true, [1.0]]", '["0", "1", [1.0]]',
+    ], ids=["float", "integral-float", "bool", "string"])
+    def test_edge_endpoints_must_be_integers(self, tmp_path, edge):
+        # never truncated or read from booleans or strings as edge (0, 1)
+        path = tmp_path / "edges.jsonl"
+        path.write_text('{"id": "g0", "class": "a", "nodes": [[1.0]], "edges": []}\n'
+                        f'{{"id": "g1", "class": "a", "nodes": [[1.0], [2.0]], "edges": [{edge}]}}\n')
+        with pytest.raises(DatasetFormatError, match=r"edges\.jsonl: line 2: malformed graph record"):
+            read_examples_jsonl(path)
+
+    def test_line_endings_and_numbers(self, tmp_path):
+        # CRLF and lone CR end lines as LF does, and blank lines keep their numbers
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes(b'{"id": "g0", "class": "a", "nodes": [[1.0]], "edges": []}\r\n\r\n'
+                         b'{"id": "g1", "class": "a", "nodes": [[2.0]], "edges": []}\r'
+                         b'not json\r\n')
+        with pytest.raises(DatasetFormatError, match="line 4: invalid JSON"):
+            read_examples_jsonl(path)
+        path.write_bytes(path.read_bytes().replace(b"not json\r\n", b""))
+        assert [ex.graph.node_attrs[0, 0] for ex in read_examples_jsonl(path)] == [1.0, 2.0]
+
+    @pytest.mark.parametrize("bad", ["train.jsonl", "meta.json"])
+    def test_undecodable_file_names_it(self, tmp_path, bad):
+        write_jsonl(small_dataset(), tmp_path)
+        (tmp_path / bad).write_bytes(b'{"id": "\xff"}\n')
+        with pytest.raises(DatasetFormatError, match=rf"{bad}: invalid UTF-8"):
+            read_jsonl(tmp_path)
+
     def test_float_exact_round_trip(self, tmp_path):
         value = 0.1 + 0.2  # not representable in short decimal
         g = AttributedGraph([[value], [1 / 3]], [(0, 1, [np.pi])])
@@ -247,6 +276,16 @@ class TestCxl:
         assert [ex.graph.node_attrs[0, 0] for ex in ds.split("test")] == [4.0, 5.0]
         assert ds.provenance["attr_config"] == {
             "node_attr_names": ["x", "y"], "edge_attr_names": [], "append_edge_flag": True}
+
+    @pytest.mark.parametrize("bad", ["test.cxl", "b.gxl"])
+    def test_undecodable_file_names_it(self, tmp_path, bad):
+        for name in ("a.gxl", "b.gxl"):
+            self._write_gxl(tmp_path, name, 1.0)
+        self._write_listings(tmp_path, {"train": [("a.gxl", "A")], "validation": [("a.gxl", "A")],
+                                        "test": [("a.gxl", "A"), ("b.gxl", "B")]})
+        (tmp_path / bad).write_bytes(b"<gxl>\xff</gxl>")
+        with pytest.raises(DatasetFormatError, match=rf"{bad}: invalid UTF-8"):
+            read_cxl_dataset(tmp_path, GXL_PRESETS["letter"])
 
     def test_non_finite_attribute_names_its_file(self, tmp_path):
         self._write_gxl(tmp_path, "a.gxl", 1.0)

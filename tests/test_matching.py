@@ -22,16 +22,46 @@ GY = AttributedGraph([[2.0], [1.0]], [(0, 1, [1.0])])
 
 class TestMatchMatrix:
     def test_requires_min_count(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="must assign 2 pairs, got 1"):
             MatchMatrix(2, 3, [(0, 0)])
 
     def test_one_to_one_enforced(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="violates the one-to-one constraints"):
             MatchMatrix(2, 2, [(0, 0), (1, 0)])
 
     def test_out_of_range(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"pair \(1,2\) out of range for a 2x2 match"):
             MatchMatrix(2, 2, [(0, 0), (1, 2)])
+
+    def test_negative_dimensions(self):
+        with pytest.raises(ValidationError, match="must be non-negative"):
+            MatchMatrix(-1, 2, [])
+        with pytest.raises(ValidationError, match="must be non-negative"):
+            MatchMatrix.identity(-1)
+
+    def test_equal_and_hashed_by_rows_cols_and_pairs(self):
+        a = MatchMatrix(2, 3, [(1, 0), (0, 2)])
+        b = MatchMatrix(np.int64(2), 3, ((np.int64(0), 2), (1, 0)))
+        assert a.pairs == ((0, 2), (1, 0)) and type(b.rows) is int
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a == MatchMatrix._own(2, 3, ((0, 2), (1, 0)))
+        assert a != MatchMatrix(2, 3, [(0, 0), (1, 2)])
+        assert MatchMatrix(2, 2, [(0, 0), (1, 1)]) != MatchMatrix(2, 3, [(0, 0), (1, 1)])
+        assert a != (2, 3, ((0, 2), (1, 0)))
+
+    def test_immutable(self):
+        match = MatchMatrix(2, 2, [(0, 1), (1, 0)])
+        for name in ("rows", "cols", "pairs"):
+            with pytest.raises(AttributeError):
+                setattr(match, name, 1)
+        assert match == MatchMatrix(2, 2, [(0, 1), (1, 0)])
+
+    def test_identity_is_shared_per_order(self):
+        assert MatchMatrix.identity(3) is MatchMatrix.identity(3)
+        assert MatchMatrix.identity(3).pairs == ((0, 0), (1, 1), (2, 2))
+        assert MatchMatrix.identity(0) == MatchMatrix(0, 0, [])
+        g = rand_graph(np.random.default_rng(0), 4, 2)
+        assert sdp(g, g).match is MatchMatrix.identity(4)
 
 
 class TestKernelValue:
@@ -716,6 +746,39 @@ class TestDispatch:
     def test_attr_dim_mismatch(self):
         with pytest.raises(ValidationError):
             sdp(GX, AttributedGraph([[1.0, 2.0]]))
+
+    @pytest.mark.parametrize("cfg", [EXACT, MatcherConfig(exact_max_order=6), GRADUATED],
+                             ids=["exact", "exact-cap-6", "graduated"])
+    def test_equals_the_matcher_entry(self, cfg):
+        # the same MatchResult and solver calls as exact_sdp(x, y, cfg.exact_max_order)
+        # or ga_sdp(x, y), on empty, unequal and equal orders
+        entry = ga_sdp if cfg.method == "graduated" else (
+            lambda x, y: exact_sdp(x, y, cfg.exact_max_order))
+        rng = np.random.default_rng(11)
+        for m, n in [(0, 3), (1, 1), (3, 5), (5, 3), (6, 6)]:
+            x, y = rand_graph(rng, m, 2), rand_graph(rng, n, 2)
+            results, calls = [], []
+            for solve in (lambda: sdp(x, y, cfg), lambda: entry(x, y)):
+                before = matcher_call_count()
+                results.append(solve())
+                calls.append(matcher_call_count() - before)
+            got, want = results
+            # MatchResult equality: value, match (rows, cols, pairs) and exact
+            assert got == want and got.exact == (cfg.method == "exact")
+            assert calls == [1, 1]
+
+    def test_capacity_error_equals_exact_sdp(self):
+        rng = np.random.default_rng(12)
+        x, y = rand_graph(rng, 4, 1), rand_graph(rng, 7, 1)
+        before = matcher_call_count()
+        with pytest.raises(CapacityError) as got:
+            sdp(x, y, MatcherConfig(exact_max_order=6))
+        with pytest.raises(CapacityError) as want:
+            exact_sdp(x, y, 6)
+        assert str(got.value) == str(want.value) == (
+            "orders (4, 7) exceed the exact cap 6; use the graduated matcher")
+        assert matcher_call_count() == before
+        assert sdp(x, y, MatcherConfig("graduated", 6)) == ga_sdp(x, y)  # GA has no cap
 
 
 class TestOptimalAlign:

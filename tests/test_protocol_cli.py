@@ -505,7 +505,7 @@ class TestCli:
         "meta-classes-string", "meta-classes-unhashable", "ova-classes-unhashable",
         "ova-classes-string",
         "model-attr_dim-huge", "model-ga_params-custom", "model-order-bool",
-        "model-attr_dim-bool",
+        "model-attr_dim-bool", "model-kind", "model-kind-number",
     ])
     def test_malformed_model_or_meta_is_validation_error(self, tmp_path, dataset_dir, case):
         model = {"format_version": 1, "kind": "binary", "attr_dim": 1, "order": 1,
@@ -527,6 +527,9 @@ class TestCli:
             "model-attr_dim-huge": {**model, "order": 0, "weight_cells": [], "attr_dim": 2**63},
             "model-order-bool": {**model, "order": True},
             "model-attr_dim-bool": {**model, "attr_dim": True},
+            # an unknown kind is refused, not read as binary
+            "model-kind": {**model, "kind": "multiclass"},
+            "model-kind-number": {**model, "kind": 5},
             "model-ga_params-custom": {**model, "matcher_config": {
                 "method": "graduated", "exact_max_order": 8,
                 "ga_params": {**FIRST_GA_SCHEDULE, "sinkhorn_max_iters": 3}}},
@@ -552,6 +555,41 @@ class TestCli:
         top_level = case in ("model-list", "meta-list")
         assert ("expected a JSON object" if top_level else repr(case.split("-")[1])) in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("reader, code", [
+        ("train-config", 2), ("protocol-config", 2), ("synth-spec", 2), ("eval-model", 2),
+        ("dot-gxl-config", 2), ("dot-jsonl", 1), ("dot-gxl", 1), ("eval-split", 1),
+        ("eval-meta", 1),
+    ])
+    def test_undecodable_file_is_not_a_traceback(self, tmp_path, dataset_dir, reader, code):
+        # bytes that are not UTF-8 are treated as invalid JSON or XML in that file is:
+        # exit 2 for configs, specs and models, a format error naming a dataset file
+        graph = tmp_path / "g.jsonl"
+        graph.write_text('{"id": "x", "class": "?", "nodes": [[1.0, 0.0, 1.0]]}\n')
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"format_version": 1, "kind": "binary", "attr_dim": 2,
+                                     "order": 1, "weight_cells": [[[0.5, 0.5]]], "bias": 0.0}))
+        data = tmp_path / "data"
+        write_jsonl(read_jsonl(dataset_dir), data)
+        bad = {"dot-gxl": tmp_path / "bad.gxl", "eval-split": data / "test.jsonl",
+               "eval-meta": data / "meta.json"}.get(reader, tmp_path / "bad.json")
+        bad.write_bytes(b'{"id": "\xff"}\n')
+        out = str(tmp_path / "o")
+        args = {
+            "train-config": ["train", "--config", bad, "--out", out],
+            "protocol-config": ["protocol", "--config", bad],
+            "synth-spec": ["synth", "--spec", bad, "--out", out],
+            "eval-model": ["eval", "--model", bad, "--data", data],
+            "dot-gxl-config": ["dot", graph, graph, "--gxl-config", bad],
+            "dot-jsonl": ["dot", bad, graph],
+            "dot-gxl": ["dot", bad, graph],
+            "eval-split": ["eval", "--model", model, "--data", data],
+            "eval-meta": ["eval", "--model", model, "--data", data],
+        }[reader]
+        proc = run_cli(*map(str, args))
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        assert ("utf-8" if code == 2 else f"{bad}: invalid UTF-8") in proc.stderr
 
     def test_overflowing_dot_is_validation_error(self, tmp_path):
         a = tmp_path / "a.jsonl"
