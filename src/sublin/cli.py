@@ -19,7 +19,7 @@ from .data_io import (GXL_PRESETS, GxlAttrConfig, SyntheticSpec, binary_examples
                       generate_synthetic, read_examples_jsonl, read_jsonl, write_jsonl)
 from .exceptions import (InfeasibleSpecError, ValidationError, check_count, config_fields,
                          config_value, text)
-from .files import atomic_write
+from .files import atomic_write, read_json
 from .learning import TrainConfig, train_binary, train_one_vs_all, write_trace_jsonl
 from .matching import MatcherConfig, exact_sdp, ga_sdp, sdp
 from .model import OvaModel, _predictions, load_model, save_model
@@ -58,11 +58,6 @@ def _load_graph(path, gxl_cfg: GxlAttrConfig):
     return examples[0].graph
 
 
-def _read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _task(value):
     if value not in ("auto", "binary", "ova"):
         raise ValueError(f"expected 'auto', 'binary' or 'ova', got {value!r}")
@@ -80,7 +75,7 @@ def _write_json(doc, path=None):
 
 
 def _cmd_dot(args) -> int:
-    gxl_cfg = (GxlAttrConfig.from_json(_read_json(args.gxl_config)) if args.gxl_config
+    gxl_cfg = (GxlAttrConfig.from_json(read_json(args.gxl_config)) if args.gxl_config
                else GXL_PRESETS["letter"])
     a = _load_graph(args.file_a, gxl_cfg)
     b = _load_graph(args.file_b, gxl_cfg)
@@ -100,7 +95,7 @@ def _cmd_dot(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg_doc = _read_json(args.config)
+    cfg_doc = read_json(args.config)
     fields = config_fields(cfg_doc, TrainConfig, keys={"learning_rate": "eta", "margin": "lambda"},
                            defaults={"learning_rate": 0.1, "seed": args.seed})
     tc = TrainConfig(**fields | {"matcher": _matcher(cfg_doc, args)})
@@ -171,7 +166,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = SyntheticSpec.from_json(_read_json(args.spec))
+    spec = SyntheticSpec.from_json(read_json(args.spec))
     dataset, planted = generate_synthetic(spec)
     write_jsonl(dataset, args.out)
     save_model(planted, os.path.join(args.out, "planted_model.json"))
@@ -226,7 +221,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_protocol(args) -> int:
-    doc = _read_json(args.config)
+    doc = read_json(args.config)
     fields = config_fields(doc, ProtocolConfig, defaults={"seed": args.seed})
     cfg = ProtocolConfig(**fields | {
         "dataset": read_jsonl(config_value(doc, "dataset", text)),

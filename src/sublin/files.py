@@ -1,6 +1,8 @@
-"""Whole-file writes that leave either the previous file or the complete new one."""
+"""Whole-file I/O: JSON reads that name a bad file, and writes that leave either
+the previous file or the complete new one."""
 from __future__ import annotations
 
+import json
 import os
 import threading
 from contextlib import contextmanager, suppress
@@ -26,3 +28,16 @@ def atomic_write(path):
         with suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def read_json(path):
+    """The JSON document in the UTF-8 file `path`. Bytes that are not UTF-8, or
+    text that is not JSON, raise the decode error with `path` in its message."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
+    except UnicodeDecodeError as exc:
+        raise UnicodeDecodeError(exc.encoding, exc.object, exc.start, exc.end,
+                                 f"{exc.reason} in {path}") from None

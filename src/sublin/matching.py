@@ -301,14 +301,18 @@ def _ga_soft(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     final (m, n) soft matrix over the real rows and columns.
 
     Softassign with one slack row and one slack column: compatibilities
-    Q_ir = sum_js M_js dot(x_ij, y_rs) + dot(x_ii, y_rr) are exponentiated at
-    inverse temperature beta, Sinkhorn-balanced over the real rows and columns,
-    and beta grows geometrically (`_GA_SCHEDULE`; the README's GA note has the
-    stopping rules). A round is a deterministic function of Q at a fixed beta, so
-    once a round's Q equals the previous one bit for bit, the rest of that beta's
-    rounds are skipped: the soft matrix in the buffer is what they would give.
-    Each sweep's row sums test it and divide the next sweep's rows; columns need
-    no test, as each sums to one within a few ulps after the column division.
+    Q_ir = sum_js M_js dot(x_ij, y_rs) + dot(x_ii, y_rr) give the kernel
+    exponents E = beta * (Q - shift), shift = max(max Q, 0), with -beta * shift
+    in the slack row and column (0 in their corner); the kernel exp(E) is
+    Sinkhorn-balanced over the real rows and columns, and beta grows
+    geometrically (`_GA_SCHEDULE`; the README's GA note has the stopping
+    rules). Every pass but a call's first is
+    warm-started: it starts from the last pass's balanced matrix times
+    exp(min(E - E_last, 700)), which is the new kernel under the last pass's row
+    and column scalings. After a pass no entry exceeds 1, so the cap keeps every
+    sum finite. Each sweep's row sums test it and divide the next sweep's rows;
+    columns need no test, as each sums to one within a few ulps after the column
+    division.
     """
     m, n = cx.shape[0], cy.shape[0]
     compat = np.tensordot(cx, cy, axes=([2], [2]))  # (m, m, n, n)
@@ -316,29 +320,35 @@ def _ga_soft(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     compat = np.ascontiguousarray(compat.transpose(0, 2, 1, 3))  # (i, r, j, s)
     soft = np.full((m + 1, n + 1), 1.0 / (max(m, n) + 1.0))
     real, rows, cols = soft[:m, :n], soft[:m], soft[:, :n]
-    q, q_prev = np.empty((m, n)), np.empty((m, n))
+    # this pass's kernel exponents and the last pass's, swapped every pass, and
+    # the factor between them; the slack corner, which no sweep reads, keeps
+    # exponent 0 and entry 1
+    expo, last, factor = np.zeros((3, m + 1, n + 1))
+    expo_real, last_real = expo[:m, :n], last[:m, :n]
+    q = np.empty((m, n))
     row_sums, col_sums = np.empty(m), np.empty(n)
     divisors = row_sums[:, None]
     tol = _GA_SCHEDULE["sinkhorn_tol"]
     beta = _GA_SCHEDULE["beta_start"]
+    warm = False
     while beta <= _GA_SCHEDULE["beta_max"] * (1 + 1e-12):
-        last_shift = None
         for _ in range(_GA_SCHEDULE["assignment_rounds_max"]):
-            q, q_prev = q_prev, q
             # bit-identical to the (i, j, r, s) contraction only while `real` is a
             # view: a contiguous copy lets einsum merge the j and s axes
             np.einsum("irjs,js->ir", compat, real, out=q)
             q += node_comp
             shift = max(float(np.maximum.reduce(q, None)), 0.0)
-            if shift == last_shift and (q == q_prev).all():
-                break
-            last_shift = shift
-            np.subtract(q, shift, out=real)
-            real *= beta
-            np.exp(real, out=real)
-            slack = math.exp(-beta * shift) if beta * shift < 700 else 0.0
-            soft[m, :] = slack
-            soft[:, n] = slack
+            expo, last, expo_real, last_real = last, expo, last_real, expo_real
+            q -= shift
+            np.multiply(q, beta, out=expo_real)
+            expo[m, :n] = expo[:m, n] = -beta * shift
+            if warm:
+                np.subtract(expo, last, out=factor)
+                np.minimum(factor, 700.0, out=factor)
+                soft *= np.exp(factor, out=factor)
+            else:
+                np.exp(expo, out=soft)
+                warm = True
             np.maximum(soft, 1e-300, out=soft)
             np.add.reduce(rows, 1, None, row_sums)
             for _ in range(_GA_SCHEDULE["sinkhorn_max_iters"]):

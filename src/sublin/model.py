@@ -14,7 +14,7 @@ import numpy as np
 
 from .exceptions import (DegenerateModelError, ValidationError, check_number, config_value, integer,
                          name_list)
-from .files import atomic_write
+from .files import atomic_write, read_json
 from .graphs import AttributedGraph, Representation, to_representation
 from .matching import MatcherConfig, _aligned, _encodings, _finite, _solve
 
@@ -191,9 +191,12 @@ def _model_doc(model: SublinearModel) -> dict:
 
 
 def _model_from_doc(doc: dict) -> SublinearModel:
+    """A binary model, read from a file's top level or from one of its
+    one-against-all members, whose `kind`, when present, must be "binary"."""
     version = config_value(doc, "format_version", lambda v: v, None)
     if version != MODEL_FORMAT_VERSION:
         raise ValidationError(f"unsupported model format version {version!r}")
+    config_value(doc, "kind", lambda v: _kind(v, ("binary",)), None)
     order = config_value(doc, "order", integer)
     attr_dim = config_value(doc, "attr_dim", integer)
     cells = config_value(doc, "weight_cells", lambda v: np.asarray(v, dtype=np.float64))
@@ -233,16 +236,15 @@ def save_model(model, path) -> None:
         fh.write("\n")
 
 
-def _kind(value):
-    if value not in ("binary", "ova"):
-        raise ValueError(f"expected 'binary' or 'ova', got {value!r}")
+def _kind(value, kinds=("binary", "ova")):
+    if value not in kinds:
+        raise ValueError(f"expected {' or '.join(map(repr, kinds))}, got {value!r}")
     return value
 
 
 def load_model(path):
     """Load a model document written by :func:`save_model`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if config_value(doc, "kind", _kind, "binary") == "ova":
         members = config_value(doc, "members", lambda docs: tuple(map(_model_from_doc, docs)))
         return OvaModel(config_value(doc, "classes", name_list), members)

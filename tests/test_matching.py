@@ -526,32 +526,34 @@ class TestKeptTermScorer:
 
 
 def _reference_ga(cx, cy, params, counts=None):
-    """Graduated assignment as first written: a fresh buffer per round, both
-    Sinkhorn errors every sweep, every round run. Returns the soft matrix and
-    the greedy pairs; the oracle the production loop must match bit for bit.
-    A `counts` dict, if given, receives the number of Sinkhorn sweeps run in
-    the rounds that a loop skipping every round whose shift and Q repeat the
-    previous round's at the same beta, bit for bit, would still run."""
+    """Graduated assignment as a plain warm-started loop: fresh arrays every
+    pass, both Sinkhorn errors every sweep, every round run. A call's first
+    pass balances exp(E), E = beta * (Q - shift) with -beta * shift in the
+    slack row and column and 0 in their corner; every later pass starts from
+    the last balanced matrix times exp(min(E - E_last, 700)). Returns the soft
+    matrix and the greedy pairs; the oracle the production loop must match bit
+    for bit. A `counts` dict, if given, receives the number of Sinkhorn sweeps
+    run."""
     m, n = cx.shape[0], cy.shape[0]
     compat = np.tensordot(cx, cy, axes=([2], [2]))
     node_comp = np.einsum("iirr->ir", compat)
     soft = np.full((m + 1, n + 1), 1.0 / (max(m, n) + 1.0))
+    last = None
     beta = params["beta_start"]
     while beta <= params["beta_max"] * (1 + 1e-12):
-        last, repeated = None, False
         for _ in range(params["assignment_rounds_max"]):
             q = np.einsum("ijrs,js->ir", compat, soft[:m, :n]) + node_comp
             shift = max(float(q.max()), 0.0)
-            repeated = repeated or (last is not None and shift == last[0] and (q == last[1]).all())
-            last = (shift, q)
-            work = np.empty((m + 1, n + 1))
-            work[:m, :n] = np.exp(beta * (q - shift))
-            slack = math.exp(-beta * shift) if beta * shift < 700 else 0.0
-            work[m, :] = slack
-            work[:, n] = slack
-            np.maximum(work, 1e-300, out=work)
+            expo = np.full((m + 1, n + 1), -beta * shift)
+            expo[:m, :n] = beta * (q - shift)
+            expo[m, n] = 0.0
+            if last is None:
+                work = np.exp(expo)
+            else:
+                work = soft * np.exp(np.minimum(expo - last, 700.0))
+            work = np.maximum(work, 1e-300)
             for _ in range(params["sinkhorn_max_iters"]):
-                if counts is not None and not repeated:
+                if counts is not None:
                     counts["sweeps"] = counts.get("sweeps", 0) + 1
                 work[:m] /= work[:m].sum(axis=1, keepdims=True)
                 work[:, :n] /= work[:, :n].sum(axis=0, keepdims=True)
@@ -559,7 +561,7 @@ def _reference_ga(cx, cy, params, counts=None):
                 col_err = np.abs(work[:, :n].sum(axis=0) - 1.0).max(initial=0.0)
                 if max(row_err, col_err) <= params["sinkhorn_tol"]:
                     break
-            soft = work
+            soft, last = work, expo
         beta *= params["beta_rate"]
     pick = soft[:m, :n].copy()
     pairs = []
@@ -610,7 +612,9 @@ class TestGaBitIdentity:
             m, n = x.order, y.order
             rx, ry = to_representation(x), to_representation(y)
             want_soft, want_pairs = _reference_ga(rx.cells, ry.cells, params)
-            assert _ga_soft(rx.cells, ry.cells).tobytes() == want_soft.tobytes()
+            soft = _ga_soft(rx.cells, ry.cells)
+            assert soft.tobytes() == want_soft.tobytes()
+            assert np.isfinite(soft).all()
             want = MatchMatrix(m, n, want_pairs)
             got = ga_sdp(x, y)
             assert got.match == want
@@ -648,8 +652,9 @@ class TestGaBitIdentity:
         # against drawings of every order it meets
         rng = np.random.default_rng(12)
         for n in range(2, 10):
-            self._assert_soft_matches(monkeypatch, self._letter(rng, 9, scale=0.1),
-                                      self._letter(rng, n))
+            soft = self._assert_soft_matches(monkeypatch, self._letter(rng, 9, scale=0.1),
+                                             self._letter(rng, n))
+            assert np.isfinite(soft).all()
 
     def test_matches_reference_on_zero_weights(self, monkeypatch):
         # the first training step: every compatibility is zero

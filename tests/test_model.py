@@ -228,6 +228,20 @@ class TestPersistence:
         with pytest.raises(ValidationError, match=f"^'bias': expected a finite number, got {bias!r}$"):
             load_model(path)
 
+    def test_ova_member_kind_must_be_binary(self, tmp_path):
+        # a member that says it is one-against-all is refused, not read as binary
+        member = {"format_version": 1, "kind": "binary", "attr_dim": 1, "order": 1,
+                  "weight_cells": [[[0.5]]], "bias": 0.0}
+        doc = {"format_version": 1, "kind": "ova", "classes": ["x", "y"],
+               "members": [member, {**member, "kind": "ova"}]}
+        path = tmp_path / "ova.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=r"^'members': 'kind': expected 'binary', got 'ova'$"):
+            load_model(path)
+        doc["members"][1]["kind"] = "binary"
+        path.write_text(json.dumps(doc))
+        assert isinstance(load_model(path), OvaModel)
+
     def test_ova_round_trip(self, tmp_path):
         rng = np.random.default_rng(31)
         ova = OvaModel(

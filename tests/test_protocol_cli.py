@@ -505,7 +505,7 @@ class TestCli:
         "meta-classes-string", "meta-classes-unhashable", "ova-classes-unhashable",
         "ova-classes-string",
         "model-attr_dim-huge", "model-ga_params-custom", "model-order-bool",
-        "model-attr_dim-bool", "model-kind", "model-kind-number",
+        "model-attr_dim-bool", "model-kind", "model-kind-number", "ova-kind",
     ])
     def test_malformed_model_or_meta_is_validation_error(self, tmp_path, dataset_dir, case):
         model = {"format_version": 1, "kind": "binary", "attr_dim": 1, "order": 1,
@@ -530,6 +530,9 @@ class TestCli:
             # an unknown kind is refused, not read as binary
             "model-kind": {**model, "kind": "multiclass"},
             "model-kind-number": {**model, "kind": 5},
+            # a member's own kind is checked too: members are binary
+            "ova-kind": {"format_version": 1, "kind": "ova", "classes": ["a", "b"],
+                         "members": [model, {**model, "kind": "ova"}]},
             "model-ga_params-custom": {**model, "matcher_config": {
                 "method": "graduated", "exact_max_order": 8,
                 "ga_params": {**FIRST_GA_SCHEDULE, "sinkhorn_max_iters": 3}}},
@@ -590,6 +593,22 @@ class TestCli:
         assert proc.returncode == code
         assert "Traceback" not in proc.stderr
         assert ("utf-8" if code == 2 else f"{bad}: invalid UTF-8") in proc.stderr
+
+    @pytest.mark.parametrize("reader", ["eval-model-json", "train-config-utf8"])
+    def test_undecodable_json_file_is_named(self, tmp_path, dataset_dir, reader):
+        # exit 2, with the file named: a model file that is not JSON, a config
+        # file that is not UTF-8
+        bad = tmp_path / "bad.json"
+        if reader == "eval-model-json":
+            bad.write_text("nope\n")
+            args = ["eval", "--model", bad, "--data", dataset_dir]
+        else:
+            bad.write_bytes(b'{"task": "\xff"}\n')
+            args = ["train", "--config", bad, "--out", tmp_path / "o"]
+        proc = run_cli(*map(str, args))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and str(bad) in proc.stderr
 
     def test_overflowing_dot_is_validation_error(self, tmp_path):
         a = tmp_path / "a.jsonl"
