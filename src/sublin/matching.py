@@ -112,7 +112,8 @@ class MatchMatrix:
 # predate it carry it as `ga_params`; `MatcherConfig.from_json` still reads that
 # key but refuses any other value, so a custom schedule is never silently dropped.
 _GA_SCHEDULE = {"beta_start": 0.5, "beta_rate": 1.075, "beta_max": 10.0,
-                "sinkhorn_max_iters": 30, "sinkhorn_tol": 0.005, "assignment_rounds_max": 4}
+                "sinkhorn_max_iters": 30, "sinkhorn_tol": 0.005, "assignment_rounds_max": 4,
+                "assignment_tol": 1e-3}
 
 
 def _fixed_schedule(doc) -> None:
@@ -301,23 +302,27 @@ def _ga_soft(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     final (m, n) soft matrix over the real rows and columns.
 
     Softassign with one slack row and one slack column: compatibilities
-    Q_ir = sum_js M_js dot(x_ij, y_rs) + dot(x_ii, y_rr) give the kernel
-    exponents E = beta * (Q - shift), shift = max(max Q, 0), with -beta * shift
-    in the slack row and column (0 in their corner); the kernel exp(E) is
+    Q_ir = sum_js M_js dot(x_ij, y_rs) + dot(x_ii, y_rr), one matrix-vector
+    product of the (m*n, m*n) compatibilities in (i, r, j, s) layout and the
+    flattened real soft matrix, give the kernel exponents
+    E = beta * (Q - shift), shift = max(max Q, 0), with -beta * shift in the
+    slack row and column (0 in their corner); the kernel exp(E) is
     Sinkhorn-balanced over the real rows and columns, and beta grows
     geometrically (`_GA_SCHEDULE`; the README's GA note has the stopping
-    rules). Every pass but a call's first is
-    warm-started: it starts from the last pass's balanced matrix times
-    exp(min(E - E_last, 700)), which is the new kernel under the last pass's row
-    and column scalings. After a pass no entry exceeds 1, so the cap keeps every
-    sum finite. Each sweep's row sums test it and divide the next sweep's rows;
-    columns need no test, as each sums to one within a few ulps after the column
-    division.
+    rules). A beta step's assignment rounds end once a round's pass moves no
+    real entry by more than `assignment_tol` (Gold & Rangarajan's loop B),
+    and the schedule ends once a pass ends with a NaN row sum: no later pass
+    can clear it. Every pass but a call's first is warm-started: it starts
+    from the last pass's balanced matrix times exp(min(E - E_last, 700)),
+    which is the new kernel under the last pass's row and column scalings.
+    After a pass no entry exceeds 1, so the cap keeps every sum finite. Each
+    sweep's row sums test it and divide the next sweep's rows; columns need no
+    test, as each sums to one within a few ulps after the column division.
     """
     m, n = cx.shape[0], cy.shape[0]
     compat = np.tensordot(cx, cy, axes=([2], [2]))  # (m, m, n, n)
     node_comp = np.einsum("iirr->ir", compat)
-    compat = np.ascontiguousarray(compat.transpose(0, 2, 1, 3))  # (i, r, j, s)
+    compat = compat.transpose(0, 2, 1, 3).reshape(m * n, m * n)  # rows (i, r), columns (j, s)
     soft = np.full((m + 1, n + 1), 1.0 / (max(m, n) + 1.0))
     real, rows, cols = soft[:m, :n], soft[:m], soft[:, :n]
     # this pass's kernel exponents and the last pass's, swapped every pass, and
@@ -325,17 +330,20 @@ def _ga_soft(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     # exponent 0 and entry 1
     expo, last, factor = np.zeros((3, m + 1, n + 1))
     expo_real, last_real = expo[:m, :n], last[:m, :n]
+    # the real soft matrix a round starts from, flat for the product, then its move
+    start = np.empty((m, n))
     q = np.empty((m, n))
+    start_flat, q_flat = start.reshape(-1), q.reshape(-1)
     row_sums, col_sums = np.empty(m), np.empty(n)
     divisors = row_sums[:, None]
     tol = _GA_SCHEDULE["sinkhorn_tol"]
+    round_tol = _GA_SCHEDULE["assignment_tol"]
     beta = _GA_SCHEDULE["beta_start"]
     warm = False
     while beta <= _GA_SCHEDULE["beta_max"] * (1 + 1e-12):
         for _ in range(_GA_SCHEDULE["assignment_rounds_max"]):
-            # bit-identical to the (i, j, r, s) contraction only while `real` is a
-            # view: a contiguous copy lets einsum merge the j and s axes
-            np.einsum("irjs,js->ir", compat, real, out=q)
+            np.copyto(start, real)
+            np.dot(compat, start_flat, out=q_flat)
             q += node_comp
             shift = max(float(np.maximum.reduce(q, None)), 0.0)
             expo, last, expo_real, last_real = last, expo, last_real, expo_real
@@ -357,6 +365,12 @@ def _ga_soft(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
                 np.add.reduce(rows, 1, None, row_sums)
                 if all(abs(v - 1.0) <= tol for v in row_sums.tolist()):
                     break
+            else:  # a NaN row sum never passes the test
+                if np.isnan(row_sums).any():
+                    return real
+            np.subtract(real, start, out=start)
+            if np.maximum.reduce(np.abs(start, out=start), None) <= round_tol:
+                break
         beta *= _GA_SCHEDULE["beta_rate"]
     return real
 

@@ -4,11 +4,12 @@ import numpy as np
 from sublin import (AttributedGraph, LabeledExample, Representation, from_representation,
                     to_representation)
 
-# Graduated assignment's schedule as first written: what every model file of
-# earlier versions carries as `matcher_config.ga_params`, and what the frozen
-# reference loop in test_matching runs.
+# Graduated assignment's fixed schedule, what the reference loop in test_matching
+# runs. Model files of earlier versions carry it as `matcher_config.ga_params`,
+# the first six keys only: the round tolerance `assignment_tol` came later.
 FIRST_GA_SCHEDULE = {"beta_start": 0.5, "beta_rate": 1.075, "beta_max": 10.0,
-                     "sinkhorn_max_iters": 30, "sinkhorn_tol": 0.005, "assignment_rounds_max": 4}
+                     "sinkhorn_max_iters": 30, "sinkhorn_tol": 0.005, "assignment_rounds_max": 4,
+                     "assignment_tol": 1e-3}
 
 
 def rand_graph(rng, order, attr_dim, density=0.5, scale=1.0, distinct_nodes=False):

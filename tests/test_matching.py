@@ -525,24 +525,31 @@ class TestKeptTermScorer:
                 assert _best_pairs(cells) == _full_term_pairs(cells), (size, kind, mode)
 
 
-def _reference_ga(cx, cy, params, counts=None):
+def _reference_ga(cx, cy, params, counts=None, nan_stop=True):
     """Graduated assignment as a plain warm-started loop: fresh arrays every
-    pass, both Sinkhorn errors every sweep, every round run. A call's first
-    pass balances exp(E), E = beta * (Q - shift) with -beta * shift in the
-    slack row and column and 0 in their corner; every later pass starts from
-    the last balanced matrix times exp(min(E - E_last, 700)). Returns the soft
-    matrix and the greedy pairs; the oracle the production loop must match bit
-    for bit. A `counts` dict, if given, receives the number of Sinkhorn sweeps
-    run."""
+    pass, both Sinkhorn errors every sweep. Q is one matrix-vector product of
+    the (m*n, m*n) compatibilities in (i, r, j, s) layout and the flattened
+    real soft matrix. A call's first pass balances exp(E), E = beta * (Q -
+    shift) with -beta * shift in the slack row and column and 0 in their
+    corner; every later pass starts from the last balanced matrix times
+    exp(min(E - E_last, 700)). A beta step's rounds end once a pass moves no
+    real entry by more than `assignment_tol`, and with `nan_stop` the
+    schedule ends after the first pass whose row sums hold a NaN. Returns the
+    soft matrix and the greedy pairs; the oracle the production loop must
+    match bit for bit. A `counts` dict, if given, receives the number of
+    Sinkhorn sweeps and passes run, and the 1-based pass at which a NaN row
+    sum first appeared, if one did."""
     m, n = cx.shape[0], cy.shape[0]
     compat = np.tensordot(cx, cy, axes=([2], [2]))
     node_comp = np.einsum("iirr->ir", compat)
+    compat = compat.transpose(0, 2, 1, 3).reshape(m * n, m * n)
     soft = np.full((m + 1, n + 1), 1.0 / (max(m, n) + 1.0))
+    counts = {} if counts is None else counts
     last = None
     beta = params["beta_start"]
     while beta <= params["beta_max"] * (1 + 1e-12):
         for _ in range(params["assignment_rounds_max"]):
-            q = np.einsum("ijrs,js->ir", compat, soft[:m, :n]) + node_comp
+            q = np.dot(compat, soft[:m, :n].ravel()).reshape(m, n) + node_comp
             shift = max(float(q.max()), 0.0)
             expo = np.full((m + 1, n + 1), -beta * shift)
             expo[:m, :n] = beta * (q - shift)
@@ -552,25 +559,37 @@ def _reference_ga(cx, cy, params, counts=None):
             else:
                 work = soft * np.exp(np.minimum(expo - last, 700.0))
             work = np.maximum(work, 1e-300)
+            counts["passes"] = counts.get("passes", 0) + 1
             for _ in range(params["sinkhorn_max_iters"]):
-                if counts is not None:
-                    counts["sweeps"] = counts.get("sweeps", 0) + 1
+                counts["sweeps"] = counts.get("sweeps", 0) + 1
                 work[:m] /= work[:m].sum(axis=1, keepdims=True)
                 work[:, :n] /= work[:, :n].sum(axis=0, keepdims=True)
                 row_err = np.abs(work[:m].sum(axis=1) - 1.0).max(initial=0.0)
                 col_err = np.abs(work[:, :n].sum(axis=0) - 1.0).max(initial=0.0)
                 if max(row_err, col_err) <= params["sinkhorn_tol"]:
                     break
+            moved = np.abs(work[:m, :n] - soft[:m, :n]).max()
             soft, last = work, expo
+            if np.isnan(soft[:m].sum(axis=1)).any():
+                counts.setdefault("nan_pass", counts["passes"])
+                if nan_stop:
+                    return soft[:m, :n], _greedy_pairs(soft[:m, :n])
+            if moved <= params["assignment_tol"]:
+                break
         beta *= params["beta_rate"]
-    pick = soft[:m, :n].copy()
+    return soft[:m, :n], _greedy_pairs(soft[:m, :n])
+
+
+def _greedy_pairs(soft):
+    """Greedy maximum selection on a soft matrix, down to min(m, n) pairs."""
+    pick = soft.copy()
     pairs = []
-    for _ in range(min(m, n)):
+    for _ in range(min(pick.shape)):
         i, r = np.unravel_index(int(np.argmax(pick)), pick.shape)
         pairs.append((int(i), int(r)))
         pick[i, :] = -np.inf
         pick[:, r] = -np.inf
-    return soft[:m, :n], tuple(sorted(pairs))
+    return tuple(sorted(pairs))
 
 
 def _signed(graph, sign):
@@ -634,8 +653,9 @@ class TestGaBitIdentity:
     def _assert_soft_matches(monkeypatch, x, y):
         """`_ga_soft` gives the reference's bytes after as many Sinkhorn sweeps:
         a sweep makes two `np.divide` calls, counted through a stand-in for the
-        module's numpy. The count is what a row test that let a NaN pass would
-        change, since NaN spreads over the whole soft matrix within two sweeps."""
+        module's numpy. The count is what a row test that let a NaN pass, or a
+        round or NaN stop at another pass, would change. Returns the soft
+        matrix and the reference's counts."""
         cx, cy = to_representation(x).cells, to_representation(y).cells
         counts = {}
         want_soft, _ = _reference_ga(cx, cy, FIRST_GA_SCHEDULE, counts)
@@ -645,22 +665,24 @@ class TestGaBitIdentity:
             got = _ga_soft(cx, cy)
         assert got.tobytes() == want_soft.tobytes()
         assert numpy.divides == 2 * counts["sweeps"]
-        return got
+        return got, counts
 
     def test_matches_reference_at_letter_scale(self, monkeypatch):
         # the letter workload's shapes: an order-9 weight graph at eta = 0.1
-        # against drawings of every order it meets
+        # against drawings of every order it meets; the round stop ends some
+        # beta steps before their 4th round (42 steps of 4 rounds: 168 passes)
         rng = np.random.default_rng(12)
         for n in range(2, 10):
-            soft = self._assert_soft_matches(monkeypatch, self._letter(rng, 9, scale=0.1),
-                                             self._letter(rng, n))
+            soft, counts = self._assert_soft_matches(monkeypatch, self._letter(rng, 9, scale=0.1),
+                                                     self._letter(rng, n))
             assert np.isfinite(soft).all()
+            assert counts["passes"] < 168
 
     def test_matches_reference_on_zero_weights(self, monkeypatch):
         # the first training step: every compatibility is zero
         rng = np.random.default_rng(13)
-        soft = self._assert_soft_matches(monkeypatch, AttributedGraph(np.zeros((9, 3))),
-                                         self._letter(rng, 5))
+        soft, _ = self._assert_soft_matches(monkeypatch, AttributedGraph(np.zeros((9, 3))),
+                                            self._letter(rng, 5))
         assert np.isfinite(soft).all()
 
     @pytest.mark.parametrize("m, n", [(9, 5), (5, 9), (9, 9), (1, 1)])
@@ -677,15 +699,25 @@ class TestGaBitIdentity:
 
     def test_matches_reference_when_compatibilities_overflow(self, monkeypatch):
         # finite attributes near 1e200 give inf and NaN compatibilities; the row
-        # test must fail a NaN row sum, as the reference loop's does
+        # test must fail a NaN row sum, as the reference loop's does, and the
+        # schedule stops at the pass where one first appears, leaving the soft
+        # matrix as the whole schedule would
         rng = np.random.default_rng(14)
         reached_nan = 0
         with np.errstate(all="ignore"):
             for m, n in ((1, 1), (2, 3), (3, 2), (4, 4), (5, 7), (7, 5), (9, 6), (6, 9), (9, 9)):
                 d = int(rng.integers(1, 4))
-                soft = self._assert_soft_matches(monkeypatch, rand_graph(rng, m, d, scale=1e200),
-                                                 rand_graph(rng, n, d, scale=1e200))
+                x, y = rand_graph(rng, m, d, scale=1e200), rand_graph(rng, n, d, scale=1e200)
+                soft, counts = self._assert_soft_matches(monkeypatch, x, y)
                 reached_nan += bool(np.isnan(soft).any())
+                whole = {}
+                whole_soft, _ = _reference_ga(to_representation(x).cells, to_representation(y).cells,
+                                              FIRST_GA_SCHEDULE, whole, nan_stop=False)
+                assert soft.tobytes() == whole_soft.tobytes()
+                if "nan_pass" in whole:
+                    assert counts["passes"] == whole["nan_pass"] < whole["passes"]
+                else:
+                    assert counts == whole
         assert reached_nan >= 5
 
 
@@ -706,8 +738,11 @@ class TestMatcherConfig:
         ({"exact_max_order": True}, "'exact_max_order'"),
         ({"method": "graduated", "ga_params": {**FIRST_GA_SCHEDULE, "sinkhorn_max_iters": 3}},
          "'ga_params'"),
+        ({"method": "graduated", "ga_params": {**FIRST_GA_SCHEDULE, "assignment_tol": 1e-4}},
+         "'ga_params'"),
     ], ids=["bogus", "not-an-object", "ga_params-type", "ga_params-list", "exact_max_order-type",
-            "exact_max_order-float", "exact_max_order-bool", "ga_params-custom"])
+            "exact_max_order-float", "exact_max_order-bool", "ga_params-custom",
+            "ga_params-assignment_tol"])
     def test_unknown_ga_params_key_rejected(self, doc, match):
         with pytest.raises(ValidationError, match=match):
             MatcherConfig.from_json(doc)
@@ -729,8 +764,11 @@ class TestMatcherConfig:
         save_model(model, tmp_path / "model.json")
         assert load_model(tmp_path / "model.json").matcher == cfg
 
-    @pytest.mark.parametrize("ga_params", [FIRST_GA_SCHEDULE, {"sinkhorn_tol": 0.005}, {}],
-                             ids=["full", "subset", "empty"])
+    @pytest.mark.parametrize("ga_params", [
+        FIRST_GA_SCHEDULE, {"sinkhorn_tol": 0.005}, {},
+        {k: v for k, v in FIRST_GA_SCHEDULE.items() if k != "assignment_tol"},
+        {"assignment_tol": 1e-3},
+    ], ids=["full", "subset", "empty", "first-six-keys", "assignment_tol"])
     def test_fixed_schedule_is_accepted(self, ga_params):
         doc = {"method": "graduated", "exact_max_order": 6, "ga_params": ga_params}
         assert MatcherConfig.from_json(doc) == MatcherConfig("graduated", 6)
