@@ -12,7 +12,7 @@ from .graphs import (AttributedGraph, Representation, attach_edge_flag, from_rep
                      to_representation)
 from .matching import (DEFAULT_EXACT_MAX_ORDER, MatchMatrix, MatchResult, MatcherConfig,
                        exact_sdp, ga_sdp, induced_distance, kernel_value, matcher_call_count,
-                       optimal_align, reset_matcher_call_count, sdp)
+                       optimal_align, sdp)
 from .model import (OvaModel, SublinearModel, classify, evaluate, load_model,
                     margin_lower_bound, origin_distance, predict_multiclass, save_model,
                     weight_norm)

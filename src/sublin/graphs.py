@@ -24,18 +24,22 @@ def _canonical_edge(i, j) -> EdgeKey:
 
 def _edge_stack(keys, vecs, dim: int) -> np.ndarray:
     """The edge vectors as one new float64 (k, dim) array, or ValidationError
-    naming the first edge whose vector does not have shape (dim,): a ragged
-    list, a bare scalar (never read as a row of one) or a wrong length."""
+    naming the first edge whose vector is not dim numbers: a ragged list, an
+    entry that is not a number, a bare scalar (never read as a row of one) or a
+    wrong length."""
     if not vecs:
         return np.empty((0, dim))
     try:
         stack = np.array(vecs, dtype=np.float64)
         if stack.shape == (len(vecs), dim):
             return stack
-    except ValueError:  # ragged vectors: the pass below names the first bad edge
+    except (TypeError, ValueError):  # ragged or not numbers: the pass below names the edge
         pass
     for key, vec in zip(keys, vecs):
-        shape = np.asarray(vec, dtype=np.float64).shape
+        try:
+            shape = np.asarray(vec, dtype=np.float64).shape
+        except (TypeError, ValueError):
+            raise ValidationError(f"edge {key} attribute is not a vector of numbers") from None
         if shape != (dim,):
             raise ValidationError(f"edge {key} attribute has shape {shape}, expected ({dim},)")
 
@@ -63,7 +67,11 @@ class AttributedGraph:
     __slots__ = ("node_attrs", "edge_attrs", "_edges", "_rep", "_self_product")
 
     def __init__(self, node_attrs, edges=()):
-        nodes = np.asarray(node_attrs, dtype=np.float64)
+        try:
+            nodes = np.asarray(node_attrs, dtype=np.float64)
+        except (TypeError, ValueError):  # ragged rows, or an entry that is not a number
+            raise ValidationError("node attributes must be an (order x attr_dim) array of "
+                                  "numbers") from None
         if nodes.ndim != 2:
             raise ValidationError(
                 f"node attributes must be a 2-D (order x attr_dim) array, got shape {nodes.shape}"

@@ -117,13 +117,13 @@ def _update(w: Representation, b: float, y_hat: float, aligned: Representation, 
     return w, b, False
 
 
-def _split_metrics(scored, graphs) -> list:
-    """(mean hinge risk, errors) over `graphs` of each (w, b, matcher, labels,
-    margin) of `scored`, against its +1/-1 labels. The graphs are scored one at
-    a time (`model._split_scores`), and each risk sums its losses in split
+def _split_metrics(scored, graphs, matcher: MatcherConfig) -> list:
+    """(mean hinge risk, errors) over `graphs` of each (w, b, labels, margin) of
+    `scored`, against its +1/-1 labels. The graphs are scored one at a time under
+    `matcher` (`model._split_scores`), and each risk sums its losses in split
     order."""
     totals = [[0.0, 0] for _ in scored]
-    rows = _split_scores([(w, b, matcher) for w, b, matcher, _, _ in scored], graphs)
+    rows = _split_scores([(w, b) for w, b, _, _ in scored], graphs, matcher)
     for index, values in enumerate(rows):
         for total, (*_, labels, margin), y_hat in zip(totals, scored, values):
             y = labels[index]
@@ -179,10 +179,11 @@ class _Fit:
 
 
 def _epochs(graphs, fits: List[_Fit], traced: bool) -> None:
-    """Run every fit of `fits` over the shared list `graphs` in lockstep.
+    """Run every fit of `fits`, all of one matcher, over the shared list `graphs`
+    in lockstep.
 
-    Each graph is checked once, in order, against each distinct weight order and
-    matcher before any fit starts (attribute dimension, encoding, exact cap), so
+    Each graph is checked once, in order, against each distinct weight order
+    before any fit starts (attribute dimension, encoding, exact cap), so
     the first bad graph raises the error it raises alone and no solver call is
     counted. Every epoch, each running fit shuffles its own visit order; at step
     t, each running fit scores the t-th graph of its own order, and all these
@@ -192,7 +193,8 @@ def _epochs(graphs, fits: List[_Fit], traced: bool) -> None:
     fits go on. With `traced`, each fit's risk and errors are measured with its
     end-of-epoch weights, the running fits' in one batch per epoch.
     """
-    for fit, reps in zip(fits, _checked([(fit.w, fit.cfg.matcher) for fit in fits], graphs)):
+    matcher = fits[0].cfg.matcher
+    for fit, reps in zip(fits, _checked([fit.w for fit in fits], graphs, matcher)):
         fit.reps = reps
     running = list(fits)
     while running:
@@ -203,8 +205,8 @@ def _epochs(graphs, fits: List[_Fit], traced: bool) -> None:
             fit.rng.shuffle(fit.visit)
             orders.append(fit.visit.tolist())
         for step in zip(*orders):
-            scored = _discriminants([(fit.w, fit.b, fit.reps[i], fit.cfg.matcher)
-                                     for fit, i in zip(running, step)])
+            scored = _discriminants([(fit.w, fit.b, fit.reps[i])
+                                     for fit, i in zip(running, step)], matcher)
             for fit, i, (y_hat, aligned) in zip(running, step, scored):
                 cfg = fit.cfg
                 fit.w, fit.b, updated = _update(fit.w, fit.b, y_hat, aligned, fit.labels[i],
@@ -212,8 +214,7 @@ def _epochs(graphs, fits: List[_Fit], traced: bool) -> None:
                 fit.updates += updated
         if traced:
             metrics = _split_metrics(
-                [(fit.w, fit.b, fit.cfg.matcher, fit.labels, fit.cfg.margin) for fit in running],
-                graphs)
+                [(fit.w, fit.b, fit.labels, fit.cfg.margin) for fit in running], graphs, matcher)
             for fit, (risk, errors) in zip(running, metrics):
                 fit.stats.append(EpochStats(fit.epoch, fit.updates, errors, risk))
         running = [fit for fit in running if fit.updates and fit.epoch < fit.cfg.max_epochs]
@@ -221,12 +222,12 @@ def _epochs(graphs, fits: List[_Fit], traced: bool) -> None:
 
 def _fit_stage(data: Sequence[LabeledExample], cfgs: Sequence[TrainConfig], multiclass: bool,
                traced: bool) -> list:
-    """(model, trace) for each config of `cfgs`, all fit on `data` in one lockstep
-    stage (`_epochs`), each equal to what `train_binary` (or, with `multiclass`,
-    `train_one_vs_all`) gives alone. A one-against-all config fits one member
-    per class, with seeds derived from its own; the members of every config step
-    together. A trace is None unless `traced`, since its risk and errors cost one
-    more pass over the data per epoch."""
+    """(model, trace) for each config of `cfgs`, all of one matcher, fit on `data`
+    in one lockstep stage (`_epochs`), each equal to what `train_binary` (or,
+    with `multiclass`, `train_one_vs_all`) gives alone. A one-against-all config
+    fits one member per class, with seeds derived from its own; the members of
+    every config step together. A trace is None unless `traced`, since its risk
+    and errors cost one more pass over the data per epoch."""
     data = list(data)
     _check_examples(data, binary=not multiclass)
     graphs = [ex.graph for ex in data]
@@ -278,8 +279,8 @@ def empirical_risk(model: SublinearModel, data: Sequence[LabeledExample], margin
     data = list(data)
     if not data:
         raise ValidationError("cannot compute risk of an empty sample")
-    scored = (model.weight_rep, model.bias, model.matcher, [int(ex.y) for ex in data], margin)
-    return _split_metrics([scored], [ex.graph for ex in data])[0][0]
+    scored = (model.weight_rep, model.bias, [int(ex.y) for ex in data], margin)
+    return _split_metrics([scored], [ex.graph for ex in data], model.matcher)[0][0]
 
 
 def knn_classify(train: Sequence[LabeledExample], x: AttributedGraph, k: int = 1,

@@ -6,8 +6,9 @@ induced edge attributes. `sdp`, `exact_sdp`, `ga_sdp` and `optimal_align` all
 reach one core, `_solve`, which takes a list of pairs of dense cell arrays and
 returns the assigned node pairs of each from one of two solvers: exhaustive
 enumeration of the injections of the smaller node set into the larger (exact,
-small orders) or graduated assignment (heuristic, any order). The exact pairs
-of one shape are scored in one batch, each getting the winner it gets alone.
+small orders) or graduated assignment (heuristic, any order). A batch has one
+matcher, and its pairs are grouped by shape for either solver: the exact pairs
+of one shape are scored together, each getting the winner it gets alone.
 `sdp`, `induced_distance` and k-NN solve one graph against one or many through
 `_results`, and training and prediction over a split solve many weights against
 many graphs through the same core (see `model._discriminants`). Values returned
@@ -36,23 +37,14 @@ _GATHER = 2880
 _GATHER_PAIRS = 32  # pairs per `_best_pairs` batch, which bounds its compatibility array
 
 # Count of hard matching problems actually solved (enumeration or annealing).
-# Identity self-products are closed-form and do not count. Not thread-safe;
+# Identity self-products are closed-form and do not count. `_solve` is its one
+# writer; it only grows, so callers read it by delta. Not thread-safe;
 # intended for sequential accounting in experiments.
 _SOLVER_CALLS = 0
 
 
 def matcher_call_count() -> int:
     return _SOLVER_CALLS
-
-
-def reset_matcher_call_count() -> None:
-    global _SOLVER_CALLS
-    _SOLVER_CALLS = 0
-
-
-def _note_solver_calls(count: int = 1) -> None:
-    global _SOLVER_CALLS
-    _SOLVER_CALLS += count
 
 
 @dataclass(frozen=True, slots=True)
@@ -398,30 +390,29 @@ def _ga_soft_pairs(cx: np.ndarray, cy: np.ndarray):
     return tuple(sorted(pairs))
 
 
-def _solve(problems) -> list:
-    """Assigned (row, col) pairs of a best correspondence for each (cx, cy, cfg) of
-    `problems`: two cell arrays and the matcher that solves them.
+def _solve(pairs, cfg: MatcherConfig) -> list:
+    """Assigned (row, col) pairs of a best correspondence for each (cx, cy) of
+    `pairs`, two cell arrays, all solved by the one matcher `cfg`.
 
     Callers check every pair first (attribute dimensions, encodings, then the
     exact cap: see `_encodings`), so nothing is solved for a batch with a bad
-    pair. Both solvers take the arrays as they are. Exact pairs with no empty
-    side are grouped by shape (m, n), and each group is scored by one
-    `_best_pairs` call, whose winners are those of scoring each pair alone;
-    graduated assignment runs pair by pair. Each pair counts as one solver call.
+    pair. Both solvers take the arrays as they are. Pairs with no empty side
+    are grouped by shape (m, n): an exact group is scored by one `_best_pairs`
+    call, whose winners are those of scoring each pair alone, and a graduated
+    group's pairs are annealed one by one. Each pair counts as one solver call.
     """
-    _note_solver_calls(len(problems))
-    found, groups = [()] * len(problems), {}
-    for index, (cx, cy, cfg) in enumerate(problems):
-        m, n = cx.shape[0], cy.shape[0]
-        if not (m and n):
-            continue
-        if cfg.method == "graduated":
-            found[index] = _ga_soft_pairs(cx, cy)
-        else:
-            groups.setdefault((m, n), []).append(index)
+    global _SOLVER_CALLS
+    _SOLVER_CALLS += len(pairs)
+    found, groups = [()] * len(pairs), {}
+    for index, (cx, cy) in enumerate(pairs):
+        if cx.shape[0] and cy.shape[0]:
+            groups.setdefault((cx.shape[0], cy.shape[0]), []).append(index)
     for group in groups.values():
-        for index, pairs in zip(group, _best_pairs([problems[i][:2] for i in group])):
-            found[index] = pairs
+        cells = [pairs[i] for i in group]
+        solved = (_best_pairs(cells) if cfg.method == "exact"
+                  else [_ga_soft_pairs(cx, cy) for cx, cy in cells])
+        for index, assigned in zip(group, solved):
+            found[index] = assigned
     return found
 
 
@@ -506,7 +497,7 @@ def optimal_align(rw: Representation, x: AttributedGraph, cfg: MatcherConfig | N
     """
     cfg = cfg or MatcherConfig()
     rx, = _encodings(rw, [x], cfg)
-    return _aligned(rw.order, rx, _solve([(rw.cells, rx.cells, cfg)])[0])
+    return _aligned(rw.order, rx, _solve([(rw.cells, rx.cells)], cfg)[0])
 
 
 def induced_distance(x: AttributedGraph, y: AttributedGraph, cfg: MatcherConfig | None = None) -> float:
@@ -545,7 +536,7 @@ def _results(x: AttributedGraph, ys, cfg: MatcherConfig) -> list:
     rx = to_representation(x)
     reps = _encodings(rx, ys, cfg)
     results = []
-    for ry, pairs in zip(reps, _solve([(rx.cells, ry.cells, cfg) for ry in reps])):
+    for ry, pairs in zip(reps, _solve([(rx.cells, ry.cells) for ry in reps], cfg)):
         match = MatchMatrix._own(rx.order, ry.order, pairs)
         results.append(MatchResult(kernel_value(rx, ry, match), match, cfg.method == "exact"))
     return results

@@ -65,21 +65,23 @@ class OvaModel:
             raise ValidationError("a multiclass model needs at least 2 classes")
         if len(set(self.classes)) != len(self.classes):
             raise ValidationError("duplicate class ids")
-        dims = {m.attr_dim for m in self.members}
-        if len(dims) > 1:
-            raise ValidationError(f"member models disagree on attr_dim: {sorted(dims)}")
+        # the members are scored in one batch: one attribute dimension, one matcher
+        for name in ("attr_dim", "matcher"):
+            values = list(dict.fromkeys(getattr(m, name) for m in self.members))
+            if len(values) > 1:
+                raise ValidationError(f"member models disagree on {name}: {values}")
 
 
-def _discriminants(problems):
-    """Yield (w.aligned + b, aligned) for each (w, b, rx, matcher) of `problems`,
-    where rx is the encoding of a graph already checked against w
-    (`matching._encodings`) and aligned is that graph optimally aligned against w,
-    as `optimal_align` gives it. All pairs are solved in one `matching._solve`
-    batch before the first is yielded. Every discriminant in the package is this
-    one. Raises ValidationError when finite attributes give a value outside the
-    float range."""
-    found = _solve([(w.cells, rx.cells, matcher) for w, _, rx, matcher in problems])
-    for (w, b, rx, _), pairs in zip(problems, found):
+def _discriminants(problems, matcher: MatcherConfig):
+    """Yield (w.aligned + b, aligned) for each (w, b, rx) of `problems`, where rx
+    is the encoding of a graph already checked against w (`matching._encodings`)
+    and aligned is that graph optimally aligned against w by `matcher`, as
+    `optimal_align` gives it. All pairs are solved in one `matching._solve` batch
+    before the first is yielded. Every discriminant in the package is this one.
+    Raises ValidationError when finite attributes give a value outside the float
+    range."""
+    found = _solve([(w.cells, rx.cells) for w, _, rx in problems], matcher)
+    for (w, b, rx), pairs in zip(problems, found):
         aligned = _aligned(w.order, rx, pairs)
         yield _finite(float(np.vdot(w.cells, aligned.cells)) + b), aligned
 
@@ -88,54 +90,46 @@ def _score(w: Representation, b: float, x: AttributedGraph, matcher: MatcherConf
     """(w.aligned + b, aligned): the discriminant of weights (w, b) at `x`, with `x`
     optimally aligned against `w`; `x` is checked as `optimal_align` checks it."""
     matcher = matcher or MatcherConfig()
-    return next(_discriminants([(w, b, _encodings(w, [x], matcher)[0], matcher)]))
+    return next(_discriminants([(w, b, _encodings(w, [x], matcher)[0])], matcher))
 
 
-def _checked(sides, graphs) -> list:
-    """For each (w, matcher) of `sides`, the encodings of `graphs` checked against
-    w as `matching._encodings` checks them: once per distinct weight order,
-    attribute dimension and matcher, in the order of `sides`."""
-    reps = {}
-    for w, matcher in sides:
-        key = (w.order, w.attr_dim, matcher)
-        if key not in reps:
-            reps[key] = _encodings(w, graphs, matcher)
-    return [reps[w.order, w.attr_dim, matcher] for w, matcher in sides]
+def _checked(ws, graphs, matcher: MatcherConfig) -> list:
+    """For each weight representation of `ws`, the encodings of `graphs` checked
+    against it under `matcher` as `matching._encodings` checks them: once per
+    distinct weight order and attribute dimension, in the order of `ws`."""
+    firsts = {(w.order, w.attr_dim): w for w in ws}  # keys in order of first appearance
+    reps = {key: _encodings(w, graphs, matcher) for key, w in firsts.items()}
+    return [reps[w.order, w.attr_dim] for w in ws]
 
 
-def _split_scores(weights, graphs):
-    """Yield, for each graph of `graphs` in order, the discriminant of each
-    (w, b, matcher) of `weights` at it, as `_score` gives them one at a time.
+def _split_scores(weights, graphs, matcher: MatcherConfig):
+    """Yield, for each graph of `graphs` in order, the discriminant of each (w, b)
+    of `weights` at it under `matcher`, as `_score` gives them one at a time.
     Every graph is checked (`_checked`) before any pair is solved. Each graph's
     pairs are one `_discriminants` batch, so a pass over a split holds
     len(weights) pairs at a time, whatever the split's size."""
-    encoded = _checked([(w, matcher) for w, _, matcher in weights], graphs)
+    encoded = _checked([w for w, _ in weights], graphs, matcher)
     for index in range(len(graphs)):
         yield [value for value, _ in _discriminants(
-            [(w, b, reps[index], matcher) for (w, b, matcher), reps in zip(weights, encoded)])]
-
-
-def _top_class(classes, values):
-    """The class of the largest of `values`; ties go to the lowest index."""
-    return classes[max(range(len(values)), key=values.__getitem__)]
+            [(w, b, reps[index]) for (w, b), reps in zip(weights, encoded)], matcher)]
 
 
 def _predictions(models, graphs):
     """Yield, for each graph of `graphs` in order, the class each model of
-    `models` gives it: +1/-1 for a binary model as `classify` gives it, a class
-    id for a one-against-all model as `predict_multiclass` gives it. At each
-    graph every member of every model is scored in one `_split_scores` batch,
-    one solver call per member."""
+    `models`, all of one matcher, gives it: +1 for a binary model whose
+    discriminant is >= 0 (the boundary counts as positive), else -1; for a
+    one-against-all model, the class of its largest member discriminant (ties
+    go to the lowest class index). At each graph every member of every model is
+    scored in one `_split_scores` batch, one solver call per member."""
     members = [m.members if isinstance(m, OvaModel) else (m,) for m in models]
-    weights = [(m.weight_rep, m.bias, m.matcher) for ms in members for m in ms]
-    for values in _split_scores(weights, graphs):
+    weights = [(m.weight_rep, m.bias) for ms in members for m in ms]
+    for values in _split_scores(weights, graphs, members[0][0].matcher):
         row, start = [], 0
         for model, ms in zip(models, members):
             v = values[start : start + len(ms)]
             start += len(ms)
-            # the boundary counts as positive
-            row.append(_top_class(model.classes, v) if isinstance(model, OvaModel)
-                       else 1 if v[0] >= 0.0 else -1)
+            row.append(model.classes[max(range(len(v)), key=v.__getitem__)]
+                       if isinstance(model, OvaModel) else 1 if v[0] >= 0.0 else -1)
         yield row
 
 
@@ -146,7 +140,7 @@ def evaluate(model: SublinearModel, x: AttributedGraph) -> float:
 
 def classify(model: SublinearModel, x: AttributedGraph) -> int:
     """+1 if the discriminant is >= 0 (boundary counts as positive), else -1."""
-    return 1 if evaluate(model, x) >= 0.0 else -1
+    return next(_predictions([model], [x]))[0]
 
 
 def weight_norm(model: SublinearModel) -> float:
@@ -173,8 +167,7 @@ def margin_lower_bound(model: SublinearModel, x: AttributedGraph) -> float:
 def predict_multiclass(ova: OvaModel, x: AttributedGraph):
     """Class whose member discriminant is largest; ties go to the lowest class index.
     The members are scored against `x` in one batch, one solver call each."""
-    weights = [(m.weight_rep, m.bias, m.matcher) for m in ova.members]
-    return _top_class(ova.classes, next(_split_scores(weights, [x])))
+    return next(_predictions([ova], [x]))[0]
 
 
 def _model_doc(model: SublinearModel) -> dict:

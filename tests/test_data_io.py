@@ -10,6 +10,7 @@ from sublin import (AttributedGraph, Dataset, DatasetFormatError, DegenerateMode
                     write_jsonl)
 
 EXACT = MatcherConfig()
+NOT_NUMBERS = r"edge \(0, 1\) attribute is not a vector of numbers"
 
 
 def small_dataset():
@@ -54,14 +55,18 @@ class TestJsonl:
         with pytest.raises(DatasetFormatError, match="line 2"):
             read_examples_jsonl(path)
 
-    @pytest.mark.parametrize("record", [
-        '"nodes": [[NaN]], "edges": []', '"nodes": [[1.0], [2.0]], "edges": [[0, 1, [1e999]]]',
-    ], ids=["node", "edge"])
-    def test_non_finite_attribute_reports_line_number(self, tmp_path, record):
+    @pytest.mark.parametrize("record, message", [
+        ('"nodes": [[NaN]], "edges": []', "graph attributes must be finite"),
+        ('"nodes": [[1.0], [2.0]], "edges": [[0, 1, [1e999]]]', "graph attributes must be finite"),
+        ('"nodes": [[1.0], [2.0]], "edges": [[0, 1, "x"]]', NOT_NUMBERS),
+        ('"nodes": [[1.0], [2.0]], "edges": [[0, 1, {"a": 1}]]', NOT_NUMBERS),
+        ('"nodes": [[1.0], [2.0]], "edges": [[0, 1, ["x"]]]', NOT_NUMBERS),
+    ], ids=["node", "edge", "string", "object", "string-entry"])
+    def test_non_finite_attribute_reports_line_number(self, tmp_path, record, message):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "g0", "class": "a", "nodes": [[1.0]], "edges": []}\n'
                         f'{{"id": "g1", "class": "a", {record}}}\n')
-        with pytest.raises(DatasetFormatError, match="line 2: graph attributes must be finite"):
+        with pytest.raises(DatasetFormatError, match=f"line 2: {message}"):
             read_examples_jsonl(path)
 
     def test_duplicate_id_rejected(self, tmp_path):

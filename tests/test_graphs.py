@@ -42,6 +42,13 @@ class TestAttributedGraph:
         with pytest.raises(ValidationError, match="finite"):
             AttributedGraph(nodes, [(0, 1, edge)])
 
+    @pytest.mark.parametrize("nodes", [[[1.0], ["x"]], [[1.0], [{"a": 1}]], [[1.0], [1.0, 2.0]]],
+                             ids=["string", "object", "ragged"])
+    def test_node_attributes_not_numbers_rejected(self, nodes):
+        with pytest.raises(ValidationError, match="^node attributes must be an "
+                                                  r"\(order x attr_dim\) array of numbers$"):
+            AttributedGraph(nodes)
+
     def test_dim_mismatch(self):
         with pytest.raises(ValidationError):
             AttributedGraph([[0.0], [1.0]], [(0, 1, [1.0, 2.0])])
@@ -62,7 +69,11 @@ class TestAttributedGraph:
         ([(0, 1, [1.0]), (2, 1, [np.inf])], "finite"),
         ([(0, 1, [1.0]), (0, 2, [1.0]), (2, 0, [-1.0])],
          r"conflicting attributes for undirected edge \(0, 2\)"),
-    ], ids=["ragged", "scalar", "wrong-length", "non-finite", "conflicting-duplicate"])
+        ([(0, 1, [1.0]), (2, 1, ["x"])], r"edge \(1, 2\) attribute is not a vector of numbers"),
+        ([(0, 1, [1.0]), (1, 2, {"a": 1})],
+         r"edge \(1, 2\) attribute is not a vector of numbers"),
+    ], ids=["ragged", "scalar", "wrong-length", "non-finite", "conflicting-duplicate", "string",
+            "object"])
     def test_edge_fault_named(self, edges, message):
         # a bare scalar is refused even at attr_dim 1, never read as a row of one
         with pytest.raises(ValidationError, match=message):

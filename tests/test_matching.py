@@ -810,6 +810,33 @@ class TestDispatch:
             assert got == want and got.exact == (cfg.method == "exact")
             assert calls == [1, 1]
 
+    def test_graduated_results_batch_mixes_shapes(self):
+        # one graduated batch with two shapes, a shape met twice and an empty side:
+        # each pair gets lone ga_sdp's MatchResult, value bits included, and one call
+        rng = np.random.default_rng(13)
+        x = rand_graph(rng, 3, 2)
+        ys = [rand_graph(rng, n, 2) for n in (5, 2, 3, 5, 0)]
+        before = matcher_call_count()
+        got = matching._results(x, ys, GRADUATED)
+        assert matcher_call_count() - before == len(ys)
+        for result, y in zip(got, ys, strict=True):
+            want = ga_sdp(x, y)
+            assert result == want and result.value.hex() == want.value.hex()
+
+    def test_graduated_solve_groups_pairs_by_shape(self):
+        # the first sides differ too: orders (3, 5), (5, 3), (4, 4), (3, 5) and (0, 2)
+        rng = np.random.default_rng(14)
+        graphs = [(rand_graph(rng, m, 2), rand_graph(rng, n, 2))
+                  for m, n in [(3, 5), (5, 3), (4, 4), (3, 5), (0, 2)]]
+        reps = [(to_representation(x), to_representation(y)) for x, y in graphs]
+        before = matcher_call_count()
+        found = matching._solve([(rx.cells, ry.cells) for rx, ry in reps], GRADUATED)
+        assert matcher_call_count() - before == len(graphs)
+        for (x, y), (rx, ry), pairs in zip(graphs, reps, found, strict=True):
+            want = ga_sdp(x, y)
+            assert MatchMatrix(rx.order, ry.order, pairs) == want.match
+            assert kernel_value(rx, ry, want.match).hex() == want.value.hex()
+
     def test_capacity_error_equals_exact_sdp(self):
         rng = np.random.default_rng(12)
         x, y = rand_graph(rng, 4, 1), rand_graph(rng, 7, 1)

@@ -178,6 +178,10 @@ class TestMulticlass:
             OvaModel(("a",), (self._const_model(0.0),))
         with pytest.raises(ValidationError):
             OvaModel(("a", "b"), (self._const_model(0.0), self._const_model(0.0, dim=2)))
+        # the members are scored in one batch, which has one matcher
+        graduated = SublinearModel(Representation.zeros(1, 1), matcher=MatcherConfig("graduated"))
+        with pytest.raises(ValidationError, match="member models disagree on matcher: "):
+            OvaModel(("a", "b"), (self._const_model(0.0), graduated))
 
 
 class TestPersistence:

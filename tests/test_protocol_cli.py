@@ -11,7 +11,7 @@ from conftest import FIRST_GA_SCHEDULE, rand_graph, three_class_examples
 from sublin import (AttributedGraph, CapacityError, Dataset, LabeledExample, MatcherConfig,
                     OvaModel, SyntheticSpec, ValidationError, binary_examples, classify,
                     generate_synthetic, knn_classify, matcher_call_count, predict_multiclass,
-                    read_jsonl, reset_matcher_call_count, save_model, train_binary,
+                    read_jsonl, save_model, train_binary,
                     train_one_vs_all, TrainConfig, write_jsonl)
 from sublin.protocol import ProtocolConfig, run_protocol
 
@@ -138,16 +138,16 @@ class TestCallAccounting:
     def test_one_vs_all_prediction_costs_one_call_per_class(self):
         data = [LabeledExample(AttributedGraph(2.0 * np.eye(3)[[i]]), f"c{i}") for i in range(3)]
         ova, _ = train_one_vs_all(data, TrainConfig(learning_rate=0.5, max_epochs=10, seed=0))
-        reset_matcher_call_count()
+        before = matcher_call_count()
         predict_multiclass(ova, data[0].graph)
-        assert matcher_call_count() == len(ova.classes)
+        assert matcher_call_count() - before == len(ova.classes)
 
     def test_knn_query_costs_one_call_per_training_graph(self):
         ds = synth(seed=15)
         train = ds.split("train")
-        reset_matcher_call_count()
+        before = matcher_call_count()
         knn_classify(train, ds.split("test")[0].graph, 1, MatcherConfig())
-        assert matcher_call_count() == len(train)
+        assert matcher_call_count() - before == len(train)
 
 
 def run_cli(*args, timeout=None):
@@ -324,6 +324,37 @@ class TestCli:
         assert proc.returncode == 1
         assert flag in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("vec", ['"x"', '{"a": 1}'], ids=["string", "object"])
+    def test_dot_non_numeric_attribute_exits_1(self, tmp_path, vec):
+        path = tmp_path / "f.jsonl"
+        path.write_text('{"id": "x", "class": "?", "nodes": [[1.0], [2.0]], '
+                        f'"edges": [[0, 1, {vec}]]}}\n')
+        proc = run_cli("dot", str(path), str(path))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == (f"error: {path}: line 1: edge (0, 1) attribute is not a vector "
+                               "of numbers\n")
+
+    def test_eval_refuses_members_with_different_matchers(self, tmp_path):
+        # one-against-all members are scored in one batch, under one matcher
+        rng = np.random.default_rng(8)
+        data = tmp_path / "three"
+        write_jsonl(Dataset("three", {"train": three_class_examples(rng, 9),
+                                      "test": three_class_examples(rng, 6)},
+                            ("c0", "c1", "c2")), data)
+        model, _ = train_one_vs_all(read_jsonl(data).split("train"),
+                                    TrainConfig(learning_rate=0.3, max_epochs=2, seed=4))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["members"][1]["matcher_config"] = MatcherConfig("graduated").to_json()
+        path.write_text(json.dumps(doc))
+        proc = run_cli("eval", "--model", str(path), "--data", str(data))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: member models disagree on matcher: ")
+        assert proc.stdout == ""
 
     def test_missing_file_is_io_error(self):
         assert run_cli("dot", "/nonexistent/a.jsonl", "/nonexistent/b.jsonl").returncode == 2

@@ -182,7 +182,7 @@ def test_split_scoring_solves_one_graph_at_a_time(monkeypatch):
             for m in models]
     batches, solve = [], sublin.model._solve
     monkeypatch.setattr(sublin.model, "_solve",
-                        lambda problems: batches.append(len(problems)) or solve(problems))
+                        lambda pairs, cfg: batches.append(len(pairs)) or solve(pairs, cfg))
     assert _accuracies(models, ds, split) == want
     assert batches == [6] * len(split)
 
