@@ -101,14 +101,30 @@ def _graph_to_doc(ex: LabeledExample, gid: str) -> dict:
     }
 
 
+def _numbers(vec) -> bool:
+    """False for a JSON attribute vector that is a list holding anything but JSON
+    numbers, such as a numeric string, a boolean or null, which numpy would read
+    as numbers (booleans are not numbers, as for config values); every other
+    shape is left to AttributedGraph."""
+    return not isinstance(vec, list) or {int, float}.issuperset(map(type, vec))
+
+
 def _graph_from_doc(doc: dict, path, line: int) -> Tuple[str, LabeledExample]:
     try:
         gid = doc["id"]
         cls = doc["class"]
-        nodes = np.asarray(doc["nodes"], dtype=np.float64)
+        rows = doc["nodes"]
+        edges = [(integer(i), integer(j), vec) for i, j, vec in doc.get("edges", [])]
+        for k, row in enumerate(rows if isinstance(rows, list) else ()):
+            if not _numbers(row):
+                raise DatasetFormatError(f"node {k} attribute is not a vector of numbers", path, line)
+        for i, j, vec in edges:
+            if not _numbers(vec):
+                raise DatasetFormatError(f"edge ({i}, {j}) attribute is not a vector of numbers",
+                                         path, line)
+        nodes = np.asarray(rows, dtype=np.float64)
         if nodes.size == 0:
             raise DatasetFormatError("graphs without declared nodes are not supported", path, line)
-        edges = [(integer(i), integer(j), vec) for i, j, vec in doc.get("edges", [])]
     except DatasetFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

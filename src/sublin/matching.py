@@ -8,7 +8,9 @@ returns the assigned node pairs of each from one of two solvers: exhaustive
 enumeration of the injections of the smaller node set into the larger (exact,
 small orders) or graduated assignment (heuristic, any order). A batch has one
 matcher, and its pairs are grouped by shape for either solver: the exact pairs
-of one shape are scored together, each getting the winner it gets alone.
+of one shape are scored together, each getting the winner it gets alone, and
+the graduated ones are annealed together as a lockstep stack, each getting the
+soft matrix it gets alone.
 `sdp`, `induced_distance` and k-NN solve one graph against one or many through
 `_results`, and training and prediction over a split solve many weights against
 many graphs through the same core (see `model._discriminants`). Values returned
@@ -35,6 +37,7 @@ _HARD_ENUM_LIMIT = 9
 # at least 4 pairs, or a lone pair's buffers would fault in again on every call.
 _GATHER = 2880
 _GATHER_PAIRS = 32  # pairs per `_best_pairs` batch, which bounds its compatibility array
+_GA_PAIRS = 32  # pairs per `_ga_soft` stack, which bounds its compatibility array
 
 # Count of hard matching problems actually solved (enumeration or annealing).
 # Identity self-products are closed-form and do not count. `_solve` is its one
@@ -289,9 +292,11 @@ def _best_pairs(cells):
             for c in cols]
 
 
-def _ga_soft(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-    """Graduated assignment on raw cell arrays of orders m, n >= 1; returns the
-    final (m, n) soft matrix over the real rows and columns.
+def _ga_soft(cells) -> np.ndarray:
+    """Graduated assignment on each (cx, cy) of `cells`, raw cell arrays all of
+    one shape (m, n) with m, n >= 1, annealed together in lockstep; returns the
+    (B, m, n) final soft matrices over the real rows and columns, each with the
+    bytes its pair gets alone.
 
     Softassign with one slack row and one slack column: compatibilities
     Q_ir = sum_js M_js dot(x_ij, y_rs) + dot(x_ii, y_rr), one matrix-vector
@@ -310,84 +315,141 @@ def _ga_soft(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     After a pass no entry exceeds 1, so the cap keeps every sum finite. Each
     sweep's row sums test it and divide the next sweep's rows; columns need no
     test, as each sums to one within a few ulps after the column division.
+
+    A stack shares the beta schedule, and each numpy call serves all its
+    pairs: one `np.matmul` forms every Q, and four calls divide and sum a
+    sweep. A pair that has stopped (its beta step's rounds, its pass's sweeps
+    or, after a NaN, its schedule) is held by the `where=` masks of the calls
+    that write the soft matrix, and its last exponents by one `copyto` per
+    pass, so it resumes, or ends, exactly as alone. A lone pair runs the same
+    loop on 2-D arrays with no masks, leaving a loop at each of its stops.
     """
-    m, n = cx.shape[0], cy.shape[0]
-    compat = np.tensordot(cx, cy, axes=([2], [2]))  # (m, m, n, n)
-    node_comp = np.einsum("iirr->ir", compat)
-    compat = compat.transpose(0, 2, 1, 3).reshape(m * n, m * n)  # rows (i, r), columns (j, s)
-    soft = np.full((m + 1, n + 1), 1.0 / (max(m, n) + 1.0))
-    real, rows, cols = soft[:m, :n], soft[:m], soft[:, :n]
+    batch = len(cells)
+    cx, cy = cells[0]
+    m, n, d = cx.shape[0], cy.shape[0], cx.shape[2]
+    lead = (batch,) if batch > 1 else ()
+    compat = np.empty((batch, m * m, n * n))
+    for out, (cx, cy) in zip(compat, cells):  # each pair's tensordot over d
+        np.dot(cx.reshape(m * m, d), cy.transpose(2, 0, 1).reshape(d, n * n), out=out)
+    compat = compat.reshape(lead + (m, m, n, n))
+    node_comp = np.einsum("...iirr->...ir", compat)
+    # rows (i, r), columns (j, s)
+    compat = np.swapaxes(compat, -3, -2).reshape(lead + (m * n, m * n))
+    soft = np.full(lead + (m + 1, n + 1), 1.0 / (max(m, n) + 1.0))
+    real, rows, cols = soft[..., :m, :n], soft[..., :m, :], soft[..., :n]
     # this pass's kernel exponents and the last pass's, swapped every pass, and
     # the factor between them; the slack corner, which no sweep reads, keeps
     # exponent 0 and entry 1
-    expo, last, factor = np.zeros((3, m + 1, n + 1))
-    expo_real, last_real = expo[:m, :n], last[:m, :n]
-    # the real soft matrix a round starts from, flat for the product, then its move
-    start = np.empty((m, n))
-    q = np.empty((m, n))
-    start_flat, q_flat = start.reshape(-1), q.reshape(-1)
-    row_sums, col_sums = np.empty(m), np.empty(n)
-    divisors = row_sums[:, None]
+    expo, last, factor = np.zeros((3,) + soft.shape)
+    expo_real, last_real = expo[..., :m, :n], last[..., :m, :n]
+    # the real soft matrix a round starts from, as a column for the product,
+    # then its move
+    start, q = np.empty((2,) + real.shape)
+    start_col, q_col = start.reshape(lead + (m * n, 1)), q.reshape(lead + (m * n, 1))
+    product = np.matmul if lead else np.dot
+    shift = np.empty((batch, 1, 1))  # a stack's shifts; a lone pair's is a float
+    # per-pair views of a stack's Q, shifts and moves, for reductions over each pair
+    q_pairs, peaks, moves = q.reshape(batch, -1), shift.reshape(batch), start.reshape(batch, -1)
+    row_sums, col_sums = np.empty(lead + (m,)), np.empty(lead + (1, n))
+    divisors = row_sums[..., None]
     tol = _GA_SCHEDULE["sinkhorn_tol"]
     round_tol = _GA_SCHEDULE["assignment_tol"]
     beta = _GA_SCHEDULE["beta_start"]
     warm = False
+    # the pairs whose schedule goes on, and those running this beta step's
+    # rounds: True while a mask holds every pair, as a lone pair's always does
+    live = True
     while beta <= _GA_SCHEDULE["beta_max"] * (1 + 1e-12):
+        act = live
         for _ in range(_GA_SCHEDULE["assignment_rounds_max"]):
             np.copyto(start, real)
-            np.dot(compat, start_flat, out=q_flat)
+            product(compat, start_col, out=q_col)
             q += node_comp
-            shift = max(float(np.maximum.reduce(q, None)), 0.0)
-            expo, last, expo_real, last_real = last, expo, last_real, expo_real
+            if lead:
+                np.maximum(np.maximum.reduce(q_pairs, 1, None, peaks), 0.0, out=peaks)
+            else:
+                shift = max(float(np.maximum.reduce(q, None)), 0.0)
             q -= shift
+            expo, last, expo_real, last_real = last, expo, last_real, expo_real
             np.multiply(q, beta, out=expo_real)
-            expo[m, :n] = expo[:m, n] = -beta * shift
+            expo[..., m:, :n] = expo[..., :m, n:] = -beta * shift
+            if act is not True:  # held pairs keep their last exponents through the swap
+                np.copyto(expo, last, where=~act)
             if warm:
                 np.subtract(expo, last, out=factor)
                 np.minimum(factor, 700.0, out=factor)
-                soft *= np.exp(factor, out=factor)
+                np.multiply(soft, np.exp(factor, out=factor), out=soft, where=act)
             else:
                 np.exp(expo, out=soft)
                 warm = True
-            np.maximum(soft, 1e-300, out=soft)
-            np.add.reduce(rows, 1, None, row_sums)
+            np.maximum(soft, 1e-300, out=soft, where=act)
+            np.add.reduce(rows, -1, None, row_sums)
+            run = act  # the pairs still sweeping
             for _ in range(_GA_SCHEDULE["sinkhorn_max_iters"]):
-                np.divide(rows, divisors, rows)
-                np.divide(cols, np.add.reduce(cols, 0, None, col_sums), cols)
-                np.add.reduce(rows, 1, None, row_sums)
-                if all(abs(v - 1.0) <= tol for v in row_sums.tolist()):
+                np.divide(rows, divisors, rows, where=run)
+                np.divide(cols, np.add.reduce(cols, -2, None, col_sums, True), cols, where=run)
+                np.add.reduce(rows, -1, None, row_sums)
+                if lead:
+                    run = _kept(run, ~(np.maximum.reduce(np.abs(row_sums - 1.0), 1) <= tol))
+                    if run is None:
+                        break
+                elif all(abs(v - 1.0) <= tol for v in row_sums.tolist()):
                     break
             else:  # a NaN row sum never passes the test
-                if np.isnan(row_sums).any():
-                    return real
-            np.subtract(real, start, out=start)
-            if np.maximum.reduce(np.abs(start, out=start), None) <= round_tol:
+                nan = np.isnan(row_sums).any(-1)
+                if nan.any():
+                    live = _kept(live, ~nan) if lead else None
+                    if live is None:
+                        return real.reshape(batch, m, n)
+                    act = _kept(act, ~nan)
+                    if act is None:
+                        break
+            np.abs(np.subtract(real, start, out=start), out=start)
+            if lead:
+                act = _kept(act, ~(np.maximum.reduce(moves, 1) <= round_tol))
+                if act is None:
+                    break
+            elif np.maximum.reduce(start, None) <= round_tol:
                 break
         beta *= _GA_SCHEDULE["beta_rate"]
-    return real
+    return real.reshape(batch, m, n)
 
 
-def _ga_soft_pairs(cx: np.ndarray, cy: np.ndarray):
-    """Graduated assignment core on raw cell arrays of orders m, n >= 1; returns
-    assigned (row, col) pairs.
+def _kept(mask, going):
+    """The pairs of a stack's (B, 1, 1) `mask` (True: all B) that the (B,) bool
+    `going` marks, as such a mask: True when that is every pair, None when it
+    is none."""
+    if mask is not True:
+        going &= mask[:, 0, 0]
+    kept = np.count_nonzero(going)
+    return going[:, None, None] if 0 < kept < len(going) else True if kept else None
 
-    The soft matrix of `_ga_soft` is discretized by greedy maximum selection
-    down to min(m, n) pairs. When either array is all zero (the first step of
-    every fit, from zero weights), every compatibility is zero and every real
-    entry of the annealed soft matrix is equal, so greedy selection takes the
-    diagonal: the pairs (i, i) are returned without annealing.
+
+def _ga_soft_pairs(cells) -> list:
+    """Graduated assignment core: the assigned (row, col) pairs of each (cx, cy)
+    of `cells`, raw cell arrays all of one shape (m, n) with m, n >= 1.
+
+    When either array of a pair is all zero (the first step of every fit, from
+    zero weights), every compatibility is zero and every real entry of the
+    annealed soft matrix is equal, so greedy selection takes the diagonal: the
+    pairs (i, i) are returned without annealing. The other pairs are annealed
+    by `_ga_soft` in consecutive stacks of at most `_GA_PAIRS`, and each soft
+    matrix is discretized by greedy maximum selection down to min(m, n) pairs.
     """
-    m, n = cx.shape[0], cy.shape[0]
-    if not (cx.any() and cy.any()):
-        return tuple((i, i) for i in range(min(m, n)))
-    pick = _ga_soft(cx, cy).copy()
-    pairs = []
-    for _ in range(min(m, n)):
-        i, r = np.unravel_index(int(np.argmax(pick)), pick.shape)
-        pairs.append((int(i), int(r)))
-        pick[i, :] = -np.inf
-        pick[:, r] = -np.inf
-    return tuple(sorted(pairs))
+    m, n = cells[0][0].shape[0], cells[0][1].shape[0]
+    found = [tuple((i, i) for i in range(min(m, n)))] * len(cells)
+    hard = [b for b, (cx, cy) in enumerate(cells) if cx.any() and cy.any()]
+    for lo in range(0, len(hard), _GA_PAIRS):
+        stack = hard[lo : lo + _GA_PAIRS]
+        for b, pick in zip(stack, _ga_soft([cells[b] for b in stack])):
+            pick, pairs = pick.copy(), []
+            for _ in range(min(m, n)):
+                i, r = np.unravel_index(int(np.argmax(pick)), pick.shape)
+                pairs.append((int(i), int(r)))
+                pick[i, :] = -np.inf
+                pick[:, r] = -np.inf
+            found[b] = tuple(sorted(pairs))
+    return found
 
 
 def _solve(pairs, cfg: MatcherConfig) -> list:
@@ -399,7 +461,9 @@ def _solve(pairs, cfg: MatcherConfig) -> list:
     pair. Both solvers take the arrays as they are. Pairs with no empty side
     are grouped by shape (m, n): an exact group is scored by one `_best_pairs`
     call, whose winners are those of scoring each pair alone, and a graduated
-    group's pairs are annealed one by one. Each pair counts as one solver call.
+    group goes to one `_ga_soft_pairs` call, which anneals it in lockstep
+    stacks of at most `_GA_PAIRS`, each pair getting the pairs it gets alone.
+    Each pair counts as one solver call.
     """
     global _SOLVER_CALLS
     _SOLVER_CALLS += len(pairs)
@@ -409,8 +473,7 @@ def _solve(pairs, cfg: MatcherConfig) -> list:
             groups.setdefault((cx.shape[0], cy.shape[0]), []).append(index)
     for group in groups.values():
         cells = [pairs[i] for i in group]
-        solved = (_best_pairs(cells) if cfg.method == "exact"
-                  else [_ga_soft_pairs(cx, cy) for cx, cy in cells])
+        solved = _best_pairs(cells) if cfg.method == "exact" else _ga_soft_pairs(cells)
         for index, assigned in zip(group, solved):
             found[index] = assigned
     return found

@@ -69,6 +69,23 @@ class TestJsonl:
         with pytest.raises(DatasetFormatError, match=f"line 2: {message}"):
             read_examples_jsonl(path)
 
+    @pytest.mark.parametrize("record, message", [
+        ('"nodes": [["1.5"], [2.0]], "edges": []', "node 0 attribute is not a vector of numbers"),
+        ('"nodes": [[1.0], [true]], "edges": []', "node 1 attribute is not a vector of numbers"),
+        ('"nodes": [[null]], "edges": []', "node 0 attribute is not a vector of numbers"),
+        ('"nodes": [[1.0], [2.0]], "edges": [[0, 1, ["2"]]]', NOT_NUMBERS),
+        ('"nodes": [[1.0], [2.0]], "edges": [[0, 1, [false]]]', NOT_NUMBERS),
+        ('"nodes": [[1.0], [2.0]], "edges": [[0, 1, [null]]]', NOT_NUMBERS),
+    ], ids=["node-numeric-string", "node-boolean", "node-null", "edge-numeric-string",
+            "edge-boolean", "edge-null"])
+    def test_non_number_attribute_reports_line_number(self, tmp_path, record, message):
+        # numpy reads "1.5", true and null as 1.5, 1.0 and NaN; numbers are JSON numbers
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "g0", "class": "a", "nodes": [[1.0]], "edges": []}\n'
+                        f'{{"id": "g1", "class": "a", {record}}}\n')
+        with pytest.raises(DatasetFormatError, match=f"^{path}: line 2: {message}$"):
+            read_examples_jsonl(path)
+
     def test_duplicate_id_rejected(self, tmp_path):
         line = '{"id": "g0", "class": "a", "nodes": [[1.0]], "edges": []}\n'
         path = tmp_path / "dup.jsonl"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -537,8 +538,9 @@ def _reference_ga(cx, cy, params, counts=None, nan_stop=True):
     schedule ends after the first pass whose row sums hold a NaN. Returns the
     soft matrix and the greedy pairs; the oracle the production loop must
     match bit for bit. A `counts` dict, if given, receives the number of
-    Sinkhorn sweeps and passes run, and the 1-based pass at which a NaN row
-    sum first appeared, if one did."""
+    Sinkhorn sweeps and passes run, the passes that ran every sweep without
+    balancing (`capped`), the rounds each beta step ran (`rounds`), and the
+    1-based pass at which a NaN row sum first appeared, if one did."""
     m, n = cx.shape[0], cy.shape[0]
     compat = np.tensordot(cx, cy, axes=([2], [2]))
     node_comp = np.einsum("iirr->ir", compat)
@@ -548,7 +550,9 @@ def _reference_ga(cx, cy, params, counts=None, nan_stop=True):
     last = None
     beta = params["beta_start"]
     while beta <= params["beta_max"] * (1 + 1e-12):
+        counts.setdefault("rounds", []).append(0)
         for _ in range(params["assignment_rounds_max"]):
+            counts["rounds"][-1] += 1
             q = np.dot(compat, soft[:m, :n].ravel()).reshape(m, n) + node_comp
             shift = max(float(q.max()), 0.0)
             expo = np.full((m + 1, n + 1), -beta * shift)
@@ -568,6 +572,8 @@ def _reference_ga(cx, cy, params, counts=None, nan_stop=True):
                 col_err = np.abs(work[:, :n].sum(axis=0) - 1.0).max(initial=0.0)
                 if max(row_err, col_err) <= params["sinkhorn_tol"]:
                     break
+            else:
+                counts["capped"] = counts.get("capped", 0) + 1
             moved = np.abs(work[:m, :n] - soft[:m, :n]).max()
             soft, last = work, expo
             if np.isnan(soft[:m].sum(axis=1)).any():
@@ -631,7 +637,7 @@ class TestGaBitIdentity:
             m, n = x.order, y.order
             rx, ry = to_representation(x), to_representation(y)
             want_soft, want_pairs = _reference_ga(rx.cells, ry.cells, params)
-            soft = _ga_soft(rx.cells, ry.cells)
+            soft = _ga_soft([(rx.cells, ry.cells)])[0]
             assert soft.tobytes() == want_soft.tobytes()
             assert np.isfinite(soft).all()
             want = MatchMatrix(m, n, want_pairs)
@@ -662,7 +668,7 @@ class TestGaBitIdentity:
         numpy = _DivideCountingNumpy()
         with monkeypatch.context() as patch:
             patch.setattr(matching, "np", numpy)
-            got = _ga_soft(cx, cy)
+            got = _ga_soft([(cx, cy)])[0]
         assert got.tobytes() == want_soft.tobytes()
         assert numpy.divides == 2 * counts["sweeps"]
         return got, counts
@@ -719,6 +725,89 @@ class TestGaBitIdentity:
                 else:
                     assert counts == whole
         assert reached_nan >= 5
+
+
+_letter = TestGaBitIdentity._letter
+
+
+@lru_cache(maxsize=None)
+def _stack_pool(m, n):
+    """60 (m, n) pairs of attribute dimension 3, five kinds in turn: an order-m
+    letter-scale weight at eta = 0.1 against a letter-shaped graph; a random
+    pair with attributes of both signs, whose passes hit the 30-sweep cap; a
+    pair at attribute scale 1e200, which reaches the NaN stop; an all-zero
+    weight against a letter-shaped graph; and a random pair at scale 10, whose
+    soft matrices hold entries below the 1e-300 floor. Returns the graphs,
+    their cells and each pair's reference soft matrix, greedy pairs and
+    counts."""
+    rng = np.random.default_rng(16)
+    graphs = []
+    for k in range(60):
+        graphs.append([
+            lambda: (_letter(rng, m, scale=0.1), _letter(rng, n)),
+            lambda: (rand_graph(rng, m, 3), rand_graph(rng, n, 3)),
+            lambda: (rand_graph(rng, m, 3, scale=1e200), rand_graph(rng, n, 3, scale=1e200)),
+            lambda: (AttributedGraph.empty(3, m), _letter(rng, n)),
+            lambda: (rand_graph(rng, m, 3, scale=10.0), rand_graph(rng, n, 3, scale=10.0)),
+        ][k % 5]())
+    cells = [(to_representation(x).cells, to_representation(y).cells) for x, y in graphs]
+    references = []
+    with np.errstate(all="ignore"):
+        for cx, cy in cells:
+            counts = {}
+            references.append(_reference_ga(cx, cy, FIRST_GA_SCHEDULE, counts) + (counts,))
+    return graphs, cells, references
+
+
+class TestGaStack:
+    """Batched equals unbatched: a stack of same-shape pairs annealed in lockstep
+    gives each pair the soft matrix and the pairs it gets alone."""
+
+    @pytest.mark.parametrize("batch, shape", [(1, (9, 6)), (2, (9, 6)), (15, (6, 9)),
+                                              (60, (9, 6))])
+    def test_batched_equals_unbatched(self, batch, shape):
+        graphs, cells, references = _stack_pool(*shape)
+        # lone and paired stacks cover the five kinds over the first pairs;
+        # larger stacks hold them all at once
+        spans = [range(lo, lo + batch) for lo in range(0, max(batch, 5), batch)]
+        for span in spans:
+            stack = [cells[b] for b in span]
+            with np.errstate(all="ignore"):
+                soft = _ga_soft(stack)
+                before = matcher_call_count()
+                found = matching._solve(stack, GRADUATED)
+            assert matcher_call_count() - before == len(stack)
+            assert soft.shape == (len(stack),) + shape
+            for b, got_soft, got_pairs in zip(span, soft, found, strict=True):
+                want_soft, want_pairs, counts = references[b]
+                assert got_soft.tobytes() == want_soft.tobytes(), b
+                assert got_pairs == want_pairs, b
+                if "nan_pass" not in counts:
+                    assert got_pairs == ga_sdp(*graphs[b]).match.pairs, b
+        # the mix each stack was built to hold
+        counts = [references[b][2] for span in spans for b in span]
+        assert any(c.get("capped") and "nan_pass" not in c for c in counts)
+        assert any("nan_pass" in c for c in counts)
+        assert not cells[3][0].any()
+        assert (references[4][0] < 1e-300).any()
+        assert len({tuple(c["rounds"]) for c in counts if "nan_pass" not in c}) > 1
+
+    def test_reports_per_pair_cost(self):
+        # a report, not a gate: kernel time per pair on letter-scale (9, 6) pairs
+        rng = np.random.default_rng(17)
+        pairs = [(to_representation(_letter(rng, 9, scale=0.1)).cells,
+                  to_representation(_letter(rng, 6)).cells) for _ in range(60)]
+        lone = _ga_soft(pairs[:1])[0].tobytes()
+        costs = []
+        for batch in (1, 3, 15, 60):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                soft = _ga_soft(pairs[:batch])
+                times.append(time.perf_counter() - start)
+            assert soft[0].tobytes() == lone
+            costs.append(f"B={batch} {1e3 * sorted(times)[1] / batch:.3f}")
+        print("\nGA-BATCH (9, 6) kernel ms per pair: " + ", ".join(costs))
 
 
 class TestMatcherConfig:
@@ -823,19 +912,40 @@ class TestDispatch:
             want = ga_sdp(x, y)
             assert result == want and result.value.hex() == want.value.hex()
 
-    def test_graduated_solve_groups_pairs_by_shape(self):
-        # the first sides differ too: orders (3, 5), (5, 3), (4, 4), (3, 5) and (0, 2)
+    def test_graduated_solve_groups_pairs_by_shape(self, monkeypatch):
+        # the first sides differ too: orders (3, 5) five times, (5, 3), (4, 4) and
+        # (0, 2); one (3, 5) pair has an all-zero side and takes the diagonal
+        # unannealed, so the other four (3, 5) pairs reach the kernel as one stack
         rng = np.random.default_rng(14)
         graphs = [(rand_graph(rng, m, 2), rand_graph(rng, n, 2))
-                  for m, n in [(3, 5), (5, 3), (4, 4), (3, 5), (0, 2)]]
+                  for m, n in [(3, 5), (5, 3), (4, 4), (3, 5), (0, 2), (3, 5), (3, 5), (3, 5)]]
+        graphs[5] = (AttributedGraph.empty(2, 3), graphs[5][1])
         reps = [(to_representation(x), to_representation(y)) for x, y in graphs]
-        before = matcher_call_count()
-        found = matching._solve([(rx.cells, ry.cells) for rx, ry in reps], GRADUATED)
-        assert matcher_call_count() - before == len(graphs)
+        stacks = []
+
+        def kernel(cells):
+            stacks.append(len(cells))
+            return _ga_soft(cells)
+
+        monkeypatch.setattr(matching, "_ga_soft", kernel)
+
+        def solve():
+            before = matcher_call_count()
+            found = matching._solve([(rx.cells, ry.cells) for rx, ry in reps], GRADUATED)
+            assert matcher_call_count() - before == len(graphs)
+            return found
+
+        found = solve()
+        assert stacks == [4, 1, 1]
         for (x, y), (rx, ry), pairs in zip(graphs, reps, found, strict=True):
             want = ga_sdp(x, y)
             assert MatchMatrix(rx.order, ry.order, pairs) == want.match
             assert kernel_value(rx, ry, want.match).hex() == want.value.hex()
+        # over the stack cap, a group goes to the kernel in consecutive stacks
+        monkeypatch.setattr(matching, "_GA_PAIRS", 3)
+        stacks.clear()
+        assert solve() == found
+        assert stacks == [3, 1, 1, 1]
 
     def test_capacity_error_equals_exact_sdp(self):
         rng = np.random.default_rng(12)

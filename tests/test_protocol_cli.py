@@ -325,7 +325,8 @@ class TestCli:
         assert flag in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("vec", ['"x"', '{"a": 1}'], ids=["string", "object"])
+    @pytest.mark.parametrize("vec", ['"x"', '{"a": 1}', '["2"]', '[true]', '[null]'],
+                             ids=["string", "object", "numeric-string", "boolean", "null"])
     def test_dot_non_numeric_attribute_exits_1(self, tmp_path, vec):
         path = tmp_path / "f.jsonl"
         path.write_text('{"id": "x", "class": "?", "nodes": [[1.0], [2.0]], '
