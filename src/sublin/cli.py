@@ -18,7 +18,7 @@ from . import data_io, matching
 from .data_io import (GXL_PRESETS, GxlAttrConfig, SyntheticSpec, binary_examples,
                       generate_synthetic, read_examples_jsonl, read_jsonl, write_jsonl)
 from .exceptions import (InfeasibleSpecError, ValidationError, check_count, config_fields,
-                         config_value, text)
+                         config_value, sized, text)
 from .files import atomic_write, read_json
 from .learning import TrainConfig, train_binary, train_one_vs_all, write_trace_jsonl
 from .matching import MatcherConfig, exact_sdp, ga_sdp, sdp
@@ -182,14 +182,17 @@ def _cmd_bench(args) -> int:
     check_count("--max-order", args.max_order, 1, matching._HARD_ENUM_LIMIT)  # the exact cap
     check_count("--min-order", args.min_order, 1, args.max_order)
     rng = np.random.default_rng(args.seed)
+
+    def graph():
+        order = int(rng.integers(args.min_order, args.max_order + 1))
+        return sized("--attr-dim", args.attr_dim, data_io.random_graph, rng, order, args.attr_dim,
+                     0.5, 1.0)
+
     gaps = []
     times = {"exact": 0.0, "graduated": 0.0}
     attained = 0
     for _ in range(args.pairs):
-        order = int(rng.integers(args.min_order, args.max_order + 1))
-        a = data_io.random_graph(rng, order, args.attr_dim, 0.5, 1.0)
-        b = data_io.random_graph(rng, int(rng.integers(args.min_order, args.max_order + 1)),
-                                 args.attr_dim, 0.5, 1.0)
+        a, b = graph(), graph()
         t0 = time.perf_counter()
         exact = exact_sdp(a, b, max_order=args.max_order)
         times["exact"] += time.perf_counter() - t0

@@ -23,7 +23,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .exceptions import (DatasetFormatError, InfeasibleSpecError, ValidationError, check_count,
-                         check_number, checked, config_fields, config_value, integer, name_list)
+                         check_number, checked, config_fields, config_value, integer, name_list,
+                         sized)
 from .files import atomic_write
 from .graphs import AttributedGraph
 from .learning import LabeledExample, _signed
@@ -101,39 +102,24 @@ def _graph_to_doc(ex: LabeledExample, gid: str) -> dict:
     }
 
 
-def _numbers(vec) -> bool:
-    """False for a JSON attribute vector that is a list holding anything but JSON
-    numbers, such as a numeric string, a boolean or null, which numpy would read
-    as numbers (booleans are not numbers, as for config values); every other
-    shape is left to AttributedGraph."""
-    return not isinstance(vec, list) or {int, float}.issuperset(map(type, vec))
-
-
 def _graph_from_doc(doc: dict, path, line: int) -> Tuple[str, LabeledExample]:
+    """One JSONL record as (id, example), judged for the format's own rules (keys,
+    integer endpoints, i < j, declared nodes); the attribute lists go to
+    AttributedGraph as read, which judges their values."""
     try:
         gid = doc["id"]
         cls = doc["class"]
         rows = doc["nodes"]
         edges = [(integer(i), integer(j), vec) for i, j, vec in doc.get("edges", [])]
-        for k, row in enumerate(rows if isinstance(rows, list) else ()):
-            if not _numbers(row):
-                raise DatasetFormatError(f"node {k} attribute is not a vector of numbers", path, line)
-        for i, j, vec in edges:
-            if not _numbers(vec):
-                raise DatasetFormatError(f"edge ({i}, {j}) attribute is not a vector of numbers",
-                                         path, line)
-        nodes = np.asarray(rows, dtype=np.float64)
-        if nodes.size == 0:
-            raise DatasetFormatError("graphs without declared nodes are not supported", path, line)
-    except DatasetFormatError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"malformed graph record ({exc})", path, line) from exc
+    if rows == []:
+        raise DatasetFormatError("graphs without declared nodes are not supported", path, line)
     for i, j, _ in edges:
         if not i < j:
             raise DatasetFormatError(f"edge [{i}, {j}] must satisfy i < j", path, line)
     try:
-        graph = AttributedGraph(nodes, edges)
+        graph = AttributedGraph(rows, edges)
     except ValidationError as exc:
         raise DatasetFormatError(str(exc), path, line) from exc
     return str(gid), LabeledExample(graph, str(cls))
@@ -523,18 +509,19 @@ def generate_synthetic(spec: SyntheticSpec):
     matcher = MatcherConfig(method="exact",
                             exact_max_order=max(DEFAULT_EXACT_MAX_ORDER, spec.planted_order))
 
+    def sample_graph(order=None) -> AttributedGraph:
+        if order is None:
+            order = int(rng.integers(spec.order_range[0], spec.order_range[1] + 1))
+        return sized("attr_dim", spec.attr_dim, random_graph, rng, order, spec.attr_dim,
+                     spec.edge_density, spec.attribute_scale)
+
     w_norm = 0.0
     while w_norm == 0.0:
-        planted_graph = random_graph(rng, spec.planted_order, spec.attr_dim,
-                                     spec.edge_density, spec.attribute_scale)
+        planted_graph = sample_graph(spec.planted_order)
         w_norm = math.sqrt(sdp(planted_graph, planted_graph, matcher).value)
 
     def raw_score(g: AttributedGraph) -> float:
         return sdp(planted_graph, g, matcher).value
-
-    def sample_graph() -> AttributedGraph:
-        order = int(rng.integers(spec.order_range[0], spec.order_range[1] + 1))
-        return random_graph(rng, order, spec.attr_dim, spec.edge_density, spec.attribute_scale)
 
     # Recenters the bias on a pilot of raw scores so both classes stay frequent.
     pilot = [raw_score(sample_graph()) for _ in range(120)]

@@ -49,6 +49,17 @@ def checked(name: str, reader, value):
         raise ValidationError(f"{name!r}: {exc}") from None
 
 
+def sized(name: str, value, make, *args):
+    """`make(*args)`, or ValidationError naming `name` when numpy refuses the size
+    of an array that `make` asks for because `value` is too large: its ValueError
+    ("array is too big", or an axis over numpy's limit) or MemoryError. Only
+    calls whose other ValueErrors cannot arise are wrapped."""
+    try:
+        return make(*args)
+    except (ValueError, MemoryError):
+        raise ValidationError(f"{name!r}: {value} is too large") from None
+
+
 def config_value(doc, key, kind, default=_REQUIRED):
     """`kind(doc[key])`, or `default` when the key is absent. A non-object `doc`, a
     missing required key or a TypeError/ValueError from `kind` (nested reads

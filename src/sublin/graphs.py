@@ -7,6 +7,7 @@ permutes the representation without changing the graph.
 """
 from __future__ import annotations
 
+import numbers
 from typing import Iterable, Mapping, Tuple
 
 import numpy as np
@@ -22,24 +23,45 @@ def _canonical_edge(i, j) -> EdgeKey:
     return (i, j) if i < j else (j, i)
 
 
+def _numbers(value) -> bool:
+    """The one number rule of attribute values: True for a real number, or a list,
+    tuple or array of them at any depth. Booleans, strings, None and every other
+    object are refused, which numpy would read as numbers or as NaN; an array is
+    judged by its dtype, so a bool array is refused. Shapes are left to the caller."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    if isinstance(value, (list, tuple)):  # one type-set test for a list of scalars
+        return {int, float}.issuperset(map(type, value)) or all(map(_numbers, value))
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _number_array(value, fault: str) -> np.ndarray:
+    """`value` as a new float64 array, or ValidationError(fault) unless it holds
+    numbers only (`_numbers`) in a regular shape."""
+    if _numbers(value):
+        try:
+            return np.array(value, dtype=np.float64)
+        except ValueError:  # ragged lists
+            pass
+    raise ValidationError(fault)
+
+
 def _edge_stack(keys, vecs, dim: int) -> np.ndarray:
     """The edge vectors as one new float64 (k, dim) array, or ValidationError
-    naming the first edge whose vector is not dim numbers: a ragged list, an
-    entry that is not a number, a bare scalar (never read as a row of one) or a
-    wrong length."""
+    naming the first edge whose vector is not dim numbers: an entry that is not a
+    number, a ragged list, a bare scalar (never read as a row of one) or a wrong
+    length."""
     if not vecs:
         return np.empty((0, dim))
-    try:
-        stack = np.array(vecs, dtype=np.float64)
-        if stack.shape == (len(vecs), dim):
-            return stack
-    except (TypeError, ValueError):  # ragged or not numbers: the pass below names the edge
-        pass
-    for key, vec in zip(keys, vecs):
+    if _numbers(vecs):
         try:
-            shape = np.asarray(vec, dtype=np.float64).shape
-        except (TypeError, ValueError):
-            raise ValidationError(f"edge {key} attribute is not a vector of numbers") from None
+            stack = np.array(vecs, dtype=np.float64)
+            if stack.shape == (len(vecs), dim):
+                return stack
+        except ValueError:  # ragged: the pass below names the edge
+            pass
+    for key, vec in zip(keys, vecs):
+        shape = _number_array(vec, f"edge {key} attribute is not a vector of numbers").shape
         if shape != (dim,):
             raise ValidationError(f"edge {key} attribute has shape {shape}, expected ({dim},)")
 
@@ -53,7 +75,8 @@ class AttributedGraph:
     accepted here but rejected by :func:`to_representation`, and can be repaired
     with :func:`attach_edge_flag`.
 
-    The constructor is the one place where attributes are checked. It copies the
+    The constructor is the one place where attributes are checked, by the number
+    rule of `_numbers` and for shape, finiteness and duplicate edges. It copies the
     node attributes and the edge vectors into one read-only float64 array of its
     own, node rows first and then one row per undirected edge in order of first
     appearance; `node_attrs` and the values of `edge_attrs` are views of it. The
@@ -67,11 +90,11 @@ class AttributedGraph:
     __slots__ = ("node_attrs", "edge_attrs", "_edges", "_rep", "_self_product")
 
     def __init__(self, node_attrs, edges=()):
-        try:
-            nodes = np.asarray(node_attrs, dtype=np.float64)
-        except (TypeError, ValueError):  # ragged rows, or an entry that is not a number
-            raise ValidationError("node attributes must be an (order x attr_dim) array of "
-                                  "numbers") from None
+        for k, row in enumerate(node_attrs if isinstance(node_attrs, (list, tuple)) else ()):
+            if not _numbers(row):
+                raise ValidationError(f"node {k} attribute is not a vector of numbers")
+        nodes = _number_array(node_attrs, "node attributes must be an (order x attr_dim) array of "
+                                          "numbers")
         if nodes.ndim != 2:
             raise ValidationError(
                 f"node attributes must be a 2-D (order x attr_dim) array, got shape {nodes.shape}"
@@ -151,13 +174,14 @@ class Representation:
 
     The diagonal holds node attributes, off-diagonal cells hold edge attributes,
     and a zero off-diagonal cell means no edge. Every cell must be finite. The
-    constructor copies its input and checks shape, finiteness and symmetry.
+    constructor copies its input and checks the number rule of `_numbers`, shape,
+    finiteness and symmetry.
     """
 
     __slots__ = ("cells",)
 
     def __init__(self, cells):
-        arr = np.asarray(cells, dtype=np.float64)
+        arr = _number_array(cells, "cells must be an (n, n, d) array of numbers")
         if arr.ndim != 3 or arr.shape[0] != arr.shape[1]:
             raise ValidationError(f"cells must have shape (n, n, d), got {arr.shape}")
         if arr.shape[2] < 1:
@@ -166,7 +190,6 @@ class Representation:
             raise ValidationError("graph attributes must be finite")
         if not np.array_equal(arr, arr.transpose(1, 0, 2)):
             raise ValidationError("representation cells must be symmetric")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "cells", arr)
 
@@ -252,13 +275,6 @@ def to_representation(graph: AttributedGraph) -> Representation:
 
 def from_representation(rep: Representation) -> AttributedGraph:
     """Project a representation back to a graph: zero off-diagonal cells become non-edges."""
-    cells = rep.cells
-    n = rep.order
-    nodes = np.stack([cells[i, i] for i in range(n)]) if n else np.zeros((0, rep.attr_dim))
-    edges = [
-        (i, j, cells[i, j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if np.any(cells[i, j])
-    ]
-    return AttributedGraph(nodes, edges)
+    cells, n = rep.cells, rep.order
+    edges = [(i, j, cells[i, j]) for i in range(n) for j in range(i + 1, n) if cells[i, j].any()]
+    return AttributedGraph(np.diagonal(cells).T, edges)  # the diagonal as (n, d) node rows

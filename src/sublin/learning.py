@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exceptions import ValidationError, check_count, check_number, integer
+from .exceptions import ValidationError, check_count, check_number, integer, sized
 from .files import atomic_write
 from .graphs import AttributedGraph, Representation
 from .matching import MatcherConfig, _distances
@@ -152,7 +152,7 @@ class _Fit:
         self.rng = np.random.default_rng(cfg.seed)
         self.visit = np.arange(len(graphs))
         order = cfg.weight_order or max(1, max(g.order for g in graphs))
-        self.w = Representation.zeros(order, graphs[0].attr_dim)
+        self.w = sized("weight_order", order, Representation.zeros, order, graphs[0].attr_dim)
         self.b = 0.0
         self.epoch = 0
         self.stats: List[EpochStats] = []

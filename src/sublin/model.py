@@ -13,9 +13,9 @@ from typing import Tuple
 import numpy as np
 
 from .exceptions import (DegenerateModelError, ValidationError, check_number, config_value, integer,
-                         name_list)
+                         name_list, sized)
 from .files import atomic_write, read_json
-from .graphs import AttributedGraph, Representation, to_representation
+from .graphs import AttributedGraph, Representation, _number_array, to_representation
 from .matching import MatcherConfig, _aligned, _encodings, _finite, _solve
 
 MODEL_FORMAT_VERSION = 1
@@ -192,12 +192,11 @@ def _model_from_doc(doc: dict) -> SublinearModel:
     config_value(doc, "kind", lambda v: _kind(v, ("binary",)), None)
     order = config_value(doc, "order", integer)
     attr_dim = config_value(doc, "attr_dim", integer)
-    cells = config_value(doc, "weight_cells", lambda v: np.asarray(v, dtype=np.float64))
+    # judged by the number rule before numpy reads it, so a refusal names the key
+    cells = config_value(doc, "weight_cells",
+                         lambda v: _number_array(v, "expected an (n, n, d) array of numbers"))
     if cells.size == 0:  # an order-0 weight is written as []
-        try:
-            cells = cells.reshape(0, 0, max(attr_dim, 1))
-        except ValueError:  # numpy's limit on the length of an axis
-            raise ValidationError(f"'attr_dim': {attr_dim} is too large") from None
+        cells = sized("attr_dim", attr_dim, cells.reshape, 0, 0, max(attr_dim, 1))
     rep = Representation(cells)
     if rep.order != order or rep.attr_dim != attr_dim:
         raise ValidationError("weight cell array does not match the declared order/attr_dim")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,16 @@ class TestGxl:
         cfg = GxlAttrConfig(node_attr_names=("x", "y", "z"))
         with pytest.raises(DatasetFormatError, match="missing declared"):
             parse_gxl(MINIMAL_GXL, cfg)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ('to="n1"', 'to="n0"', "self-loop on node 'n0' is not supported"),
+        ('<node id="n1">', '<node id="n0">', "missing or duplicate node id 'n0'"),
+        ('<node id="n1">', "<node>", "missing or duplicate node id None"),
+    ], ids=["self-loop", "duplicate-id", "missing-id"])
+    def test_gxl_faults_named_by_their_ids(self, old, new, message):
+        # the file's own ids, which AttributedGraph cannot know, name these faults
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(f'g.gxl: {message}')}$"):
+            parse_gxl(MINIMAL_GXL.replace(old, new), GXL_PRESETS["letter"], path="g.gxl")
 
     def test_non_numeric_value(self):
         doc = MINIMAL_GXL.replace("<float>0.5</float>", "<string>abc</string>")

@@ -42,12 +42,30 @@ class TestAttributedGraph:
         with pytest.raises(ValidationError, match="finite"):
             AttributedGraph(nodes, [(0, 1, edge)])
 
-    @pytest.mark.parametrize("nodes", [[[1.0], ["x"]], [[1.0], [{"a": 1}]], [[1.0], [1.0, 2.0]]],
-                             ids=["string", "object", "ragged"])
-    def test_node_attributes_not_numbers_rejected(self, nodes):
-        with pytest.raises(ValidationError, match="^node attributes must be an "
-                                                  r"\(order x attr_dim\) array of numbers$"):
+    @pytest.mark.parametrize("nodes, message", [
+        ([[1.0], ["x"]], "node 1 attribute is not a vector of numbers"),
+        ([[1.0], [{"a": 1}]], "node 1 attribute is not a vector of numbers"),
+        ([[1.0], [1.0, 2.0]], r"node attributes must be an \(order x attr_dim\) array of numbers"),
+        # numpy would read these as 1.5, 1.0 and NaN
+        ([[1.0], ["1.5"]], "node 1 attribute is not a vector of numbers"),
+        ([[1.0], [True]], "node 1 attribute is not a vector of numbers"),
+        ([[1.0], [None]], "node 1 attribute is not a vector of numbers"),
+        (np.array([[True], [False]]),
+         r"node attributes must be an \(order x attr_dim\) array of numbers"),
+    ], ids=["string", "object", "ragged", "numeric-string", "boolean", "none", "bool-array"])
+    def test_node_attributes_not_numbers_rejected(self, nodes, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             AttributedGraph(nodes)
+
+    @pytest.mark.parametrize("nodes, edge", [
+        ([[1], [2]], [3]), (np.array([[1], [2]], dtype=np.int32), np.array([3], dtype=np.uint8)),
+        ([[np.int64(1)], [np.float32(2.0)]], (np.float64(3.0),)),
+    ], ids=["int-lists", "int-arrays", "numpy-scalars"])
+    def test_numbers_of_every_kind_read_as_floats(self, nodes, edge):
+        g = AttributedGraph(nodes, [(0, 1, edge)])
+        assert g.node_attrs.dtype == np.float64
+        assert g.node_attrs.tolist() == [[1.0], [2.0]]
+        assert g.edge_attrs[(0, 1)].tolist() == [3.0]
 
     def test_dim_mismatch(self):
         with pytest.raises(ValidationError):
@@ -72,8 +90,15 @@ class TestAttributedGraph:
         ([(0, 1, [1.0]), (2, 1, ["x"])], r"edge \(1, 2\) attribute is not a vector of numbers"),
         ([(0, 1, [1.0]), (1, 2, {"a": 1})],
          r"edge \(1, 2\) attribute is not a vector of numbers"),
+        ([(0, 1, [1.0]), (1, 2, ["2"])], r"edge \(1, 2\) attribute is not a vector of numbers"),
+        ([(0, 1, [1.0]), (1, 2, [True])], r"edge \(1, 2\) attribute is not a vector of numbers"),
+        ([(0, 1, [1.0]), (1, 2, [None])], r"edge \(1, 2\) attribute is not a vector of numbers"),
+        ([(0, 1, [1.0]), (1, 2, np.array([True]))],
+         r"edge \(1, 2\) attribute is not a vector of numbers"),
+        ([(0, 1, [1.0]), (1, 2, [[1.0], [2.0, 3.0]])],
+         r"edge \(1, 2\) attribute is not a vector of numbers"),
     ], ids=["ragged", "scalar", "wrong-length", "non-finite", "conflicting-duplicate", "string",
-            "object"])
+            "object", "numeric-string", "boolean", "none", "bool-array", "ragged-vector"])
     def test_edge_fault_named(self, edges, message):
         # a bare scalar is refused even at attr_dim 1, never read as a row of one
         with pytest.raises(ValidationError, match=message):
@@ -156,6 +181,20 @@ class TestRepresentation:
         cells[0, 1, 0] = 1.0
         with pytest.raises(ValidationError):
             Representation(cells)
+
+    @pytest.mark.parametrize("cells", [[[["1.5"]]], [[[True]]], [[[None]]], np.array([[[True]]]),
+                                       [[[0.5]], [[0.5], [1.0]]]],
+                             ids=["numeric-string", "boolean", "none", "bool-array", "ragged"])
+    def test_cells_not_numbers_rejected(self, cells):
+        with pytest.raises(ValidationError, match=r"^cells must be an \(n, n, d\) array of numbers$"):
+            Representation(cells)
+
+    @pytest.mark.parametrize("cells", [[[[2]]], np.array([[[2]]], dtype=np.int64)],
+                             ids=["int-list", "int-array"])
+    def test_integer_cells_read_as_floats(self, cells):
+        rep = Representation(cells)
+        assert rep.cells.dtype == np.float64
+        assert rep.cells.tolist() == [[[2.0]]]
 
     def test_zero_cells_project_to_isolated_nodes(self):
         g = from_representation(Representation.zeros(2, 1))

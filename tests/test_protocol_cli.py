@@ -150,14 +150,43 @@ class TestCallAccounting:
         assert matcher_call_count() - before == len(train)
 
 
-def run_cli(*args, timeout=None):
-    # the CLI runs from the same sources as the tests, installed or not
+def run_python(*args, timeout=None):
+    # a fresh interpreter runs the same sources as the tests, installed or not
     src = os.path.dirname(os.path.dirname(sublin.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "sublin.cli", *args],
+        [sys.executable, *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=timeout,
     )
+
+
+def run_cli(*args, timeout=None):
+    return run_python("-m", "sublin.cli", *args, timeout=timeout)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # the modules that start-up loads (site-packages hooks among them) are the
+    # baseline; an exact and a graduated dot product and one training epoch may
+    # add no top-level module but numpy, sublin and the standard library's
+    proc = run_python("-c", """if True:
+        import sys
+        def top_level():
+            return {name.partition(".")[0] for name in sys.modules}
+        before = top_level()
+        from sublin import AttributedGraph, LabeledExample, TrainConfig, ga_sdp, sdp, train_binary
+        a = AttributedGraph([[1.0], [2.0]], [(0, 1, [1.0])])
+        b = AttributedGraph([[0.5], [1.0], [-1.5]], [(1, 2, [2.0])])
+        assert sdp(a, b).exact and not ga_sdp(a, b).exact
+        train_binary([LabeledExample(a, 1), LabeledExample(b, -1)],
+                     TrainConfig(learning_rate=0.5, max_epochs=1))
+        new = top_level() - before - set(sys.stdlib_module_names)
+        # numpy.random's compiled extensions register Cython's runtime modules
+        # (cython_runtime, _cython_<version>), which have no file and no package
+        print(" ".join(sorted(name for name in new
+                              if getattr(sys.modules.get(name), "__file__", None))))
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["numpy", "sublin"]
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +352,33 @@ class TestCli:
         proc = run_cli("bench", *args, timeout=60)
         assert proc.returncode == 1
         assert flag in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command, field, size", [
+        ("train", "weight_order", 10**9), ("protocol", "weight_order", 10**9),
+        ("synth", "attr_dim", 10**18), ("bench", "--attr-dim", 10**18),
+    ], ids=["train", "protocol", "synth", "bench"])
+    def test_sizes_numpy_refuses_exit_1(self, tmp_path, dataset_dir, command, field, size):
+        # every first array asked for holds over 2**63 bytes, so numpy refuses it before
+        # allocating anything: the weight is (1e9, 1e9, 2), a graph at least (2, 1e18)
+        assert read_jsonl(dataset_dir).attr_dim == 2
+        configs = {
+            "train": {"data": str(dataset_dir), "weight_order": size},
+            "protocol": {"dataset": str(dataset_dir), "algorithm": "perceptron",
+                         "eta_grid": [0.5], "repeats": 1, "max_epochs": 1, "weight_order": size},
+            "synth": {"n_examples": {"train": 4}, "order_range": [2, 3], "attr_dim": size,
+                      "planted_order": 2, "planted_margin": 0.1, "edge_density": 0.5},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        if command == "bench":
+            args = ["bench", "--pairs", "1", "--attr-dim", str(size)]
+        else:
+            cfg_path.write_text(json.dumps(configs[command]))
+            args = [command, "--spec" if command == "synth" else "--config", str(cfg_path),
+                    "--out", str(tmp_path / "o")]
+        proc = run_cli(*args)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {field!r}: {size} is too large\n"
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("vec", ['"x"', '{"a": 1}', '["2"]', '[true]', '[null]'],
@@ -532,7 +588,8 @@ class TestCli:
     @pytest.mark.parametrize("case", [
         "model-bias", "model-bias-string", "model-bias-bool", "model-bias-nan",
         "model-weight_cells", "model-weight_cells-string",
-        "model-weight_cells-ragged", "model-list", "ova-members",
+        "model-weight_cells-ragged", "model-weight_cells-true", "model-weight_cells-numeric_string",
+        "model-weight_cells-null", "model-list", "ova-members",
         "meta-list", "meta-splits-list", "meta-classes-number", "meta-splits-number",
         "meta-classes-string", "meta-classes-unhashable", "ova-classes-unhashable",
         "ova-classes-string",
@@ -550,6 +607,10 @@ class TestCli:
             "model-weight_cells": {k: v for k, v in model.items() if k != "weight_cells"},
             "model-weight_cells-string": {**model, "weight_cells": "x"},
             "model-weight_cells-ragged": {**model, "weight_cells": [[[0.5]], [[0.5], [1.0]]]},
+            # numpy would read these as 1.0, 0.5 and NaN; each is refused under its key
+            "model-weight_cells-true": {**model, "weight_cells": [[[True]]]},
+            "model-weight_cells-numeric_string": {**model, "weight_cells": [[["0.5"]]]},
+            "model-weight_cells-null": {**model, "weight_cells": [[[None]]]},
             "model-list": [model],
             "ova-members": {"format_version": 1, "kind": "ova", "classes": ["a", "b"]},
             "ova-classes-unhashable": {"format_version": 1, "kind": "ova",
