@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -396,6 +397,7 @@ def read_cxl_dataset(dirpath, cfg: GxlAttrConfig, name=None) -> Dataset:
 
 POSITIVE_CLASS = "pos"
 NEGATIVE_CLASS = "neg"
+_MAX_SCALE = sys.float_info.max / 2  # the largest attribute scale whose 2 * scale is finite
 
 
 @dataclass(frozen=True)
@@ -436,8 +438,11 @@ class SyntheticSpec:
         object.__setattr__(self, "planted_order",
                            check_count("planted_order", self.planted_order, 1, _HARD_ENUM_LIMIT))
         object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
-        for name in ("planted_margin", "attribute_scale"):
-            check_number(name, getattr(self, name), "a positive number", lambda v: v > 0)
+        check_number("planted_margin", self.planted_margin, "a positive number", lambda v: v > 0)
+        # attributes are drawn uniform on [-scale, scale], a range of width 2 * scale
+        check_number("attribute_scale", self.attribute_scale,
+                     f"a positive number of at most {_MAX_SCALE!r}",
+                     lambda v: 0 < float(v) <= _MAX_SCALE)
         check_number("edge_density", self.edge_density, "a number in (0, 1]", lambda v: 0 < v <= 1)
 
     def to_json(self) -> dict:

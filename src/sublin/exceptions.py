@@ -132,9 +132,13 @@ def check_count(name: str, value, minimum: int = 1, maximum: int | None = None) 
 def check_number(name: str, value, what: str = "a finite number", test=lambda v: True):
     """`value` as given (an int stays an int), or ValidationError naming `name` and
     expecting `what` unless it is a finite real number that passes `test`: the
-    one rule of numeric fields. Booleans, strings, NaN and ±inf (JSON `NaN` and
-    `Infinity`) are refused."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or not test(value)):
+    one rule of numeric fields. Booleans, strings, NaN, ±inf (JSON `NaN` and
+    `Infinity`) and integers outside the float range are refused."""
+    try:
+        finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                  and math.isfinite(value))
+    except OverflowError:  # an integer outside the float range
+        finite = False
+    if not finite or not test(value):
         raise ValidationError(f"{name!r}: expected {what}, got {value!r}")
     return value

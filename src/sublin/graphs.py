@@ -37,10 +37,13 @@ def _numbers(value) -> bool:
 
 def _number_array(value, fault: str) -> np.ndarray:
     """`value` as a new float64 array, or ValidationError(fault) unless it holds
-    numbers only (`_numbers`) in a regular shape."""
+    numbers only (`_numbers`) in a regular shape; an integer outside the float
+    range raises the error of non-finite attributes."""
     if _numbers(value):
         try:
             return np.array(value, dtype=np.float64)
+        except OverflowError:
+            raise ValidationError("graph attributes must be finite") from None
         except ValueError:  # ragged lists
             pass
     raise ValidationError(fault)
@@ -58,7 +61,7 @@ def _edge_stack(keys, vecs, dim: int) -> np.ndarray:
             stack = np.array(vecs, dtype=np.float64)
             if stack.shape == (len(vecs), dim):
                 return stack
-        except ValueError:  # ragged: the pass below names the edge
+        except (ValueError, OverflowError):  # ragged or huge: the pass below names the fault
             pass
     for key, vec in zip(keys, vecs):
         shape = _number_array(vec, f"edge {key} attribute is not a vector of numbers").shape

@@ -36,8 +36,7 @@ _HARD_ENUM_LIMIT = 9
 # (injection, pair) cells per term of one `_best_pairs` gather; windows are sized for
 # at least 4 pairs, or a lone pair's buffers would fault in again on every call.
 _GATHER = 2880
-_GATHER_PAIRS = 32  # pairs per `_best_pairs` batch, which bounds its compatibility array
-_GA_PAIRS = 32  # pairs per `_ga_soft` stack, which bounds its compatibility array
+_PAIRS = 32  # pairs per solver batch of `_solve`, which bounds either solver's compatibility array
 
 # Count of hard matching problems actually solved (enumeration or annealing).
 # Identity self-products are closed-form and do not count. `_solve` is its one
@@ -239,9 +238,6 @@ def _best_pairs(cells):
     the zero nodes they match tie exactly; a later window wins only on a strictly
     larger score, and a NaN score never wins.
     """
-    if len(cells) > _GATHER_PAIRS:
-        return [pairs for start in range(0, len(cells), _GATHER_PAIRS)
-                for pairs in _best_pairs(cells[start : start + _GATHER_PAIRS])]
     cx, cy = cells[0]
     m, n, d = cx.shape[0], cy.shape[0], cx.shape[2]
     k, batch = min(m, n), len(cells)
@@ -321,58 +317,54 @@ def _ga_soft(cells) -> np.ndarray:
     sweep. A pair that has stopped (its beta step's rounds, its pass's sweeps
     or, after a NaN, its schedule) is held by the `where=` masks of the calls
     that write the soft matrix, and its last exponents by one `copyto` per
-    pass, so it resumes, or ends, exactly as alone. A lone pair runs the same
-    loop on 2-D arrays with no masks, leaving a loop at each of its stops.
+    pass, so it resumes, or ends, exactly as alone. The stop tests read each
+    pair's row sums and largest move as Python floats, and a NaN fails them
+    all. A lone pair is a stack of one.
     """
     batch = len(cells)
     cx, cy = cells[0]
     m, n, d = cx.shape[0], cy.shape[0], cx.shape[2]
-    lead = (batch,) if batch > 1 else ()
     compat = np.empty((batch, m * m, n * n))
     for out, (cx, cy) in zip(compat, cells):  # each pair's tensordot over d
         np.dot(cx.reshape(m * m, d), cy.transpose(2, 0, 1).reshape(d, n * n), out=out)
-    compat = compat.reshape(lead + (m, m, n, n))
-    node_comp = np.einsum("...iirr->...ir", compat)
+    compat = compat.reshape(batch, m, m, n, n)
+    node_comp = np.einsum("biirr->bir", compat)
     # rows (i, r), columns (j, s)
-    compat = np.swapaxes(compat, -3, -2).reshape(lead + (m * n, m * n))
-    soft = np.full(lead + (m + 1, n + 1), 1.0 / (max(m, n) + 1.0))
-    real, rows, cols = soft[..., :m, :n], soft[..., :m, :], soft[..., :n]
+    compat = compat.swapaxes(2, 3).reshape(batch, m * n, m * n)
+    soft = np.full((batch, m + 1, n + 1), 1.0 / (max(m, n) + 1.0))
+    real, rows, cols = soft[:, :m, :n], soft[:, :m, :], soft[..., :n]
     # this pass's kernel exponents and the last pass's, swapped every pass, and
     # the factor between them; the slack corner, which no sweep reads, keeps
     # exponent 0 and entry 1
     expo, last, factor = np.zeros((3,) + soft.shape)
-    expo_real, last_real = expo[..., :m, :n], last[..., :m, :n]
+    expo_real, last_real = expo[:, :m, :n], last[:, :m, :n]
     # the real soft matrix a round starts from, as a column for the product,
     # then its move
     start, q = np.empty((2,) + real.shape)
-    start_col, q_col = start.reshape(lead + (m * n, 1)), q.reshape(lead + (m * n, 1))
-    product = np.matmul if lead else np.dot
-    shift = np.empty((batch, 1, 1))  # a stack's shifts; a lone pair's is a float
-    # per-pair views of a stack's Q, shifts and moves, for reductions over each pair
+    start_col, q_col = start.reshape(batch, m * n, 1), q.reshape(batch, m * n, 1)
+    shift = np.empty((batch, 1, 1))
+    # per-pair views of Q, the shifts and the moves, for reductions over each pair
     q_pairs, peaks, moves = q.reshape(batch, -1), shift.reshape(batch), start.reshape(batch, -1)
-    row_sums, col_sums = np.empty(lead + (m,)), np.empty(lead + (1, n))
+    row_sums, col_sums = np.empty((batch, m)), np.empty((batch, 1, n))
     divisors = row_sums[..., None]
     tol = _GA_SCHEDULE["sinkhorn_tol"]
     round_tol = _GA_SCHEDULE["assignment_tol"]
     beta = _GA_SCHEDULE["beta_start"]
     warm = False
     # the pairs whose schedule goes on, and those running this beta step's
-    # rounds: True while a mask holds every pair, as a lone pair's always does
+    # rounds, as `_kept` masks
     live = True
     while beta <= _GA_SCHEDULE["beta_max"] * (1 + 1e-12):
         act = live
         for _ in range(_GA_SCHEDULE["assignment_rounds_max"]):
             np.copyto(start, real)
-            product(compat, start_col, out=q_col)
+            np.matmul(compat, start_col, out=q_col)
             q += node_comp
-            if lead:
-                np.maximum(np.maximum.reduce(q_pairs, 1, None, peaks), 0.0, out=peaks)
-            else:
-                shift = max(float(np.maximum.reduce(q, None)), 0.0)
+            np.maximum(np.maximum.reduce(q_pairs, 1, None, peaks), 0.0, out=peaks)
             q -= shift
             expo, last, expo_real, last_real = last, expo, last_real, expo_real
             np.multiply(q, beta, out=expo_real)
-            expo[..., m:, :n] = expo[..., :m, n:] = -beta * shift
+            expo[:, m:, :n] = expo[:, :m, n:] = -beta * shift
             if act is not True:  # held pairs keep their last exponents through the swap
                 np.copyto(expo, last, where=~act)
             if warm:
@@ -389,40 +381,36 @@ def _ga_soft(cells) -> np.ndarray:
                 np.divide(rows, divisors, rows, where=run)
                 np.divide(cols, np.add.reduce(cols, -2, None, col_sums, True), cols, where=run)
                 np.add.reduce(rows, -1, None, row_sums)
-                if lead:
-                    run = _kept(run, ~(np.maximum.reduce(np.abs(row_sums - 1.0), 1) <= tol))
-                    if run is None:
-                        break
-                elif all(abs(v - 1.0) <= tol for v in row_sums.tolist()):
+                run = _kept(run, [not all(abs(v - 1.0) <= tol for v in sums)
+                                  for sums in row_sums.tolist()])
+                if run is None:
                     break
             else:  # a NaN row sum never passes the test
-                nan = np.isnan(row_sums).any(-1)
-                if nan.any():
-                    live = _kept(live, ~nan) if lead else None
+                clear = (~np.isnan(row_sums).any(-1)).tolist()
+                if not all(clear):
+                    live = _kept(live, clear)
                     if live is None:
-                        return real.reshape(batch, m, n)
-                    act = _kept(act, ~nan)
+                        return real
+                    act = _kept(act, clear)
                     if act is None:
                         break
             np.abs(np.subtract(real, start, out=start), out=start)
-            if lead:
-                act = _kept(act, ~(np.maximum.reduce(moves, 1) <= round_tol))
-                if act is None:
-                    break
-            elif np.maximum.reduce(start, None) <= round_tol:
+            act = _kept(act, [not v <= round_tol for v in np.maximum.reduce(moves, 1).tolist()])
+            if act is None:
                 break
         beta *= _GA_SCHEDULE["beta_rate"]
-    return real.reshape(batch, m, n)
+    return real
 
 
 def _kept(mask, going):
-    """The pairs of a stack's (B, 1, 1) `mask` (True: all B) that the (B,) bool
-    `going` marks, as such a mask: True when that is every pair, None when it
-    is none."""
+    """The pairs of a stack's (B, 1, 1) `mask` (True: all B) that the list of B
+    bools `going` marks, as such a mask: True when that is every pair, None when
+    it is none."""
     if mask is not True:
-        going &= mask[:, 0, 0]
-    kept = np.count_nonzero(going)
-    return going[:, None, None] if 0 < kept < len(going) else True if kept else None
+        going = [g and k for g, k in zip(going, mask.ravel().tolist())]
+    if all(going):
+        return True
+    return np.array(going)[:, None, None] if any(going) else None
 
 
 def _ga_soft_pairs(cells) -> list:
@@ -433,22 +421,21 @@ def _ga_soft_pairs(cells) -> list:
     zero weights), every compatibility is zero and every real entry of the
     annealed soft matrix is equal, so greedy selection takes the diagonal: the
     pairs (i, i) are returned without annealing. The other pairs are annealed
-    by `_ga_soft` in consecutive stacks of at most `_GA_PAIRS`, and each soft
-    matrix is discretized by greedy maximum selection down to min(m, n) pairs.
+    by one `_ga_soft` stack, and each soft matrix is discretized by greedy
+    maximum selection down to min(m, n) pairs.
     """
     m, n = cells[0][0].shape[0], cells[0][1].shape[0]
     found = [tuple((i, i) for i in range(min(m, n)))] * len(cells)
     hard = [b for b, (cx, cy) in enumerate(cells) if cx.any() and cy.any()]
-    for lo in range(0, len(hard), _GA_PAIRS):
-        stack = hard[lo : lo + _GA_PAIRS]
-        for b, pick in zip(stack, _ga_soft([cells[b] for b in stack])):
-            pick, pairs = pick.copy(), []
-            for _ in range(min(m, n)):
-                i, r = np.unravel_index(int(np.argmax(pick)), pick.shape)
-                pairs.append((int(i), int(r)))
-                pick[i, :] = -np.inf
-                pick[:, r] = -np.inf
-            found[b] = tuple(sorted(pairs))
+    soft = _ga_soft([cells[b] for b in hard]) if hard else []
+    for b, pick in zip(hard, soft):
+        pick, pairs = pick.copy(), []
+        for _ in range(min(m, n)):
+            i, r = np.unravel_index(int(np.argmax(pick)), pick.shape)
+            pairs.append((int(i), int(r)))
+            pick[i, :] = -np.inf
+            pick[:, r] = -np.inf
+        found[b] = tuple(sorted(pairs))
     return found
 
 
@@ -459,11 +446,11 @@ def _solve(pairs, cfg: MatcherConfig) -> list:
     Callers check every pair first (attribute dimensions, encodings, then the
     exact cap: see `_encodings`), so nothing is solved for a batch with a bad
     pair. Both solvers take the arrays as they are. Pairs with no empty side
-    are grouped by shape (m, n): an exact group is scored by one `_best_pairs`
-    call, whose winners are those of scoring each pair alone, and a graduated
-    group goes to one `_ga_soft_pairs` call, which anneals it in lockstep
-    stacks of at most `_GA_PAIRS`, each pair getting the pairs it gets alone.
-    Each pair counts as one solver call.
+    are grouped by shape (m, n), and each group goes to its solver in
+    consecutive batches of at most `_PAIRS`, the one cap on either solver's
+    batch: an exact batch is scored by one `_best_pairs` call, a graduated one
+    annealed in lockstep by one `_ga_soft_pairs` call, and each pair gets the
+    pairs it gets alone. Each pair counts as one solver call.
     """
     global _SOLVER_CALLS
     _SOLVER_CALLS += len(pairs)
@@ -471,11 +458,12 @@ def _solve(pairs, cfg: MatcherConfig) -> list:
     for index, (cx, cy) in enumerate(pairs):
         if cx.shape[0] and cy.shape[0]:
             groups.setdefault((cx.shape[0], cy.shape[0]), []).append(index)
+    solver = _best_pairs if cfg.method == "exact" else _ga_soft_pairs
     for group in groups.values():
-        cells = [pairs[i] for i in group]
-        solved = _best_pairs(cells) if cfg.method == "exact" else _ga_soft_pairs(cells)
-        for index, assigned in zip(group, solved):
-            found[index] = assigned
+        for lo in range(0, len(group), _PAIRS):
+            batch = group[lo : lo + _PAIRS]
+            for index, assigned in zip(batch, solver([pairs[i] for i in batch])):
+                found[index] = assigned
     return found
 
 

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -388,6 +389,18 @@ class TestSyntheticGenerator:
         with pytest.raises(ValidationError):
             SyntheticSpec(n_examples={"train": 5}, order_range=(2, 12), attr_dim=1,
                           planted_order=2, planted_margin=0.1, edge_density=0.5)
+
+    @pytest.mark.parametrize("scale", [1e308, 10**400, -10**400, 0.0],
+                             ids=["1e308", "huge-int", "huge-negative-int", "zero"])
+    def test_attribute_scale_range_must_be_finite(self, scale):
+        # attributes are drawn on [-scale, scale]: 2 * scale must be finite
+        with pytest.raises(ValidationError, match=r"^'attribute_scale': expected a positive "
+                                                  r"number of at most 8\.988465674311579e\+307"):
+            SyntheticSpec(n_examples={"train": 5}, **{**self.SPEC, "attribute_scale": scale})
+
+    def test_largest_attribute_scale_accepted(self):
+        scale = sys.float_info.max / 2
+        assert SyntheticSpec(n_examples={"train": 5}, **{**self.SPEC, "attribute_scale": scale})
 
     def test_planted_order_beyond_enumeration_rejected(self):
         assert SyntheticSpec(n_examples={"train": 5}, **{**self.SPEC, "planted_order": 9})

@@ -67,6 +67,17 @@ class TestAttributedGraph:
         assert g.node_attrs.tolist() == [[1.0], [2.0]]
         assert g.edge_attrs[(0, 1)].tolist() == [3.0]
 
+    @pytest.mark.parametrize("build", [
+        lambda: AttributedGraph([[1.0], [10**400]]),
+        lambda: AttributedGraph([[1.0], [2.0]], [(0, 1, [-10**400])]),
+        lambda: AttributedGraph([[1.0], [2.0]], [(0, 1, [10**400]), (1, 0, [1.0])]),
+        lambda: Representation([[[10**400]]]),
+    ], ids=["node", "edge", "edge-stack-fault", "representation"])
+    def test_integer_outside_the_float_range_is_not_finite(self, build):
+        # numpy's OverflowError becomes the error of non-finite attributes
+        with pytest.raises(ValidationError, match="^graph attributes must be finite$"):
+            build()
+
     def test_dim_mismatch(self):
         with pytest.raises(ValidationError):
             AttributedGraph([[0.0], [1.0]], [(0, 1, [1.0, 2.0])])

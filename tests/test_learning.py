@@ -208,6 +208,15 @@ class TestTrainBinary:
         with pytest.raises(ValidationError, match=message):
             TrainConfig(learning_rate=0.1, seed=value)
 
+    @pytest.mark.parametrize("field, message", [
+        ("learning_rate", "'learning_rate': expected a positive number ('eta')"),
+        ("margin", "'margin': expected a non-negative number ('lambda')"),
+    ], ids=["learning_rate", "margin"])
+    def test_integer_outside_the_float_range_rejected(self, field, message):
+        # refused by the field's own rule, not by math.isfinite's OverflowError
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}, got 1000"):
+            TrainConfig(**{"learning_rate": 0.1, field: 10**400})
+
     def test_numpy_integer_fields_stored_as_int(self, tmp_path):
         # the fields reach the model's metadata, which must stay JSON-writable
         cfg = TrainConfig(learning_rate=0.5, max_epochs=np.int64(3), weight_order=np.int32(1),

@@ -422,9 +422,8 @@ class TestBatchedScorer:
     @pytest.mark.parametrize("count", [1, 2, 7, 40])
     def test_batch_equals_each_pair_alone(self, m, n, count):
         # every table here takes several windows, the (7, 7) one with 7 pairs a
-        # partial last one: 5,040 = 12 x 411 + 108; 40 pairs also span two groups
+        # partial last one: 5,040 = 12 x 411 + 108
         assert matching._GATHER // 7 == 411 and 5040 % 411 == 108
-        assert 40 > matching._GATHER_PAIRS
         rng = np.random.default_rng(100 * m + 10 * n + count)
         cells = self._cells(rng, m, n, count)
         assert _best_pairs(cells) == [_best_pairs([pair])[0] for pair in cells]
@@ -441,9 +440,6 @@ def _full_term_pairs(cells):
     """The exact scorer before it left out terms: every term of every injection
     gathered and summed in the same windows, each window's winners read one pair
     at a time. The oracle the kept-term scorer must match pair for pair."""
-    if len(cells) > matching._GATHER_PAIRS:
-        return [pairs for start in range(0, len(cells), matching._GATHER_PAIRS)
-                for pairs in _full_term_pairs(cells[start : start + matching._GATHER_PAIRS])]
     m, n, d = cells[0][0].shape[0], cells[0][1].shape[0], cells[0][0].shape[2]
     k, batch = min(m, n), len(cells)
     table = _injection_table(m, n)
@@ -793,21 +789,23 @@ class TestGaStack:
         assert len({tuple(c["rounds"]) for c in counts if "nan_pass" not in c}) > 1
 
     def test_reports_per_pair_cost(self):
-        # a report, not a gate: kernel time per pair on letter-scale (9, 6) pairs
+        # a report, not a gate: kernel time per pair on letter-scale (9, 6) and
+        # (9, 3) pairs, the small stacks of the letter workload
         rng = np.random.default_rng(17)
-        pairs = [(to_representation(_letter(rng, 9, scale=0.1)).cells,
-                  to_representation(_letter(rng, 6)).cells) for _ in range(60)]
-        lone = _ga_soft(pairs[:1])[0].tobytes()
-        costs = []
-        for batch in (1, 3, 15, 60):
-            times = []
-            for _ in range(3):
-                start = time.perf_counter()
-                soft = _ga_soft(pairs[:batch])
-                times.append(time.perf_counter() - start)
-            assert soft[0].tobytes() == lone
-            costs.append(f"B={batch} {1e3 * sorted(times)[1] / batch:.3f}")
-        print("\nGA-BATCH (9, 6) kernel ms per pair: " + ", ".join(costs))
+        for n in (6, 3):
+            pairs = [(to_representation(_letter(rng, 9, scale=0.1)).cells,
+                      to_representation(_letter(rng, n)).cells) for _ in range(60)]
+            lone = _ga_soft(pairs[:1])[0].tobytes()
+            costs = []
+            for batch in (1, 3, 15, 60):
+                times = []
+                for _ in range(3):
+                    start = time.perf_counter()
+                    soft = _ga_soft(pairs[:batch])
+                    times.append(time.perf_counter() - start)
+                assert soft[0].tobytes() == lone
+                costs.append(f"B={batch} {1e3 * sorted(times)[1] / batch:.3f}")
+            print(f"\nGA-BATCH (9, {n}) kernel ms per pair: " + ", ".join(costs))
 
 
 class TestMatcherConfig:
@@ -941,11 +939,34 @@ class TestDispatch:
             want = ga_sdp(x, y)
             assert MatchMatrix(rx.order, ry.order, pairs) == want.match
             assert kernel_value(rx, ry, want.match).hex() == want.value.hex()
-        # over the stack cap, a group goes to the kernel in consecutive stacks
-        monkeypatch.setattr(matching, "_GA_PAIRS", 3)
-        stacks.clear()
-        assert solve() == found
-        assert stacks == [3, 1, 1, 1]
+
+    @pytest.mark.parametrize("cfg, solver", [(EXACT, "_best_pairs"), (GRADUATED, "_ga_soft_pairs")],
+                             ids=["exact", "graduated"])
+    def test_solve_caps_each_solver_batch(self, monkeypatch, cfg, solver):
+        # a (3, 4) group of _PAIRS + 8 pairs, with an all-zero side in its third
+        # pair and a (4, 3) pair between two of its pairs, goes to the solver in
+        # consecutive batches of at most _PAIRS, and each pair gets the pairs it
+        # gets alone
+        rng = np.random.default_rng(18)
+        group = [(rand_sym_cells(rng, 3, 2), rand_sym_cells(rng, 4, 2))
+                 for _ in range(matching._PAIRS + 8)]
+        group[2] = (np.zeros((3, 3, 2)), group[2][1])
+        other = (rand_sym_cells(rng, 4, 2), rand_sym_cells(rng, 3, 2))
+        pairs = group[:5] + [other] + group[5:]
+        alone = [matching._solve([pair], cfg)[0] for pair in pairs]
+        batches = []
+
+        def record(cells, solve=getattr(matching, solver)):
+            batches.append(cells)
+            return solve(cells)
+
+        monkeypatch.setattr(matching, solver, record)
+        before = matcher_call_count()
+        assert matching._solve(pairs, cfg) == alone
+        assert matcher_call_count() - before == len(pairs)
+        assert [len(cells) for cells in batches] == [matching._PAIRS, 8, 1]
+        solved = [pair for cells in batches for pair in cells]
+        assert all(got is want for got, want in zip(solved, group + [other], strict=True))
 
     def test_capacity_error_equals_exact_sdp(self):
         rng = np.random.default_rng(12)

@@ -393,6 +393,31 @@ class TestCli:
         assert proc.stderr == (f"error: {path}: line 1: edge (0, 1) attribute is not a vector "
                                "of numbers\n")
 
+    @pytest.mark.parametrize("command", ["dot", "train", "synth"])
+    def test_numbers_outside_the_float_range_exit_1(self, tmp_path, dataset_dir, command):
+        # a 401-digit node attribute or eta, and an attribute scale whose range
+        # [-scale, scale] overflows, are each refused by their own rule
+        huge, cfg = 10**400, tmp_path / "cfg.json"
+        if command == "dot":
+            path = tmp_path / "f.jsonl"
+            path.write_text(json.dumps({"id": "x", "class": "?", "nodes": [[huge]]}) + "\n")
+            args, message = ["dot", path, path], f"{path}: line 1: graph attributes must be finite"
+        elif command == "train":
+            cfg.write_text(json.dumps({"data": str(dataset_dir), "eta": huge}))
+            args = ["train", "--config", cfg, "--out", tmp_path / "o"]
+            message = f"'learning_rate': expected a positive number ('eta'), got {huge}"
+        else:
+            cfg.write_text(json.dumps({"n_examples": {"train": 4}, "order_range": [2, 3],
+                                       "attr_dim": 1, "planted_order": 2, "planted_margin": 0.1,
+                                       "edge_density": 0.5, "attribute_scale": 1e308}))
+            args = ["synth", "--spec", cfg, "--out", tmp_path / "o"]
+            message = ("'attribute_scale': expected a positive number of at most "
+                       "8.988465674311579e+307, got 1e+308")
+        proc = run_cli(*map(str, args))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"error: {message}\n"
+
     def test_eval_refuses_members_with_different_matchers(self, tmp_path):
         # one-against-all members are scored in one batch, under one matcher
         rng = np.random.default_rng(8)
