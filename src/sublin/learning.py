@@ -31,6 +31,13 @@ class LabeledExample:
     y: object
 
 
+# the rule of each rate, as `check_number` takes it: the learning rule and its
+# convergence bound need a positive, finite rate and a non-negative, finite
+# margin, the paper's eta and lambda
+_RATE_RULES = {"learning_rate": ("a positive number ('eta')", lambda v: v > 0),
+              "margin": ("a non-negative number ('lambda')", lambda v: v >= 0)}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float
@@ -41,11 +48,8 @@ class TrainConfig:
     matcher: MatcherConfig = field(default_factory=MatcherConfig)
 
     def __post_init__(self):
-        # the learning rule and its convergence bound need a positive, finite rate
-        # and a non-negative, finite margin: the paper's eta and lambda
-        check_number("learning_rate", self.learning_rate, "a positive number ('eta')",
-                     lambda v: v > 0)
-        check_number("margin", self.margin, "a non-negative number ('lambda')", lambda v: v >= 0)
+        for name, rule in _RATE_RULES.items():
+            check_number(name, getattr(self, name), *rule)
         object.__setattr__(self, "max_epochs", check_count("max_epochs", self.max_epochs))
         if self.weight_order is not None:
             object.__setattr__(self, "weight_order", check_count("weight_order", self.weight_order))

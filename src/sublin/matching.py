@@ -25,7 +25,8 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 import numpy as np
 
-from .exceptions import CapacityError, ValidationError, check_count, config_fields, config_value
+from .exceptions import (CapacityError, ValidationError, check_count, config_fields, config_value,
+                         sized)
 from .graphs import AttributedGraph, Representation, to_representation
 
 DEFAULT_EXACT_MAX_ORDER = 8
@@ -36,7 +37,10 @@ _HARD_ENUM_LIMIT = 9
 # (injection, pair) cells per term of one `_best_pairs` gather; windows are sized for
 # at least 4 pairs, or a lone pair's buffers would fault in again on every call.
 _GATHER = 2880
-_PAIRS = 32  # pairs per solver batch of `_solve`, which bounds either solver's compatibility array
+# pairs and compatibility cells per solver batch of `_solve`: the cells of a
+# full batch at (9, 9) bound either solver's compatibility array at any order
+_PAIRS = 32
+_CELLS = _PAIRS * 9**4
 
 # Count of hard matching problems actually solved (enumeration or annealing).
 # Identity self-products are closed-form and do not count. `_solve` is its one
@@ -235,8 +239,10 @@ def _best_pairs(cells):
     first (exact) so a term a < b stands for its mirror too; every injection sums
     the terms that are not +-0.0 for every pair (a NaN is kept) in the table's
     order, placed by the smaller graph's nodes, so injections that differ only in
-    the zero nodes they match tie exactly; a later window wins only on a strictly
-    larger score, and a NaN score never wins.
+    the zero nodes they match tie exactly. The winner is the first maximum of the
+    pair's non-NaN scores, whatever the windows: a later window wins only on a
+    strictly larger score, and a window holding a NaN score offers its first
+    largest non-NaN one.
     """
     cx, cy = cells[0]
     m, n, d = cx.shape[0], cy.shape[0], cx.shape[2]
@@ -278,6 +284,9 @@ def _best_pairs(cells):
         np.take(compat, part, axis=0, out=terms, mode="clip").sum(axis=0, out=scores)
         for b, t in enumerate(scores.argmax(axis=0).tolist()):
             score = scores.item(t, b)  # a float: no numpy scalar per pair
+            if score != score:  # the first NaN: the window's first largest non-NaN score instead
+                t = int(np.fmax(scores[:, b], -np.inf).argmax())
+                score = scores.item(t, b)
             if score > best[b]:
                 best[b], cols[b] = score, lo + t
     # the first k terms of the full table are the diagonal ones, at
@@ -303,14 +312,14 @@ def _ga_soft(cells) -> np.ndarray:
     Sinkhorn-balanced over the real rows and columns, and beta grows
     geometrically (`_GA_SCHEDULE`; the README's GA note has the stopping
     rules). A beta step's assignment rounds end once a round's pass moves no
-    real entry by more than `assignment_tol` (Gold & Rangarajan's loop B),
-    and the schedule ends once a pass ends with a NaN row sum: no later pass
-    can clear it. Every pass but a call's first is warm-started: it starts
-    from the last pass's balanced matrix times exp(min(E - E_last, 700)),
-    which is the new kernel under the last pass's row and column scalings.
-    After a pass no entry exceeds 1, so the cap keeps every sum finite. Each
-    sweep's row sums test it and divide the next sweep's rows; columns need no
-    test, as each sums to one within a few ulps after the column division.
+    real entry by more than `assignment_tol` (Gold & Rangarajan's loop B).
+    Every pass is warm-started: it starts from the last pass's balanced
+    matrix times exp(min(E - E_last, 700)), which is the new kernel under the
+    last pass's row and column scalings; a call's first pass starts from ones
+    under zero exponents, which is exp(E) bit for bit, as E <= 0. After a pass
+    no entry exceeds 1, so the cap keeps every sum finite. Each sweep's row
+    sums test it and divide the next sweep's rows; columns need no test, as
+    each sums to one within a few ulps after the column division.
 
     A stack shares the beta schedule, and each numpy call serves all its
     pairs: one `np.matmul` forms every Q, and four calls divide and sum a
@@ -318,8 +327,10 @@ def _ga_soft(cells) -> np.ndarray:
     or, after a NaN, its schedule) is held by the `where=` masks of the calls
     that write the soft matrix, and its last exponents by one `copyto` per
     pass, so it resumes, or ends, exactly as alone. The stop tests read each
-    pair's row sums and largest move as Python floats, and a NaN fails them
-    all. A lone pair is a stack of one.
+    pair's row sums and largest move as Python floats, and a NaN ends every
+    test it meets: a pass's sweeps end at its first NaN row sum, and its
+    pair's schedule ends with that pass, whose move is NaN, since no later
+    pass can clear it. A lone pair is a stack of one.
     """
     batch = len(cells)
     cx, cy = cells[0]
@@ -331,33 +342,33 @@ def _ga_soft(cells) -> np.ndarray:
     node_comp = np.einsum("biirr->bir", compat)
     # rows (i, r), columns (j, s)
     compat = compat.swapaxes(2, 3).reshape(batch, m * n, m * n)
-    soft = np.full((batch, m + 1, n + 1), 1.0 / (max(m, n) + 1.0))
+    # the kernel starts at ones under zero exponents, so a call's first pass
+    # balances exp(E) as every later pass balances its warm start
+    soft = np.ones((batch, m + 1, n + 1))
     real, rows, cols = soft[:, :m, :n], soft[:, :m, :], soft[..., :n]
     # this pass's kernel exponents and the last pass's, swapped every pass, and
     # the factor between them; the slack corner, which no sweep reads, keeps
     # exponent 0 and entry 1
     expo, last, factor = np.zeros((3,) + soft.shape)
     expo_real, last_real = expo[:, :m, :n], last[:, :m, :n]
-    # the real soft matrix a round starts from, as a column for the product,
-    # then its move
-    start, q = np.empty((2,) + real.shape)
+    # the real soft matrix a round starts from (uniform at first), as a column
+    # for the product, and Q, then the round's move
+    start, q = np.full((2,) + real.shape, 1.0 / (max(m, n) + 1.0))
     start_col, q_col = start.reshape(batch, m * n, 1), q.reshape(batch, m * n, 1)
     shift = np.empty((batch, 1, 1))
-    # per-pair views of Q, the shifts and the moves, for reductions over each pair
-    q_pairs, peaks, moves = q.reshape(batch, -1), shift.reshape(batch), start.reshape(batch, -1)
+    # per-pair views of Q (and the moves) and the shifts, for reductions over each pair
+    q_pairs, peaks = q.reshape(batch, -1), shift.reshape(batch)
     row_sums, col_sums = np.empty((batch, m)), np.empty((batch, 1, n))
     divisors = row_sums[..., None]
     tol = _GA_SCHEDULE["sinkhorn_tol"]
     round_tol = _GA_SCHEDULE["assignment_tol"]
     beta = _GA_SCHEDULE["beta_start"]
-    warm = False
     # the pairs whose schedule goes on, and those running this beta step's
     # rounds, as `_kept` masks
     live = True
     while beta <= _GA_SCHEDULE["beta_max"] * (1 + 1e-12):
         act = live
         for _ in range(_GA_SCHEDULE["assignment_rounds_max"]):
-            np.copyto(start, real)
             np.matmul(compat, start_col, out=q_col)
             q += node_comp
             np.maximum(np.maximum.reduce(q_pairs, 1, None, peaks), 0.0, out=peaks)
@@ -367,13 +378,9 @@ def _ga_soft(cells) -> np.ndarray:
             expo[:, m:, :n] = expo[:, :m, n:] = -beta * shift
             if act is not True:  # held pairs keep their last exponents through the swap
                 np.copyto(expo, last, where=~act)
-            if warm:
-                np.subtract(expo, last, out=factor)
-                np.minimum(factor, 700.0, out=factor)
-                np.multiply(soft, np.exp(factor, out=factor), out=soft, where=act)
-            else:
-                np.exp(expo, out=soft)
-                warm = True
+            np.subtract(expo, last, out=factor)
+            np.minimum(factor, 700.0, out=factor)
+            np.multiply(soft, np.exp(factor, out=factor), out=soft, where=act)
             np.maximum(soft, 1e-300, out=soft, where=act)
             np.add.reduce(rows, -1, None, row_sums)
             run = act  # the pairs still sweeping
@@ -381,23 +388,21 @@ def _ga_soft(cells) -> np.ndarray:
                 np.divide(rows, divisors, rows, where=run)
                 np.divide(cols, np.add.reduce(cols, -2, None, col_sums, True), cols, where=run)
                 np.add.reduce(rows, -1, None, row_sums)
-                run = _kept(run, [not all(abs(v - 1.0) <= tol for v in sums)
+                run = _kept(run, [any(abs(v - 1.0) > tol for v in sums)
                                   for sums in row_sums.tolist()])
                 if run is None:
                     break
-            else:  # a NaN row sum never passes the test
-                clear = (~np.isnan(row_sums).any(-1)).tolist()
-                if not all(clear):
-                    live = _kept(live, clear)
-                    if live is None:
-                        return real
-                    act = _kept(act, clear)
-                    if act is None:
-                        break
-            np.abs(np.subtract(real, start, out=start), out=start)
-            act = _kept(act, [not v <= round_tol for v in np.maximum.reduce(moves, 1).tolist()])
+            np.abs(np.subtract(real, start, out=q), out=q)
+            np.copyto(start, real)
+            moved = np.maximum.reduce(q_pairs, 1).tolist()
+            act = _kept(act, [v > round_tol for v in moved])
             if act is None:
                 break
+        # a NaN pass ends its pair's rounds and, as no later pass can clear it,
+        # its schedule: its move stays NaN through the beta step's last round
+        live = _kept(live, [v == v for v in moved])
+        if live is None:
+            return real
         beta *= _GA_SCHEDULE["beta_rate"]
     return real
 
@@ -447,10 +452,13 @@ def _solve(pairs, cfg: MatcherConfig) -> list:
     exact cap: see `_encodings`), so nothing is solved for a batch with a bad
     pair. Both solvers take the arrays as they are. Pairs with no empty side
     are grouped by shape (m, n), and each group goes to its solver in
-    consecutive batches of at most `_PAIRS`, the one cap on either solver's
-    batch: an exact batch is scored by one `_best_pairs` call, a graduated one
-    annealed in lockstep by one `_ga_soft_pairs` call, and each pair gets the
-    pairs it gets alone. Each pair counts as one solver call.
+    consecutive batches of at most `_PAIRS` pairs and `_CELLS` compatibility
+    cells (m*m*n*n a pair), but at least one pair, the one cap on either
+    solver's batch: an exact batch is scored by one `_best_pairs` call, a
+    graduated one annealed in lockstep by one `_ga_soft_pairs` call, and each
+    pair gets the pairs it gets alone. A pair whose arrays numpy will not
+    allocate raises ValidationError naming its orders. Each pair counts as one
+    solver call.
     """
     global _SOLVER_CALLS
     _SOLVER_CALLS += len(pairs)
@@ -459,10 +467,12 @@ def _solve(pairs, cfg: MatcherConfig) -> list:
         if cx.shape[0] and cy.shape[0]:
             groups.setdefault((cx.shape[0], cy.shape[0]), []).append(index)
     solver = _best_pairs if cfg.method == "exact" else _ga_soft_pairs
-    for group in groups.values():
-        for lo in range(0, len(group), _PAIRS):
-            batch = group[lo : lo + _PAIRS]
-            for index, assigned in zip(batch, solver([pairs[i] for i in batch])):
+    for (m, n), group in groups.items():
+        size = min(_PAIRS, max(1, _CELLS // (m * m * n * n)))
+        for lo in range(0, len(group), size):
+            batch = group[lo : lo + size]
+            solved = sized("orders", (m, n), solver, [pairs[i] for i in batch])
+            for index, assigned in zip(batch, solved):
                 found[index] = assigned
     return found
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data_io import Dataset
 from .exceptions import ValidationError, check_count, check_number, checked
-from .learning import TrainConfig, _fit_stage, _signed, derive_seed, knn_classify
+from .learning import TrainConfig, _RATE_RULES, _fit_stage, _signed, derive_seed, knn_classify
 from .matching import MatcherConfig, matcher_call_count
 from .model import OvaModel, _predictions
 
@@ -50,9 +50,10 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValidationError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
-        for name in ("eta_grid", "lambda_grid"):
+        # every grid value by its rate's rule, whatever the algorithm
+        for name, rate in (("eta_grid", "learning_rate"), ("lambda_grid", "margin")):
             values = checked(name, iter, getattr(self, name))
-            grid = tuple(sorted(check_number(name, v) for v in values))
+            grid = tuple(sorted(check_number(name, v, *_RATE_RULES[rate]) for v in values))
             if not grid:
                 raise ValidationError(f"{name!r}: expected a non-empty list of numbers")
             object.__setattr__(self, name, grid)

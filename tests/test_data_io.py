@@ -11,6 +11,7 @@ from sublin import (AttributedGraph, Dataset, DatasetFormatError, DegenerateMode
                     generate_synthetic, margin_certificate, parse_cxl, parse_gxl,
                     read_cxl_dataset, read_examples_jsonl, read_jsonl, weight_norm,
                     write_jsonl)
+from sublin.data_io import random_graph
 
 EXACT = MatcherConfig()
 NOT_NUMBERS = r"edge \(0, 1\) attribute is not a vector of numbers"
@@ -437,3 +438,65 @@ class TestDataset:
         ds = small_dataset()
         encoded = binary_examples(ds, "train")
         assert [ex.y for ex in encoded] == [1, -1]
+
+
+class TestRefusalMessages:
+    SPEC = dict(n_examples={"train": 2}, order_range=(2, 3), attr_dim=1, planted_order=2,
+                planted_margin=0.1, edge_density=0.5)
+    GRAPH = '<gxl><graph id="g"><node id="a">{}</node></graph></gxl>'
+
+    @pytest.mark.parametrize("case, message", [
+        ("dataset-duplicate-classes", "duplicate entries in class_set"),
+        ("binary-three-classes", "binary relabeling needs exactly 2 classes"),
+        ("binary-unknown-positive", "'c' is not a class of this dataset"),
+        ("gxl-config-no-names", "configured attribute dimension must be at least 1"),
+        ("spec-no-examples",
+         "'n_examples': expected at least one example, got {'train': 0, 'test': 0}"),
+        ("spec-order_range-triple", "'order_range': expected a pair of orders, got (2, 3, 4)"),
+        ("spec-order_range-number", "'order_range': expected a pair of orders, got 5"),
+        ("random_graph-attr_dim-0", "attr_dim must be at least 1, got 0"),
+    ])
+    def test_value_refused_with_its_message(self, case, message):
+        g = AttributedGraph([[1.0]])
+        three = Dataset("three", {"train": [LabeledExample(g, c) for c in "abc"]}, "abc")
+        refuse = {
+            "dataset-duplicate-classes": lambda: Dataset("x", {}, ("a", "b", "a")),
+            "binary-three-classes": lambda: binary_examples(three, "train"),
+            "binary-unknown-positive": lambda: binary_examples(small_dataset(), "train", "c"),
+            "gxl-config-no-names": lambda: GxlAttrConfig(append_edge_flag=False),
+            "spec-no-examples": lambda: SyntheticSpec(
+                **{**self.SPEC, "n_examples": {"train": 0, "test": 0}}),
+            "spec-order_range-triple": lambda: SyntheticSpec(
+                **{**self.SPEC, "order_range": (2, 3, 4)}),
+            "spec-order_range-number": lambda: SyntheticSpec(**{**self.SPEC, "order_range": 5}),
+            "random_graph-attr_dim-0": lambda: random_graph(np.random.default_rng(0), 2, 0,
+                                                            0.5, 1.0),
+        }[case]
+        with pytest.raises(ValidationError) as refused:
+            refuse()
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("case, message", [
+        ("gxl-no-graph", "document contains no <graph> element"),
+        ("gxl-malformed", "invalid XML (no element found: line 1, column 12)"),
+        ("gxl-attr-no-value", "attribute 'x' has no value element"),
+        ("meta-not-json", "invalid JSON (Expecting property name enclosed in double quotes)"),
+        ("jsonl-no-nodes", "line 1: graphs without declared nodes are not supported"),
+    ])
+    def test_file_refused_with_its_message(self, tmp_path, case, message):
+        letter = GXL_PRESETS["letter"]
+        path = {"meta-not-json": tmp_path / "meta.json",
+                "jsonl-no-nodes": tmp_path / "g.jsonl"}.get(case, tmp_path / "g.gxl")
+        path.write_text({
+            "gxl-no-graph": "<gxl><node id='a'/></gxl>",
+            "gxl-malformed": "<gxl><graph>",
+            "gxl-attr-no-value": self.GRAPH.format('<attr name="x"></attr>'),
+            "meta-not-json": "{nope",
+            "jsonl-no-nodes": '{"id": "x", "class": "a", "nodes": []}\n',
+        }[case])
+        read = {"meta-not-json": lambda: read_jsonl(tmp_path),
+                "jsonl-no-nodes": lambda: read_examples_jsonl(path)}.get(
+                    case, lambda: parse_gxl(path.read_text(), letter, path=str(path)))
+        with pytest.raises(DatasetFormatError) as refused:
+            read()
+        assert str(refused.value) == f"{path}: {message}"

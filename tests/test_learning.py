@@ -10,9 +10,9 @@ import pytest
 
 from conftest import permuted_graph, rand_graph, rand_sym_cells, relabeled, three_class_examples
 from sublin import (AttributedGraph, EpochStats, LabeledExample, MatcherConfig, Representation,
-                    SyntheticSpec, TrainConfig, TrainTrace, ValidationError, binary_examples,
-                    classify, derive_seed, empirical_risk, evaluate, generate_synthetic,
-                    hinge_loss, induced_distance, knn_classify, load_model,
+                    SublinearModel, SyntheticSpec, TrainConfig, TrainTrace, ValidationError,
+                    binary_examples, classify, derive_seed, empirical_risk, evaluate,
+                    generate_synthetic, hinge_loss, induced_distance, knn_classify, load_model,
                     matcher_call_count, optimal_align, save_model, sdp, subgradient_step,
                     to_representation, train_binary, train_one_vs_all, write_trace_jsonl)
 from sublin.learning import _fit_stage
@@ -326,7 +326,6 @@ class TestEmpiricalRisk:
         model, _ = train_binary(
             [single_node(1.0, 1)], TrainConfig(learning_rate=0.1, max_epochs=1, matcher=EXACT)
         )
-        from sublin import SublinearModel
         zero = SublinearModel(Representation.zeros(1, 1), 0.0, EXACT)
         data = [single_node(1.0, 1), single_node(-1.0, -1)]
         assert empirical_risk(zero, data, 0.0) == 0.0
@@ -353,6 +352,12 @@ class TestEmpiricalRisk:
                                                       max_epochs=4, seed=1, matcher=EXACT))
         assert trace.epochs[-1].risk > 0.0
         assert empirical_risk(model, data, margin) == trace.epochs[-1].risk
+
+    def test_empty_sample_refused(self):
+        zero = SublinearModel(Representation.zeros(1, 1), 0.0, EXACT)
+        with pytest.raises(ValidationError) as refused:
+            empirical_risk(zero, [], 0.0)
+        assert str(refused.value) == "cannot compute risk of an empty sample"
 
 
 class TestKnn:

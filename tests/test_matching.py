@@ -437,28 +437,21 @@ class TestBatchedScorer:
 
 
 def _full_term_pairs(cells):
-    """The exact scorer before it left out terms: every term of every injection
-    gathered and summed in the same windows, each window's winners read one pair
-    at a time. The oracle the kept-term scorer must match pair for pair."""
+    """The exact scorer before it left out terms, over the whole table at once:
+    every term of every injection summed in the table's order, and each pair's
+    winner the first maximum of its non-NaN scores (injection 0 when it has
+    none). The oracle the kept-term scorer must match pair for pair."""
     m, n, d = cells[0][0].shape[0], cells[0][1].shape[0], cells[0][0].shape[2]
     k, batch = min(m, n), len(cells)
     table = _injection_table(m, n)
-    count = table.shape[1]
     compat = np.empty((batch, m * m, n * n))
     for b, (cx, cy) in enumerate(cells):
         flat = cx.reshape(m * m, d)
         doubled = flat * 2.0
         doubled[:: m + 1] = flat[:: m + 1]
         np.dot(doubled, cy.transpose(2, 0, 1).reshape(d, n * n), out=compat[b])
-    compat = compat.reshape(batch, -1).T
-    window = min(count, matching._GATHER // max(batch, 4))
-    best, rows = [-np.inf] * batch, [table[:k, 0]] * batch
-    for lo in range(0, count, window):
-        part = table[:, lo : lo + window]
-        scores = compat[part].sum(axis=0)
-        for b, t in enumerate(scores.argmax(axis=0).tolist()):
-            if scores[t, b] > best[b]:
-                best[b], rows[b] = scores[t, b], part[:k, t]
+    scores = compat.reshape(batch, -1).T[table].sum(axis=0)
+    rows = table[:k, np.fmax(scores, -np.inf).argmax(axis=0)].T
     step = (m + 1) * n * n
     return [tuple(sorted((p // step, p % step // (n + 1)) for p in row.tolist())) for row in rows]
 
@@ -521,12 +514,26 @@ class TestKeptTermScorer:
                 cells = self._batch(rng, m, n, size, kind, mode)
                 assert _best_pairs(cells) == _full_term_pairs(cells), (size, kind, mode)
 
+    @pytest.mark.parametrize("m, n", [(4, 6), (5, 7), (6, 4), (7, 7), (6, 6)])
+    def test_batch_equals_each_pair_alone_when_scores_overflow(self, m, n):
+        # cells at 1e200 and near the float limit give inf and NaN scores; windows
+        # shrink with the batch, so a NaN that hid its window's best injection
+        # would make a pair's winner depend on its batch
+        rng = np.random.default_rng(2000 + 10 * m + n)
+        with np.errstate(all="ignore"):
+            for kind in ("huge", "limit"):
+                for mode in ("shared", "pattern"):
+                    cells = self._batch(rng, m, n, 20, kind, mode)
+                    alone = [matching._solve([pair], EXACT)[0] for pair in cells]
+                    assert matching._solve(cells, EXACT) == alone, (kind, mode)
+
 
 def _reference_ga(cx, cy, params, counts=None, nan_stop=True):
     """Graduated assignment as a plain warm-started loop: fresh arrays every
-    pass, both Sinkhorn errors every sweep. Q is one matrix-vector product of
-    the (m*n, m*n) compatibilities in (i, r, j, s) layout and the flattened
-    real soft matrix. A call's first pass balances exp(E), E = beta * (Q -
+    pass, both Sinkhorn errors every sweep, and the sweeps end once neither
+    exceeds the tolerance (a NaN error ends them). Q is one matrix-vector
+    product of the (m*n, m*n) compatibilities in (i, r, j, s) layout and the
+    flattened real soft matrix. A call's first pass balances exp(E), E = beta * (Q -
     shift) with -beta * shift in the slack row and column and 0 in their
     corner; every later pass starts from the last balanced matrix times
     exp(min(E - E_last, 700)). A beta step's rounds end once a pass moves no
@@ -566,7 +573,7 @@ def _reference_ga(cx, cy, params, counts=None, nan_stop=True):
                 work[:, :n] /= work[:, :n].sum(axis=0, keepdims=True)
                 row_err = np.abs(work[:m].sum(axis=1) - 1.0).max(initial=0.0)
                 col_err = np.abs(work[:, :n].sum(axis=0) - 1.0).max(initial=0.0)
-                if max(row_err, col_err) <= params["sinkhorn_tol"]:
+                if not max(row_err, col_err) > params["sinkhorn_tol"]:  # a NaN ends them too
                     break
             else:
                 counts["capped"] = counts.get("capped", 0) + 1
@@ -655,8 +662,8 @@ class TestGaBitIdentity:
     def _assert_soft_matches(monkeypatch, x, y):
         """`_ga_soft` gives the reference's bytes after as many Sinkhorn sweeps:
         a sweep makes two `np.divide` calls, counted through a stand-in for the
-        module's numpy. The count is what a row test that let a NaN pass, or a
-        round or NaN stop at another pass, would change. Returns the soft
+        module's numpy. The count is what a row test that swept on past a NaN,
+        or a round or NaN stop at another pass, would change. Returns the soft
         matrix and the reference's counts."""
         cx, cy = to_representation(x).cells, to_representation(y).cells
         counts = {}
@@ -700,8 +707,8 @@ class TestGaBitIdentity:
             assert got.match.pairs == _reference_ga(rx.cells, ry.cells, FIRST_GA_SCHEDULE)[1]
 
     def test_matches_reference_when_compatibilities_overflow(self, monkeypatch):
-        # finite attributes near 1e200 give inf and NaN compatibilities; the row
-        # test must fail a NaN row sum, as the reference loop's does, and the
+        # finite attributes near 1e200 give inf and NaN compatibilities; a NaN
+        # row sum must end the sweeps, as it ends the reference loop's, and the
         # schedule stops at the pass where one first appears, leaving the soft
         # matrix as the whole schedule would
         rng = np.random.default_rng(14)
@@ -790,22 +797,29 @@ class TestGaStack:
 
     def test_reports_per_pair_cost(self):
         # a report, not a gate: kernel time per pair on letter-scale (9, 6) and
-        # (9, 3) pairs, the small stacks of the letter workload
+        # (9, 3) pairs, the small stacks of the letter workload, and on (9, 6)
+        # pairs at attribute scale 1e200, whose passes overflow to NaN
         rng = np.random.default_rng(17)
-        for n in (6, 3):
-            pairs = [(to_representation(_letter(rng, 9, scale=0.1)).cells,
-                      to_representation(_letter(rng, n)).cells) for _ in range(60)]
-            lone = _ga_soft(pairs[:1])[0].tobytes()
+        reports = [(f"(9, {n})", (1, 3, 15, 60),
+                    [(_letter(rng, 9, scale=0.1), _letter(rng, n)) for _ in range(60)])
+                   for n in (6, 3)]
+        reports.append(("(9, 6) at scale 1e200", (1, 15),
+                        [(rand_graph(rng, 9, 3, scale=1e200), rand_graph(rng, 6, 3, scale=1e200))
+                         for _ in range(15)]))
+        for label, batches, graphs in reports:
+            pairs = [(to_representation(x).cells, to_representation(y).cells) for x, y in graphs]
             costs = []
-            for batch in (1, 3, 15, 60):
-                times = []
-                for _ in range(3):
-                    start = time.perf_counter()
-                    soft = _ga_soft(pairs[:batch])
-                    times.append(time.perf_counter() - start)
-                assert soft[0].tobytes() == lone
-                costs.append(f"B={batch} {1e3 * sorted(times)[1] / batch:.3f}")
-            print(f"\nGA-BATCH (9, {n}) kernel ms per pair: " + ", ".join(costs))
+            with np.errstate(all="ignore"):
+                lone = _ga_soft(pairs[:1])[0].tobytes()
+                for batch in batches:
+                    times = []
+                    for _ in range(3):
+                        start = time.perf_counter()
+                        soft = _ga_soft(pairs[:batch])
+                        times.append(time.perf_counter() - start)
+                    assert soft[0].tobytes() == lone
+                    costs.append(f"B={batch} {1e3 * sorted(times)[1] / batch:.3f}")
+            print(f"\nGA-BATCH {label} kernel ms per pair: " + ", ".join(costs))
 
 
 class TestMatcherConfig:
@@ -833,6 +847,11 @@ class TestMatcherConfig:
     def test_unknown_ga_params_key_rejected(self, doc, match):
         with pytest.raises(ValidationError, match=match):
             MatcherConfig.from_json(doc)
+
+    def test_unknown_method_refused(self):
+        with pytest.raises(ValidationError) as refused:
+            MatcherConfig(method="x")
+        assert str(refused.value) == "unknown matcher method 'x'"
 
     @pytest.mark.parametrize("value, match", [(7.9, r"an integer in 1\.\.9, got 7\.9"),
                                               (True, r"an integer in 1\.\.9, got True"),
@@ -967,6 +986,23 @@ class TestDispatch:
         assert [len(cells) for cells in batches] == [matching._PAIRS, 8, 1]
         solved = [pair for cells in batches for pair in cells]
         assert all(got is want for got, want in zip(solved, group + [other], strict=True))
+
+    def test_solve_caps_each_graduated_stack_by_cells(self, monkeypatch):
+        # a (10, 10) pair holds 10**4 compatibility cells, so _CELLS, the cells
+        # of 32 (9, 9) pairs, lets 20 reach the kernel at once: 25 pairs go as
+        # stacks of 20 and 5, and each pair gets the pairs it gets alone
+        rng = np.random.default_rng(19)
+        pairs = [(rand_sym_cells(rng, 10, 2), rand_sym_cells(rng, 10, 2)) for _ in range(25)]
+        alone = [matching._solve([pair], GRADUATED)[0] for pair in pairs]
+        stacks = []
+
+        def kernel(cells, solve=matching._ga_soft):
+            stacks.append(len(cells))
+            return solve(cells)
+
+        monkeypatch.setattr(matching, "_ga_soft", kernel)
+        assert matching._solve(pairs, GRADUATED) == alone
+        assert stacks == [20, 5]
 
     def test_capacity_error_equals_exact_sdp(self):
         rng = np.random.default_rng(12)

@@ -184,6 +184,30 @@ class TestMulticlass:
             OvaModel(("a", "b"), (self._const_model(0.0), graduated))
 
 
+class TestRefusalMessages:
+    @pytest.mark.parametrize("classes, count, message", [
+        (("a", "b", "c"), 2, "one member model per class is required"),
+        (("a", "a"), 2, "duplicate class ids"),
+    ], ids=["member-count", "duplicate-classes"])
+    def test_ova_model(self, classes, count, message):
+        with pytest.raises(ValidationError) as refused:
+            OvaModel(classes, (model_from(GX),) * count)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("change, message", [
+        ({"format_version": 2}, "unsupported model format version 2"),
+        ({"order": 2}, "weight cell array does not match the declared order/attr_dim"),
+    ], ids=["format_version-2", "order-disagrees"])
+    def test_model_file(self, tmp_path, change, message):
+        doc = {"format_version": 1, "kind": "binary", "attr_dim": 1, "order": 1,
+               "weight_cells": [[[0.5]]], "bias": 0.0}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**doc, **change}))
+        with pytest.raises(ValidationError) as refused:
+            load_model(path)
+        assert str(refused.value) == message
+
+
 class TestPersistence:
     def test_binary_round_trip_is_float_exact(self, tmp_path):
         rng = np.random.default_rng(30)

@@ -100,6 +100,21 @@ class TestRunProtocol:
         with pytest.raises(ValidationError):
             run_protocol(ProtocolConfig(dataset=ds, algorithm="perceptron"))
 
+    @pytest.mark.parametrize("grid", ["eta_grid", "lambda_grid"])
+    def test_empty_grid_rejected(self, grid):
+        with pytest.raises(ValidationError) as refused:
+            ProtocolConfig(dataset=synth(), algorithm="perceptron", **{grid: ()})
+        assert str(refused.value) == f"{grid!r}: expected a non-empty list of numbers"
+
+    def test_empty_validation_split_rejected(self):
+        ds = synth()
+        empty = Dataset(ds.name, {**ds.splits, "validation": []}, ds.class_set)
+        before = matcher_call_count()
+        with pytest.raises(ValidationError) as refused:
+            run_protocol(ProtocolConfig(dataset=empty, algorithm="perceptron"))
+        assert str(refused.value) == "split 'validation' is empty"
+        assert matcher_call_count() == before
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValidationError):
             ProtocolConfig(dataset=synth(), algorithm="svm")
@@ -123,6 +138,23 @@ class TestRunProtocol:
         # refused when built: derive_seed would otherwise run seed 1.5 or True as seed 1
         with pytest.raises(ValidationError, match=message):
             ProtocolConfig(dataset=synth(), algorithm="perceptron", seed=value)
+
+    @pytest.mark.parametrize("algorithm", ["perceptron", "margin_perceptron", "knn"])
+    @pytest.mark.parametrize("grid, message", [
+        ({"eta_grid": (0.0, 0.1)}, "'eta_grid': expected a positive number ('eta'), got 0.0"),
+        ({"eta_grid": (0.1, -0.5)}, "'eta_grid': expected a positive number ('eta'), got -0.5"),
+        ({"lambda_grid": (-0.1,)},
+         "'lambda_grid': expected a non-negative number ('lambda'), got -0.1"),
+    ], ids=["eta-zero", "eta-negative", "lambda-negative"])
+    def test_grid_values_judged_by_the_rate_rules(self, algorithm, grid, message):
+        # TrainConfig's rules (eta > 0, lambda >= 0), applied when the config is
+        # built and for every algorithm, before any fit
+        ds, before = synth(), matcher_call_count()
+        with pytest.raises(ValidationError) as refused:
+            ProtocolConfig(dataset=ds, algorithm=algorithm, **grid)
+        assert str(refused.value) == message
+        assert matcher_call_count() == before
+        ProtocolConfig(dataset=ds, algorithm=algorithm, eta_grid=(0.1,), lambda_grid=(0.0,))
 
     def test_numpy_integer_fields_stored_as_int(self):
         # the report and the models' metadata carry them into JSON
@@ -332,6 +364,22 @@ class TestCli:
         report = json.loads((tmp_path / "rep" / "report.json").read_text())
         assert report["algorithm"] == "perceptron"
         assert len(report["test"]["accuracies"]) == 2
+
+    @pytest.mark.parametrize("algorithm", ["margin_perceptron", "knn"])
+    @pytest.mark.parametrize("grid, message", [
+        ({"eta_grid": [0.0, 0.1]}, "'eta_grid': expected a positive number ('eta'), got 0.0"),
+        ({"lambda_grid": [-0.1]},
+         "'lambda_grid': expected a non-negative number ('lambda'), got -0.1"),
+    ], ids=["eta-zero", "lambda-negative"])
+    def test_protocol_bad_grid_exits_1(self, dataset_dir, tmp_path, algorithm, grid, message):
+        cfg = {"dataset": str(dataset_dir), "algorithm": algorithm, "repeats": 1,
+               "max_epochs": 1, **grid}
+        cfg_path = tmp_path / "proto.json"
+        cfg_path.write_text(json.dumps(cfg))
+        proc = run_cli("protocol", "--config", str(cfg_path), "--out", str(tmp_path / "rep"))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
+        assert not (tmp_path / "rep").exists()
 
     def test_bench_gap_nonnegative(self, tmp_path):
         proc = run_cli("--seed", "2", "bench", "--pairs", "12", "--min-order", "2",
@@ -738,6 +786,21 @@ class TestCli:
         # the error line alone: no traceback, no numpy RuntimeWarning
         assert proc.stderr.startswith("error: ") and "finite" in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
+
+    def test_graduated_dot_at_large_orders_exits_1(self, tmp_path):
+        # graduated assignment on orders (2000, 1500) would ask for a (1, 4e6,
+        # 2.25e6) compatibility array (65.5 TiB), which numpy refuses before
+        # touching it; the pair is refused naming its orders. The inputs take
+        # about 50 MB.
+        paths = []
+        for order in (2000, 1500):
+            path = tmp_path / f"g{order}.jsonl"
+            path.write_text(json.dumps({"id": str(order), "class": "?",
+                                        "nodes": [[1.0 + i % 7] for i in range(order)]}) + "\n")
+            paths.append(str(path))
+        proc = run_cli("--matcher", "graduated", "dot", *paths)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: 'orders': (2000, 1500) is too large\n"
 
     def test_infeasible_spec_exit_code(self, tmp_path):
         spec = {"n_examples": {"train": 5}, "order_range": [2, 3], "attr_dim": 1,
