@@ -158,9 +158,12 @@ def kernel_value(rx: Representation, ry: Representation, match: MatchMatrix) -> 
 
     Summed with `math.fsum`, so the value does not depend on pair enumeration
     order. Each term is a (1 x d)(d x 1) matrix product, which rounds exactly as
-    `np.dot` of the two vectors does. Raises ValidationError when finite
-    attributes give a value outside the float range.
+    `np.dot` of the two vectors does. Raises ValidationError when the attribute
+    dimensions differ, and when finite attributes give a value outside the
+    float range.
     """
+    if rx.attr_dim != ry.attr_dim:
+        raise ValidationError(f"attribute dimensions differ: {rx.attr_dim} vs {ry.attr_dim}")
     if match.rows != rx.order or match.cols != ry.order:
         raise ValidationError(
             f"match is {match.rows}x{match.cols} but representations have orders "
@@ -183,12 +186,24 @@ def _finite(value: float) -> float:
     return value
 
 
+def _compat(cells) -> np.ndarray:
+    """The (B, m*m, n*n) compatibilities of the (cx, cy) of `cells`, raw cell
+    arrays all of one shape (m, n): entry (b, i*m + j, r*n + s) holds
+    dot(x_ij, y_rs) of pair b, each pair's one `np.dot` over d (as `tensordot`
+    computes it). The one place either matcher forms these products."""
+    cx, cy = cells[0]
+    m, n, d = cx.shape[0], cy.shape[0], cx.shape[2]
+    compat = np.empty((len(cells), m * m, n * n))
+    for out, (cx, cy) in zip(compat, cells):
+        np.dot(cx.reshape(m * m, d), cy.transpose(2, 0, 1).reshape(d, n * n), out=out)
+    return compat
+
+
 @lru_cache(maxsize=None)
 def _injection_table(m: int, n: int) -> np.ndarray:
-    """Flat positions into the (i, j, r, s) compatibility array of an m-node and an
-    n-node graph (entry (i*m + j)*n*n + r*n + s holds dot(x_ij, y_rs), the layout
-    of the one matrix product in `_best_pairs`), one column per injection of the
-    smaller node set into the larger.
+    """Flat positions into one pair's `_compat` array of an m-node and an n-node
+    graph (entry (i*m + j)*n*n + r*n + s holds dot(x_ij, y_rs)), one column per
+    injection of the smaller node set into the larger.
 
     Injection t assigns k = min(m, n) pairs (i_a, r_a), indexed by the smaller
     graph's node a. Both representations are symmetric, so the term of (a, b)
@@ -235,37 +250,31 @@ def _best_pairs(cells):
     over its pairs (i, r), (j, s); ties go to the lexicographically smallest
     completed permutation (see `_injection_table`). Each pair gets the winner it
     gets alone (windows and kept terms: the README's exact-matcher note): its
-    compatibilities are its own `np.dot`, with cx's off-diagonal cells doubled
-    first (exact) so a term a < b stands for its mirror too; every injection sums
-    the terms that are not +-0.0 for every pair (a NaN is kept) in the table's
-    order, placed by the smaller graph's nodes, so injections that differ only in
-    the zero nodes they match tie exactly. The winner is the first maximum of the
-    pair's non-NaN scores, whatever the windows: a later window wins only on a
-    strictly larger score, and a window holding a NaN score offers its first
-    largest non-NaN one.
+    compatibilities are its own `_compat` products with the node rows (i, i)
+    halved in place, so a term a < b stands for its mirror too and every score
+    is exactly half the injection's objective unless a product or partial sum
+    is subnormal or overflows; every injection sums, in the table's order, the
+    terms whose cell of the indexed side (x when m <= n, else y, whose nodes
+    place the terms) is non-zero for some pair, so injections that differ only
+    in the zero nodes they match tie exactly. The winner is the first maximum
+    of the pair's non-NaN scores, whatever the windows: a later window wins
+    only on a strictly larger score, and a window holding a NaN score offers
+    its first largest non-NaN one.
     """
-    cx, cy = cells[0]
-    m, n, d = cx.shape[0], cy.shape[0], cx.shape[2]
+    m, n = cells[0][0].shape[0], cells[0][1].shape[0]
     k, batch = min(m, n), len(cells)
     table = _injection_table(m, n)
     count = table.shape[1]
-    compat = np.empty((batch, m * m, n * n))
     window = min(count, _GATHER // max(batch, 4))
-    for b, (cx, cy) in enumerate(cells):
-        flat = cx.reshape(m * m, d)
-        doubled = flat * 2.0
-        doubled[:: m + 1] = flat[:: m + 1]  # the diagonal cells (i, i) stay single
-        np.dot(doubled, cy.transpose(2, 0, 1).reshape(d, n * n), out=compat[b])
+    compat = _compat(cells)
+    compat[:, :: m + 1] *= 0.5
     kept = table
     if count * batch > _GATHER:  # smaller gathers cost less than the keep test
-        # the indexed side's cell that each term's row reads in every injection:
-        # x's i_a*m + i_b when m <= n, else y's r_a*n + r_b
-        if m <= n:
-            live = np.logical_or.reduce(compat, (0, 2))[table[:, 0] // (n * n)]
-        else:
-            live = np.logical_or.reduce(compat, (0, 1))[table[:, 0] % (n * n)]
-        keep = np.flatnonzero(live)
-        if len(keep) < len(live):
+        # a term is +-0.0 wherever the indexed side's cell that its row reads in
+        # every injection is zero: x's i_a*m + i_b when m <= n, else y's r_a*n + r_b
+        live = np.any([pair[m > n] for pair in cells], (0, 3)).ravel()
+        keep = np.flatnonzero(live[table[:, 0] // (n * n) if m <= n else table[:, 0] % (n * n)])
+        if len(keep) < len(table):
             kept = table.take(keep, 0)
     size = kept.shape[0]
     # one row per position; a lone pair's (positions, 1) view is contiguous already
@@ -305,8 +314,8 @@ def _ga_soft(cells) -> np.ndarray:
 
     Softassign with one slack row and one slack column: compatibilities
     Q_ir = sum_js M_js dot(x_ij, y_rs) + dot(x_ii, y_rr), one matrix-vector
-    product of the (m*n, m*n) compatibilities in (i, r, j, s) layout and the
-    flattened real soft matrix, give the kernel exponents
+    product of the `_compat` products, viewed as (m*n, m*n) in (i, r, j, s)
+    layout, and the flattened real soft matrix, give the kernel exponents
     E = beta * (Q - shift), shift = max(max Q, 0), with -beta * shift in the
     slack row and column (0 in their corner); the kernel exp(E) is
     Sinkhorn-balanced over the real rows and columns, and beta grows
@@ -333,12 +342,8 @@ def _ga_soft(cells) -> np.ndarray:
     pass can clear it. A lone pair is a stack of one.
     """
     batch = len(cells)
-    cx, cy = cells[0]
-    m, n, d = cx.shape[0], cy.shape[0], cx.shape[2]
-    compat = np.empty((batch, m * m, n * n))
-    for out, (cx, cy) in zip(compat, cells):  # each pair's tensordot over d
-        np.dot(cx.reshape(m * m, d), cy.transpose(2, 0, 1).reshape(d, n * n), out=out)
-    compat = compat.reshape(batch, m, m, n, n)
+    m, n = cells[0][0].shape[0], cells[0][1].shape[0]
+    compat = _compat(cells).reshape(batch, m, m, n, n)
     node_comp = np.einsum("biirr->bir", compat)
     # rows (i, r), columns (j, s)
     compat = compat.swapaxes(2, 3).reshape(batch, m * n, m * n)

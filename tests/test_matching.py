@@ -89,6 +89,11 @@ class TestKernelValue:
         with pytest.raises(ValidationError, match="match is 3x3 but representations have orders 2 and 2"):
             kernel_value(to_representation(GX), to_representation(GY), MatchMatrix.identity(3))
 
+    def test_attribute_dimension_mismatch(self):
+        rx, ry = Representation(np.ones((2, 2, 2))), Representation(np.ones((2, 2, 3)))
+        with pytest.raises(ValidationError, match="attribute dimensions differ: 2 vs 3"):
+            kernel_value(rx, ry, MatchMatrix.identity(2))
+
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_matches_reference_loop(self, scale):
         # every order pair 0..8 both ways (m<n, m>n, m=n), d cycling over 1..5
@@ -157,6 +162,31 @@ class TestExactSdp:
         res = exact_sdp(g, AttributedGraph([[1.0], [1.0], [1.0]]))
         assert res.match == MatchMatrix.identity(3)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_edge_near_the_float_limit(self):
+        # x's edge cell overflows only against z's node cells, which no injection
+        # pairs with it; a cell that overflowed where injections read it would
+        # meet z's zero edge cells, make every score NaN and let the identity win
+        x = AttributedGraph([[1.0], [1.0], [5.0]], [(0, 1, [1.5e308])])
+        z = AttributedGraph([[3.0], [2.0], [0.5]])
+        res = exact_sdp(x, z)
+        assert (res.value, res.match.pairs) == (17.5, ((0, 1), (1, 2), (2, 0)))
+        res = exact_sdp(z, x)
+        assert (res.value, res.match.pairs) == (17.5, ((0, 2), (1, 0), (2, 1)))
+
+    def test_match_unchanged_by_scaling_to_the_float_limit(self):
+        # x at scale 1.5 times 2**1023 against y at 2**-8: every product and sum
+        # stays finite and normal, so every score scales exactly and no winner moves
+        rng = np.random.default_rng(404)
+        for _ in range(300):
+            d = int(rng.integers(1, 4))
+            x = rand_graph(rng, int(rng.integers(1, 5)), d, scale=1.5)
+            y = rand_graph(rng, int(rng.integers(1, 5)), d, scale=2.0**-8)
+            big = AttributedGraph(x.node_attrs * 2.0**1023,
+                                  [(i, j, v * 2.0**1023) for (i, j), v in x.edge_items()])
+            assert exact_sdp(big, y).match == exact_sdp(x, y).match
+            assert exact_sdp(y, big).match == exact_sdp(y, x).match
+
 
 class TestGaSdp:
     def test_single_node_pair_matches_exact(self):
@@ -213,15 +243,16 @@ def _reference_k2_permutation(cx, cy):
 
 
 def _reference_best_permutation(cx, cy, by_cols=False):
-    """The exact scorer's sum written out per permutation, 5,040 at a time: cx's
-    off-diagonal cells doubled before the compatibilities, then, for the pairs
-    indexed by node a of the rows (by_cols: of the columns), the n diagonal terms
-    (a, a) and the terms a < b in row-major order, added one at a time. The oracle
-    the table scorer must match exactly: the padded zero nodes of `_reference_pairs`
-    only add exact zeros between the same real terms in the same order."""
+    """The exact scorer's sum written out per permutation, 5,040 at a time: the
+    compatibilities dot(x_ij, y_rs) with the node rows (i, i) halved, then,
+    for the pairs indexed by node a of the rows (by_cols: of the columns), the n
+    diagonal terms (a, a) and the terms a < b in row-major order, added one at a
+    time, so each score is half the permutation's objective. The oracle the table
+    scorer must match exactly: the padded zero nodes of `_reference_pairs` only add
+    exact zeros between the same real terms in the same order."""
     n = cx.shape[0]
-    doubled = cx * np.where(np.eye(n, dtype=bool), 1.0, 2.0)[..., None]
-    compat = np.tensordot(doubled, cy, axes=([2], [2]))
+    compat = np.tensordot(cx, cy, axes=([2], [2]))
+    compat[np.arange(n), np.arange(n)] *= 0.5
     perms = _reference_permutations(n)
     a, b = np.array([(a, a) for a in range(n)] + list(itertools.combinations(range(n), 2)),
                     dtype=np.intp).reshape(-1, 2).T
@@ -438,18 +469,16 @@ class TestBatchedScorer:
 
 def _full_term_pairs(cells):
     """The exact scorer before it left out terms, over the whole table at once:
+    each pair's compatibilities by `np.tensordot`, node rows (i, i) weighted 0.5,
     every term of every injection summed in the table's order, and each pair's
     winner the first maximum of its non-NaN scores (injection 0 when it has
     none). The oracle the kept-term scorer must match pair for pair."""
-    m, n, d = cells[0][0].shape[0], cells[0][1].shape[0], cells[0][0].shape[2]
+    m, n = cells[0][0].shape[0], cells[0][1].shape[0]
     k, batch = min(m, n), len(cells)
     table = _injection_table(m, n)
-    compat = np.empty((batch, m * m, n * n))
-    for b, (cx, cy) in enumerate(cells):
-        flat = cx.reshape(m * m, d)
-        doubled = flat * 2.0
-        doubled[:: m + 1] = flat[:: m + 1]
-        np.dot(doubled, cy.transpose(2, 0, 1).reshape(d, n * n), out=compat[b])
+    weight = np.where(np.eye(m, dtype=bool), 0.5, 1.0).reshape(m * m, 1)
+    compat = np.array([np.tensordot(cx, cy, axes=([2], [2])).reshape(m * m, n * n) * weight
+                       for cx, cy in cells])
     scores = compat.reshape(batch, -1).T[table].sum(axis=0)
     rows = table[:k, np.fmax(scores, -np.inf).argmax(axis=0)].T
     step = (m + 1) * n * n
@@ -465,8 +494,8 @@ class TestKeptTermScorer:
     def _side(rng, kind, k, d):
         """Cells of order k: dense, a sparse graph's (zero cells where edges are
         absent), with 0.0 and -0.0 cells, all zero, at 1e200 (products overflow),
-        or near the float limit (a doubled cell overflows, and against a zero cell
-        gives NaN)."""
+        or near the float limit (products overflow too; a NaN comes only from
+        +-inf products of opposite signs, in one dot or in one score's sum)."""
         if kind == "dense":
             return rand_sym_cells(rng, k, d)
         if kind == "zero":
