@@ -9,8 +9,9 @@ enumeration of the injections of the smaller node set into the larger (exact,
 small orders) or graduated assignment (heuristic, any order). A batch has one
 matcher, and its pairs are grouped by shape for either solver: the exact pairs
 of one shape are scored together, each getting the winner it gets alone, and
-the graduated ones are annealed together as a lockstep stack, each getting the
-soft matrix it gets alone.
+the graduated ones are annealed together as a lockstep stack and their greedy
+matches polished by one stacked pairwise-swap search, each getting the match it
+gets alone.
 `sdp`, `induced_distance` and k-NN solve one graph against one or many through
 `_results`, and training and prediction over a split solve many weights against
 many graphs through the same core (see `model._discriminants`). Values returned
@@ -106,17 +107,28 @@ class MatchMatrix:
         return cls(n, n, [(i, i) for i in range(n)])
 
 
-# Graduated assignment's one annealing and Sinkhorn schedule. Model files that
-# predate it carry it as `ga_params`; `MatcherConfig.from_json` still reads that
-# key but refuses any other value, so a custom schedule is never silently dropped.
-_GA_SCHEDULE = {"beta_start": 0.5, "beta_rate": 1.075, "beta_max": 10.0,
+# Graduated assignment's one annealing and Sinkhorn schedule: 5 beta steps
+# (0.5 to 19.53), chosen on held-out data with the swap search in place.
+_GA_SCHEDULE = {"beta_start": 0.5, "beta_rate": 2.5, "beta_max": 20.0,
                 "sinkhorn_max_iters": 30, "sinkhorn_tol": 0.005, "assignment_rounds_max": 4,
                 "assignment_tol": 1e-3}
+# The schedule that model files of earlier versions carry as `ga_params`, any subset
+# of its keys. `MatcherConfig.from_json` still reads that key, but refuses any other
+# value, so a custom schedule is never silently dropped.
+_WRITTEN_GA_PARAMS = {"beta_start": 0.5, "beta_rate": 1.075, "beta_max": 10.0,
+                      "sinkhorn_max_iters": 30, "sinkhorn_tol": 0.005,
+                      "assignment_rounds_max": 4, "assignment_tol": 1e-3}
+# A swap of the swap search is taken only when its gain exceeds this share of the
+# pair's absolute product mass plus the smallest normal float, which bound every
+# gain's rounding error many times over (the second where products are
+# subnormal), so each swap raises the true value and the search cannot cycle.
+_SWAP_SLACK = 1e-12
 
 
 def _fixed_schedule(doc) -> None:
-    if {**_GA_SCHEDULE, **doc} != _GA_SCHEDULE:
-        raise ValueError(f"graduated assignment runs one fixed schedule {_GA_SCHEDULE}, "
+    if {**_WRITTEN_GA_PARAMS, **doc} != _WRITTEN_GA_PARAMS:
+        raise ValueError(f"graduated assignment runs one fixed schedule; ga_params may hold "
+                         f"only the values earlier versions wrote, {_WRITTEN_GA_PARAMS}, "
                          f"got {doc!r}")
 
 
@@ -151,6 +163,7 @@ class MatchResult:
     exact: bool
 
 
+@np.errstate(all="ignore")  # an overflow is the "not finite" error below, not a warning
 def kernel_value(rx: Representation, ry: Representation, match: MatchMatrix) -> float:
     """Objective of one fixed correspondence: sum over assigned pairs (i->r, j->s)
     of dot(x_ij, y_rs), including diagonal node terms and both orientations of
@@ -160,7 +173,8 @@ def kernel_value(rx: Representation, ry: Representation, match: MatchMatrix) -> 
     order. Each term is a (1 x d)(d x 1) matrix product, which rounds exactly as
     `np.dot` of the two vectors does. Raises ValidationError when the attribute
     dimensions differ, and when finite attributes give a value outside the
-    float range.
+    float range; numpy's floating-point warnings are silenced for the call, as
+    that error reports an overflow.
     """
     if rx.attr_dim != ry.attr_dim:
         raise ValidationError(f"attribute dimensions differ: {rx.attr_dim} vs {ry.attr_dim}")
@@ -306,16 +320,25 @@ def _best_pairs(cells):
             for c in cols]
 
 
-def _ga_soft(cells) -> np.ndarray:
-    """Graduated assignment on each (cx, cy) of `cells`, raw cell arrays all of
-    one shape (m, n) with m, n >= 1, annealed together in lockstep; returns the
-    (B, m, n) final soft matrices over the real rows and columns, each with the
-    bytes its pair gets alone.
+def _affinities(cells) -> np.ndarray:
+    """The `_compat` products of the (cx, cy) of `cells`, all of one shape (m, n),
+    as a (B, m, n, m, n) array in (i, r, j, s) layout: entry (b, i, r, j, s) holds
+    dot(x_ij, y_rs) of pair b. Viewed as (m*n, m*n) per pair, it is the matrix
+    that graduated assignment and its swap search multiply by a flattened match."""
+    batch, m, n = len(cells), cells[0][0].shape[0], cells[0][1].shape[0]
+    return np.ascontiguousarray(_compat(cells).reshape(batch, m, m, n, n).swapaxes(2, 3))
+
+
+def _ga_soft(affinities) -> np.ndarray:
+    """Graduated assignment on each pair of a (B, m, n, m, n) `_affinities`
+    stack, m, n >= 1, annealed together in lockstep; returns the (B, m, n) final
+    soft matrices over the real rows and columns, each with the bytes its pair
+    gets alone.
 
     Softassign with one slack row and one slack column: compatibilities
     Q_ir = sum_js M_js dot(x_ij, y_rs) + dot(x_ii, y_rr), one matrix-vector
-    product of the `_compat` products, viewed as (m*n, m*n) in (i, r, j, s)
-    layout, and the flattened real soft matrix, give the kernel exponents
+    product of the affinities, viewed as (m*n, m*n), and the flattened real
+    soft matrix, give the kernel exponents
     E = beta * (Q - shift), shift = max(max Q, 0), with -beta * shift in the
     slack row and column (0 in their corner); the kernel exp(E) is
     Sinkhorn-balanced over the real rows and columns, and beta grows
@@ -341,12 +364,10 @@ def _ga_soft(cells) -> np.ndarray:
     pair's schedule ends with that pass, whose move is NaN, since no later
     pass can clear it. A lone pair is a stack of one.
     """
-    batch = len(cells)
-    m, n = cells[0][0].shape[0], cells[0][1].shape[0]
-    compat = _compat(cells).reshape(batch, m, m, n, n)
-    node_comp = np.einsum("biirr->bir", compat)
-    # rows (i, r), columns (j, s)
-    compat = compat.swapaxes(2, 3).reshape(batch, m * n, m * n)
+    batch, m, n = affinities.shape[:3]
+    # rows (i, r), columns (j, s); the node terms dot(x_ii, y_rr) are its diagonal
+    compat = affinities.reshape(batch, m * n, m * n)
+    node_comp = compat.diagonal(0, 1, 2).reshape(batch, m, n)
     # the kernel starts at ones under zero exponents, so a call's first pass
     # balances exp(E) as every later pass balances its warm start
     soft = np.ones((batch, m + 1, n + 1))
@@ -425,52 +446,121 @@ def _kept(mask, going):
 
 def _ga_soft_pairs(cells) -> list:
     """Graduated assignment core: the assigned (row, col) pairs of each (cx, cy)
-    of `cells`, raw cell arrays all of one shape (m, n) with m, n >= 1.
+    of `cells`, raw cell arrays all of one shape (m, n) with m, n >= 1 and no
+    side all zero.
 
-    When either array of a pair is all zero (the first step of every fit, from
-    zero weights), every compatibility is zero and every real entry of the
-    annealed soft matrix is equal, so greedy selection takes the diagonal: the
-    pairs (i, i) are returned without annealing. The other pairs are annealed
-    by one `_ga_soft` stack, and each soft matrix is discretized by greedy
-    maximum selection down to min(m, n) pairs.
+    The pairs are annealed by one `_ga_soft` stack, each soft matrix is
+    discretized by greedy maximum selection down to min(m, n) pairs, and each
+    greedy match is polished by `_swap_search` over the same affinities.
     """
-    m, n = cells[0][0].shape[0], cells[0][1].shape[0]
-    found = [tuple((i, i) for i in range(min(m, n)))] * len(cells)
-    hard = [b for b, (cx, cy) in enumerate(cells) if cx.any() and cy.any()]
-    soft = _ga_soft([cells[b] for b in hard]) if hard else []
-    for b, pick in zip(hard, soft):
-        pick, pairs = pick.copy(), []
-        for _ in range(min(m, n)):
+    affinities = _affinities(cells)
+    found = []
+    for pick in _ga_soft(affinities):
+        pairs = []
+        for _ in range(min(pick.shape)):
             i, r = np.unravel_index(int(np.argmax(pick)), pick.shape)
             pairs.append((int(i), int(r)))
             pick[i, :] = -np.inf
             pick[:, r] = -np.inf
-        found[b] = tuple(sorted(pairs))
-    return found
+        found.append(pairs)
+    return _swap_search(affinities, cells, found)
 
 
+def _swap_search(affinities, cells, found) -> list:
+    """Each match of `found` (lists of (row, col) pairs) polished by pairwise
+    swaps, the 2-opt local search for the quadratic assignment problem
+    (Burkard, Cela, Pardalos & Pitsoulis 1998), for the (cx, cy) of `cells` and
+    their (B, m, n, m, n) `_affinities`; returns each pair's sorted pairs.
+
+    Both graphs are padded with zero nodes to N = max(m, n), so a match is a
+    permutation p of N nodes (free rows take free columns in ascending order),
+    and a swap of the columns of rows a < c can move a node to an unmatched
+    one. With G_ir = sum_js M_js dot(x_ij, y_rs) at the hard match M (one
+    product of the affinities, as GA's Q), the swap changes the objective by
+    2 (G_a,p(c) + G_c,p(a) - G_a,p(a) - G_c,p(c)) + dot(x_aa + x_cc - 2 x_ac,
+    y_uu + y_vv - 2 y_uv), u = p(a), v = p(c). Each sweep takes, for every
+    pair at once, the swap of largest gain, the lowest (a, c) among equal ones,
+    when that gain exceeds `_SWAP_SLACK` times the pair's absolute product
+    mass sum_k |x_..k|_1 |y_..k|_1 plus the smallest normal float; a pair
+    whose largest gain is NaN, as when
+    products overflow, takes none. The search ends at the first sweep where no
+    pair swaps. Every pair's numbers come from its own slices, so each gets
+    the pairs it gets alone, and every swap raises its value, which callers
+    recompute from the match.
+    """
+    batch, m, n = affinities.shape[:3]
+    size = max(m, n)
+    perm = np.empty((batch, size), dtype=np.intp)
+    for row, pairs in zip(perm, found):
+        taken = dict(pairs)
+        free = iter(sorted(set(range(size)) - set(taken.values())))
+        row[:] = [taken[a] if a in taken else next(free) for a in range(size)]
+    if size > 1:
+        padded = np.zeros((2, batch, size, size, cells[0][0].shape[2]))
+        padded[0, :, :m, :m] = [cx for cx, _ in cells]
+        padded[1, :, :n, :n] = [cy for _, cy in cells]
+        mass = np.abs(padded).sum((2, 3))
+        slack = _SWAP_SLACK * np.add.reduce(mass[0] * mass[1], -1) + np.finfo(float).tiny
+        # x_aa + x_cc - 2 x_ac on the rows' side, y_uu + y_vv - 2 y_uv on the columns'
+        nodes = padded.diagonal(0, 2, 3).swapaxes(2, 3)
+        spread = nodes[:, :, :, None] + nodes[:, :, None, :] - 2.0 * padded
+        a, c = np.triu_indices(size, 1)  # the candidate swaps in row-major order
+        x_spread, y_spread = spread[0][:, a, c], spread[1]
+        stack = np.arange(batch)
+        each = stack[:, None]
+        onehot, g = np.zeros((2, batch, size, size))
+        compat = affinities.reshape(batch, m * n, m * n)
+        while True:
+            onehot.fill(0.0)
+            onehot[each, np.arange(size), perm] = 1.0
+            hard = np.ascontiguousarray(onehot[:, :m, :n]).reshape(batch, m * n, 1)
+            g[:, :m, :n] = np.matmul(compat, hard).reshape(batch, m, n)
+            pa, pc = perm[:, a], perm[:, c]
+            gain = g[each, a, pc] + g[each, c, pa]
+            gain -= g[each, a, pa]
+            gain -= g[each, c, pc]
+            gain *= 2.0
+            gain += np.add.reduce(x_spread * y_spread[each, pa, pc], -1)
+            best = gain.argmax(1)
+            take = gain[stack, best] > slack
+            if not take.any():
+                break
+            rows, b = np.flatnonzero(take), best[take]
+            perm[rows, a[b]], perm[rows, c[b]] = perm[rows, c[b]], perm[rows, a[b]]
+    return [tuple((i, r) for i, r in enumerate(row[:m]) if r < n) for row in perm.tolist()]
+
+
+@np.errstate(all="ignore")  # an overflow is refused where the value is computed
 def _solve(pairs, cfg: MatcherConfig) -> list:
     """Assigned (row, col) pairs of a best correspondence for each (cx, cy) of
     `pairs`, two cell arrays, all solved by the one matcher `cfg`.
 
     Callers check every pair first (attribute dimensions, encodings, then the
     exact cap: see `_encodings`), so nothing is solved for a batch with a bad
-    pair. Both solvers take the arrays as they are. Pairs with no empty side
-    are grouped by shape (m, n), and each group goes to its solver in
+    pair. A pair with an all-zero or empty side (the zero weights of a fit's
+    first step) takes the diagonal pairs (i, i) unsolved, which is what either
+    solver gives there: every exact score is +-0, so the first injection, the
+    identity's, wins, and GA's soft matrix stays uniform, so greedy selection
+    takes the diagonal and no swap gains. Both solvers take the other arrays as
+    they are, grouped by shape (m, n), and each group goes to its solver in
     consecutive batches of at most `_PAIRS` pairs and `_CELLS` compatibility
     cells (m*m*n*n a pair), but at least one pair, the one cap on either
     solver's batch: an exact batch is scored by one `_best_pairs` call, a
-    graduated one annealed in lockstep by one `_ga_soft_pairs` call, and each
-    pair gets the pairs it gets alone. A pair whose arrays numpy will not
+    graduated one annealed in lockstep and polished by one `_ga_soft_pairs`
+    call, and each pair gets the pairs it gets alone. numpy's floating-point
+    warnings are silenced for the call (one `np.errstate` entry): a value that
+    overflows is refused where it is computed. A pair whose arrays numpy will not
     allocate raises ValidationError naming its orders. Each pair counts as one
     solver call.
     """
     global _SOLVER_CALLS
     _SOLVER_CALLS += len(pairs)
-    found, groups = [()] * len(pairs), {}
+    found, groups = [None] * len(pairs), {}
     for index, (cx, cy) in enumerate(pairs):
-        if cx.shape[0] and cy.shape[0]:
+        if np.count_nonzero(cx) and np.count_nonzero(cy):
             groups.setdefault((cx.shape[0], cy.shape[0]), []).append(index)
+        else:
+            found[index] = tuple((i, i) for i in range(min(cx.shape[0], cy.shape[0])))
     solver = _best_pairs if cfg.method == "exact" else _ga_soft_pairs
     for (m, n), group in groups.items():
         size = min(_PAIRS, max(1, _CELLS // (m * m * n * n)))
@@ -528,7 +618,8 @@ def exact_sdp(x: AttributedGraph, y: AttributedGraph, max_order: int = DEFAULT_E
 
 
 def ga_sdp(x: AttributedGraph, y: AttributedGraph) -> MatchResult:
-    """Heuristic dot product via graduated assignment.
+    """Heuristic dot product via graduated assignment, its greedy match
+    polished by pairwise swaps.
 
     Always returns a feasible correspondence, so the value is a lower bound on
     the exact optimum; it is recomputed from the hard match.

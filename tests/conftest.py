@@ -4,12 +4,15 @@ import numpy as np
 from sublin import (AttributedGraph, LabeledExample, Representation, from_representation,
                     to_representation)
 
-# Graduated assignment's fixed schedule, what the reference loop in test_matching
-# runs. Model files of earlier versions carry it as `matcher_config.ga_params`,
-# the first six keys only: the round tolerance `assignment_tol` came later.
+# Graduated assignment's first fixed schedule (42 beta steps). Model files of
+# earlier versions carry it as `matcher_config.ga_params`, the first six keys
+# only: the round tolerance `assignment_tol` came later.
 FIRST_GA_SCHEDULE = {"beta_start": 0.5, "beta_rate": 1.075, "beta_max": 10.0,
                      "sinkhorn_max_iters": 30, "sinkhorn_tol": 0.005, "assignment_rounds_max": 4,
                      "assignment_tol": 1e-3}
+# The schedule graduated assignment runs (5 beta steps), what the reference loop
+# in test_matching runs.
+GA_SCHEDULE = {**FIRST_GA_SCHEDULE, "beta_rate": 2.5, "beta_max": 20.0}
 
 
 def rand_graph(rng, order, attr_dim, density=0.5, scale=1.0, distinct_nodes=False):
@@ -54,6 +57,18 @@ def relabeled(rep, mapping):
 def permuted_graph(graph, mapping):
     """The same graph with nodes relabeled by `mapping`."""
     return from_representation(relabeled(to_representation(graph), mapping))
+
+
+def greedy_pairs(soft):
+    """Greedy maximum selection on a soft matrix, down to min(m, n) pairs."""
+    pick = soft.copy()
+    pairs = []
+    for _ in range(min(pick.shape)):
+        i, r = np.unravel_index(int(np.argmax(pick)), pick.shape)
+        pairs.append((int(i), int(r)))
+        pick[i, :] = -np.inf
+        pick[:, r] = -np.inf
+    return tuple(sorted(pairs))
 
 
 def rel_close(a, b, tol):

@@ -142,8 +142,8 @@ def test_criterion_3_graduated_assignment_soundness():
         exact = exact_sdp(a, b)
         assert heur.value <= exact.value + 1e-9
         attained += heur.value >= exact.value - 1e-9
-    # GA's quality as of its warm-started Sinkhorn passes: a change that loses it fails
-    assert attained >= 340, f"optimum attained on {attained}/500, below 340"
+    # GA's quality with the swap search polishing its match: a change that loses it fails
+    assert attained >= 440, f"optimum attained on {attained}/500, below 440"
     _report(3, "PASS", f"500/500 feasible and below the exact optimum; "
                        f"optimum attained on {attained}/500 ({100 * attained / 500:.1f}%)")
 

@@ -150,7 +150,7 @@ class TestTrainBinary:
         model, _ = train_binary(data, TrainConfig(learning_rate=0.1, max_epochs=2, matcher=EXACT))
         assert model.order == 5
 
-    def test_training_invariant_under_graph_relabeling(self):
+    def test_training_invariant_under_graph_relabeling(self, matcher=EXACT):
         rng = np.random.default_rng(6)
         data = [
             LabeledExample(rand_graph(rng, int(rng.integers(2, 5)), 2), 1 if i % 2 else -1)
@@ -160,13 +160,16 @@ class TestTrainBinary:
             LabeledExample(permuted_graph(ex.graph, rng.permutation(ex.graph.order)), ex.y)
             for ex in data
         ]
-        cfg = TrainConfig(learning_rate=0.3, margin=0.1, max_epochs=10, seed=7, matcher=EXACT)
+        cfg = TrainConfig(learning_rate=0.3, margin=0.1, max_epochs=10, seed=7, matcher=matcher)
         m1, _ = train_binary(data, cfg)
         m2, _ = train_binary(moved, cfg)
         for _ in range(10):
             g = rand_graph(rng, int(rng.integers(1, 5)), 2)
             a, b = evaluate(m1, g), evaluate(m2, g)
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
+
+    def test_graduated_training_invariant_under_graph_relabeling(self):
+        self.test_training_invariant_under_graph_relabeling(MatcherConfig("graduated"))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,18 +1,20 @@
 import itertools
 import math
 import time
+import warnings
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from conftest import FIRST_GA_SCHEDULE, permuted_graph, rand_graph, rand_sym_cells, rel_close
+from conftest import (FIRST_GA_SCHEDULE, GA_SCHEDULE, greedy_pairs, permuted_graph, rand_graph,
+                      rand_sym_cells, rel_close)
 from sublin import (AttributedGraph, CapacityError, MatcherConfig, MatchMatrix,
                     Representation, ValidationError, exact_sdp, ga_sdp, induced_distance,
                     SublinearModel, kernel_value, load_model, matcher_call_count, optimal_align,
                     save_model, sdp, to_representation)
 from sublin import matching
-from sublin.matching import _best_pairs, _ga_soft, _injection_table
+from sublin.matching import _affinities, _best_pairs, _ga_soft, _injection_table
 
 EXACT = MatcherConfig()
 GRADUATED = MatcherConfig(method="graduated")
@@ -214,6 +216,17 @@ class TestGaSdp:
     def test_non_finite_rejected(self, solve):
         with pytest.raises(ValidationError, match="finite"):
             solve(AttributedGraph([[np.nan], [1.0]], [(0, 1, [1.0])]), GX)
+
+    @pytest.mark.parametrize("solve", [ga_sdp, exact_sdp], ids=["ga_sdp", "exact_sdp"])
+    def test_overflow_is_refused_without_numpy_warnings(self, solve):
+        # products of attributes near 1e200 overflow: the "not finite" error, and
+        # no RuntimeWarning from the matcher core even where warnings are errors
+        rng = np.random.default_rng(22)
+        x, y = rand_graph(rng, 5, 2, scale=1e200), rand_graph(rng, 4, 2, scale=1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="not finite"):
+                solve(x, y)
 
 
 @lru_cache(maxsize=None)
@@ -549,12 +562,11 @@ class TestKeptTermScorer:
         # shrink with the batch, so a NaN that hid its window's best injection
         # would make a pair's winner depend on its batch
         rng = np.random.default_rng(2000 + 10 * m + n)
-        with np.errstate(all="ignore"):
-            for kind in ("huge", "limit"):
-                for mode in ("shared", "pattern"):
-                    cells = self._batch(rng, m, n, 20, kind, mode)
-                    alone = [matching._solve([pair], EXACT)[0] for pair in cells]
-                    assert matching._solve(cells, EXACT) == alone, (kind, mode)
+        for kind in ("huge", "limit"):
+            for mode in ("shared", "pattern"):
+                cells = self._batch(rng, m, n, 20, kind, mode)
+                alone = [matching._solve([pair], EXACT)[0] for pair in cells]
+                assert matching._solve(cells, EXACT) == alone, (kind, mode)
 
 
 def _reference_ga(cx, cy, params, counts=None, nan_stop=True):
@@ -611,23 +623,62 @@ def _reference_ga(cx, cy, params, counts=None, nan_stop=True):
             if np.isnan(soft[:m].sum(axis=1)).any():
                 counts.setdefault("nan_pass", counts["passes"])
                 if nan_stop:
-                    return soft[:m, :n], _greedy_pairs(soft[:m, :n])
+                    return soft[:m, :n], greedy_pairs(soft[:m, :n])
             if moved <= params["assignment_tol"]:
                 break
         beta *= params["beta_rate"]
-    return soft[:m, :n], _greedy_pairs(soft[:m, :n])
+    return soft[:m, :n], greedy_pairs(soft[:m, :n])
 
 
-def _greedy_pairs(soft):
-    """Greedy maximum selection on a soft matrix, down to min(m, n) pairs."""
-    pick = soft.copy()
-    pairs = []
-    for _ in range(min(pick.shape)):
-        i, r = np.unravel_index(int(np.argmax(pick)), pick.shape)
-        pairs.append((int(i), int(r)))
-        pick[i, :] = -np.inf
-        pick[:, r] = -np.inf
-    return tuple(sorted(pairs))
+def _reference_swaps(cx, cy, pairs):
+    """The swap search as a plain loop on one pair: both cell arrays padded with
+    zero nodes to N = max(m, n), the match completed to a permutation p (free
+    rows take free columns in ascending order), then, while the largest gain
+    exceeds the slack (1e-12 of the absolute product mass plus the smallest
+    normal float), the first swap of rows a < c in row-major order with that
+    gain. G is one matrix-vector product of the (m*n, m*n) compatibilities in
+    (i, r, j, s) layout and the flattened hard match, zero on padded nodes, and
+    a swap's gain is 2 (G[a, v] + G[c, u] - G[a, u] - G[c, v]) +
+    dot(x_aa + x_cc - 2 x_ac, y_uu + y_vv - 2 y_uv), u = p(a), v = p(c), in
+    the stack's order of operations; a NaN gain ends the search. Returns the
+    sorted real pairs, the oracle the stacked search must match exactly."""
+    m, n, d = cx.shape[0], cy.shape[0], cx.shape[2]
+    size = max(m, n)
+    compat = np.tensordot(cx, cy, axes=([2], [2])).transpose(0, 2, 1, 3).reshape(m * n, m * n)
+    xs, ys = np.zeros((size, size, d)), np.zeros((size, size, d))
+    xs[:m, :m], ys[:n, :n] = cx, cy
+    slack = (1e-12 * np.add.reduce(np.abs(xs).sum((0, 1)) * np.abs(ys).sum((0, 1)))
+             + np.finfo(float).tiny)
+
+    def spread(c):  # c_aa + c_bb - 2 c_ab for every node pair (a, b)
+        nodes = np.einsum("iik->ik", c)
+        return nodes[:, None] + nodes[None, :] - 2.0 * c
+
+    x_spread, y_spread = spread(xs), spread(ys)
+    perm = dict(pairs)
+    free = iter(sorted(set(range(size)) - set(perm.values())))
+    perm = [perm[a] if a in perm else next(free) for a in range(size)]
+    while True:
+        hard = np.zeros((m, n))
+        for i in range(m):
+            if perm[i] < n:
+                hard[i, perm[i]] = 1.0
+        g = np.zeros((size, size))
+        g[:m, :n] = np.dot(compat, hard.ravel()).reshape(m, n)
+        best = None
+        for a, c in itertools.combinations(range(size), 2):
+            u, v = perm[a], perm[c]
+            gain = ((g[a, v] + g[c, u] - g[a, u] - g[c, v]) * 2.0
+                    + np.add.reduce(x_spread[a, c] * y_spread[u, v]))
+            if gain != gain:  # a NaN ends the search
+                best = None
+                break
+            if best is None or gain > best[0]:
+                best = (gain, a, c)
+        if best is None or not best[0] > slack:
+            return tuple((i, r) for i, r in enumerate(perm[:m]) if r < n)
+        _, a, c = best
+        perm[a], perm[c] = perm[c], perm[a]
 
 
 def _signed(graph, sign):
@@ -655,7 +706,7 @@ class TestGaBitIdentity:
     ORDERS = ((1, 3), (3, 1), (2, 9), (9, 2), (4, 7), (7, 4), (10, 6), (5, 5))
 
     @pytest.mark.parametrize("scale, seed", [(1e-6, 1), (1.0, 2), (1e6, 3)])
-    @pytest.mark.parametrize("params", [FIRST_GA_SCHEDULE], ids=["default"])
+    @pytest.mark.parametrize("params", [GA_SCHEDULE], ids=["default"])
     def test_matches_reference_loop(self, params, scale, seed):
         rng = np.random.default_rng(seed)
         pairs = []
@@ -669,10 +720,10 @@ class TestGaBitIdentity:
             m, n = x.order, y.order
             rx, ry = to_representation(x), to_representation(y)
             want_soft, want_pairs = _reference_ga(rx.cells, ry.cells, params)
-            soft = _ga_soft([(rx.cells, ry.cells)])[0]
+            soft = _ga_soft(_affinities([(rx.cells, ry.cells)]))[0]
             assert soft.tobytes() == want_soft.tobytes()
             assert np.isfinite(soft).all()
-            want = MatchMatrix(m, n, want_pairs)
+            want = MatchMatrix(m, n, _reference_swaps(rx.cells, ry.cells, want_pairs))
             got = ga_sdp(x, y)
             assert got.match == want
             assert got.value == kernel_value(rx, ry, want)
@@ -696,11 +747,11 @@ class TestGaBitIdentity:
         matrix and the reference's counts."""
         cx, cy = to_representation(x).cells, to_representation(y).cells
         counts = {}
-        want_soft, _ = _reference_ga(cx, cy, FIRST_GA_SCHEDULE, counts)
+        want_soft, _ = _reference_ga(cx, cy, GA_SCHEDULE, counts)
         numpy = _DivideCountingNumpy()
         with monkeypatch.context() as patch:
             patch.setattr(matching, "np", numpy)
-            got = _ga_soft([(cx, cy)])[0]
+            got = _ga_soft(_affinities([(cx, cy)]))[0]
         assert got.tobytes() == want_soft.tobytes()
         assert numpy.divides == 2 * counts["sweeps"]
         return got, counts
@@ -708,13 +759,13 @@ class TestGaBitIdentity:
     def test_matches_reference_at_letter_scale(self, monkeypatch):
         # the letter workload's shapes: an order-9 weight graph at eta = 0.1
         # against drawings of every order it meets; the round stop ends some
-        # beta steps before their 4th round (42 steps of 4 rounds: 168 passes)
+        # beta steps before their 4th round (5 steps of 4 rounds: 20 passes)
         rng = np.random.default_rng(12)
         for n in range(2, 10):
             soft, counts = self._assert_soft_matches(monkeypatch, self._letter(rng, 9, scale=0.1),
                                                      self._letter(rng, n))
             assert np.isfinite(soft).all()
-            assert counts["passes"] < 168
+            assert counts["passes"] < 20
 
     def test_matches_reference_on_zero_weights(self, monkeypatch):
         # the first training step: every compatibility is zero
@@ -733,7 +784,7 @@ class TestGaBitIdentity:
             calls = matcher_call_count()
             got = ga_sdp(x, y)
             assert matcher_call_count() == calls + 1
-            assert got.match.pairs == _reference_ga(rx.cells, ry.cells, FIRST_GA_SCHEDULE)[1]
+            assert got.match.pairs == _reference_ga(rx.cells, ry.cells, GA_SCHEDULE)[1]
 
     def test_matches_reference_when_compatibilities_overflow(self, monkeypatch):
         # finite attributes near 1e200 give inf and NaN compatibilities; a NaN
@@ -750,7 +801,7 @@ class TestGaBitIdentity:
                 reached_nan += bool(np.isnan(soft).any())
                 whole = {}
                 whole_soft, _ = _reference_ga(to_representation(x).cells, to_representation(y).cells,
-                                              FIRST_GA_SCHEDULE, whole, nan_stop=False)
+                                              GA_SCHEDULE, whole, nan_stop=False)
                 assert soft.tobytes() == whole_soft.tobytes()
                 if "nan_pass" in whole:
                     assert counts["passes"] == whole["nan_pass"] < whole["passes"]
@@ -770,8 +821,8 @@ def _stack_pool(m, n):
     pair at attribute scale 1e200, which reaches the NaN stop; an all-zero
     weight against a letter-shaped graph; and a random pair at scale 10, whose
     soft matrices hold entries below the 1e-300 floor. Returns the graphs,
-    their cells and each pair's reference soft matrix, greedy pairs and
-    counts."""
+    their cells and each pair's reference soft matrix, greedy pairs, counts
+    and pairs after the swap search."""
     rng = np.random.default_rng(16)
     graphs = []
     for k in range(60):
@@ -787,13 +838,15 @@ def _stack_pool(m, n):
     with np.errstate(all="ignore"):
         for cx, cy in cells:
             counts = {}
-            references.append(_reference_ga(cx, cy, FIRST_GA_SCHEDULE, counts) + (counts,))
+            soft, greedy = _reference_ga(cx, cy, GA_SCHEDULE, counts)
+            references.append((soft, greedy, counts, _reference_swaps(cx, cy, greedy)))
     return graphs, cells, references
 
 
 class TestGaStack:
     """Batched equals unbatched: a stack of same-shape pairs annealed in lockstep
-    gives each pair the soft matrix and the pairs it gets alone."""
+    gives each pair the soft matrix it gets alone, and the stacked swap search
+    the pairs it gets alone."""
 
     @pytest.mark.parametrize("batch, shape", [(1, (9, 6)), (2, (9, 6)), (15, (6, 9)),
                                               (60, (9, 6))])
@@ -805,18 +858,20 @@ class TestGaStack:
         for span in spans:
             stack = [cells[b] for b in span]
             with np.errstate(all="ignore"):
-                soft = _ga_soft(stack)
-                before = matcher_call_count()
-                found = matching._solve(stack, GRADUATED)
+                soft = _ga_soft(_affinities(stack))
+            before = matcher_call_count()
+            found = matching._solve(stack, GRADUATED)
             assert matcher_call_count() - before == len(stack)
             assert soft.shape == (len(stack),) + shape
             for b, got_soft, got_pairs in zip(span, soft, found, strict=True):
-                want_soft, want_pairs, counts = references[b]
+                want_soft, _, counts, want_pairs = references[b]
                 assert got_soft.tobytes() == want_soft.tobytes(), b
                 assert got_pairs == want_pairs, b
                 if "nan_pass" not in counts:
                     assert got_pairs == ga_sdp(*graphs[b]).match.pairs, b
-        # the mix each stack was built to hold
+        # the mix each stack was built to hold, swaps included
+        held = [references[b] for span in spans for b in span]
+        assert any(greedy != swapped for _, greedy, _, swapped in held)
         counts = [references[b][2] for span in spans for b in span]
         assert any(c.get("capped") and "nan_pass" not in c for c in counts)
         assert any("nan_pass" in c for c in counts)
@@ -825,9 +880,10 @@ class TestGaStack:
         assert len({tuple(c["rounds"]) for c in counts if "nan_pass" not in c}) > 1
 
     def test_reports_per_pair_cost(self):
-        # a report, not a gate: kernel time per pair on letter-scale (9, 6) and
-        # (9, 3) pairs, the small stacks of the letter workload, and on (9, 6)
-        # pairs at attribute scale 1e200, whose passes overflow to NaN
+        # a report, not a gate: kernel time per pair (affinities and annealing)
+        # and the swap search's time per pair on letter-scale (9, 6) and (9, 3)
+        # pairs, the small stacks of the letter workload, and on (9, 6) pairs at
+        # attribute scale 1e200, whose passes overflow to NaN
         rng = np.random.default_rng(17)
         reports = [(f"(9, {n})", (1, 3, 15, 60),
                     [(_letter(rng, 9, scale=0.1), _letter(rng, n)) for _ in range(60)])
@@ -837,18 +893,26 @@ class TestGaStack:
                          for _ in range(15)]))
         for label, batches, graphs in reports:
             pairs = [(to_representation(x).cells, to_representation(y).cells) for x, y in graphs]
-            costs = []
+            costs, polish = [], []
             with np.errstate(all="ignore"):
-                lone = _ga_soft(pairs[:1])[0].tobytes()
+                lone = _ga_soft(_affinities(pairs[:1]))[0].tobytes()
                 for batch in batches:
                     times = []
                     for _ in range(3):
                         start = time.perf_counter()
-                        soft = _ga_soft(pairs[:batch])
+                        soft = _ga_soft(_affinities(pairs[:batch]))
                         times.append(time.perf_counter() - start)
                     assert soft[0].tobytes() == lone
                     costs.append(f"B={batch} {1e3 * sorted(times)[1] / batch:.3f}")
+                    affinities, greedy = _affinities(pairs[:batch]), [greedy_pairs(s) for s in soft]
+                    times = []
+                    for _ in range(3):
+                        start = time.perf_counter()
+                        matching._swap_search(affinities, pairs[:batch], greedy)
+                        times.append(time.perf_counter() - start)
+                    polish.append(f"B={batch} {1e3 * sorted(times)[1] / batch:.3f}")
             print(f"\nGA-BATCH {label} kernel ms per pair: " + ", ".join(costs))
+            print(f"GA-BATCH {label} swap search ms per pair: " + ", ".join(polish))
 
 
 class TestMatcherConfig:
@@ -994,7 +1058,8 @@ class TestDispatch:
         # a (3, 4) group of _PAIRS + 8 pairs, with an all-zero side in its third
         # pair and a (4, 3) pair between two of its pairs, goes to the solver in
         # consecutive batches of at most _PAIRS, and each pair gets the pairs it
-        # gets alone
+        # gets alone; the all-zero pair takes the diagonal without reaching
+        # either solver
         rng = np.random.default_rng(18)
         group = [(rand_sym_cells(rng, 3, 2), rand_sym_cells(rng, 4, 2))
                  for _ in range(matching._PAIRS + 8)]
@@ -1012,9 +1077,11 @@ class TestDispatch:
         before = matcher_call_count()
         assert matching._solve(pairs, cfg) == alone
         assert matcher_call_count() - before == len(pairs)
-        assert [len(cells) for cells in batches] == [matching._PAIRS, 8, 1]
+        assert alone[2] == ((0, 0), (1, 1), (2, 2))
+        assert [len(cells) for cells in batches] == [matching._PAIRS, 7, 1]
         solved = [pair for cells in batches for pair in cells]
-        assert all(got is want for got, want in zip(solved, group + [other], strict=True))
+        assert all(got is want for got, want in zip(solved, group[:2] + group[3:] + [other],
+                                                     strict=True))
 
     def test_solve_caps_each_graduated_stack_by_cells(self, monkeypatch):
         # a (10, 10) pair holds 10**4 compatibility cells, so _CELLS, the cells

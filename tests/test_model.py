@@ -44,7 +44,7 @@ class TestEvaluate:
 
     def test_overflowing_value_is_validation_error(self):
         m = model_from(AttributedGraph([[1e200], [-1e200], [1.0]]))
-        with pytest.raises(ValidationError, match="finite"), np.errstate(all="ignore"):
+        with pytest.raises(ValidationError, match="finite"):
             evaluate(m, AttributedGraph([[1e200], [1e200], [2.0]]))
 
 

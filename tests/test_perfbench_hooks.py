@@ -14,8 +14,8 @@ TRACING = os.path.join(PERFBENCH, "tracing.py")
 
 # report digests (timing and call count left out) of letter-ga's input seeds 1-5;
 # a change that moves them on purpose updates them here and says so in CHANGES.md
-LETTER_GA_DIGESTS = {1: "8b09bd4c4813c66b", 2: "4912ff40292715c4", 3: "f3d059284c01ec99",
-                     4: "7534d9f913047ca0", 5: "e94de8ce7c4e49a2"}
+LETTER_GA_DIGESTS = {1: "04c71b7b4b1c21e2", 2: "419edfc4dcf74a51", 3: "07acf05bddb0b56c",
+                     4: "7534d9f913047ca0", 5: "003c3953ef276b50"}
 
 
 def _traced_names():
