@@ -97,7 +97,8 @@ def _cmd_dot(args) -> int:
 def _cmd_train(args) -> int:
     cfg_doc = read_json(args.config)
     fields = config_fields(cfg_doc, TrainConfig, keys={"learning_rate": "eta", "margin": "lambda"},
-                           defaults={"learning_rate": 0.1, "seed": args.seed})
+                           defaults={"learning_rate": 0.1, "seed": args.seed},
+                           extra=("data", "split", "task", "positive_class"))
     tc = TrainConfig(**fields | {"matcher": _matcher(cfg_doc, args)})
     # a model file records the rates of a JSON config as floats, `1` as 1.0
     tc = replace(tc, learning_rate=float(tc.learning_rate), margin=float(tc.margin))

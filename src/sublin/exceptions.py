@@ -73,13 +73,22 @@ def config_value(doc, key, kind, default=_REQUIRED):
     return checked(key, kind, doc[key])
 
 
-def config_fields(doc, cls, keys=None, defaults=None) -> dict:
+def config_fields(doc, cls, keys=None, defaults=None, extra=()) -> dict:
     """The keyword arguments that the JSON object `doc` gives the dataclass `cls`,
     unjudged (`cls.__post_init__` judges them): each field's value at its key,
     which is the field's name unless `keys` maps it to another, else its value in
     `defaults`. A field with neither keeps the class's default, or is a missing
-    required key when the class has none."""
+    required key when the class has none. The one reader of user-written JSON
+    configs: a key that is neither a field's nor one of the `extra` keys that
+    its caller reads itself raises ValidationError naming it, so a misspelled
+    key is never silently ignored."""
     keys, defaults = keys or {}, defaults or {}
+    if not isinstance(doc, dict):
+        raise ValidationError(f"expected a JSON object, got {doc!r}")
+    known = {keys.get(f.name, f.name) for f in fields(cls)}.union(extra)
+    for key in doc:
+        if key not in known:
+            raise ValidationError(f"unknown key {key!r}; expected one of {sorted(known)}")
     found = {}
     for f in fields(cls):
         required = f.default is MISSING and f.default_factory is MISSING

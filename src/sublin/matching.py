@@ -107,11 +107,12 @@ class MatchMatrix:
         return cls(n, n, [(i, i) for i in range(n)])
 
 
-# Graduated assignment's one annealing and Sinkhorn schedule: 5 beta steps
-# (0.5 to 19.53), chosen on held-out data with the swap search in place.
-_GA_SCHEDULE = {"beta_start": 0.5, "beta_rate": 2.5, "beta_max": 20.0,
-                "sinkhorn_max_iters": 30, "sinkhorn_tol": 0.005, "assignment_rounds_max": 4,
-                "assignment_tol": 1e-3}
+# Graduated assignment's one schedule: `_ROUNDS` passes at each beta (0.5 times
+# 2.5^k, exact binary fractions) and `_SWEEPS` Sinkhorn sweeps a pass, chosen on
+# held-out data with the swap search in place.
+_BETAS = (0.5, 1.25, 3.125, 7.8125, 19.53125)
+_ROUNDS = 4
+_SWEEPS = 2
 # The schedule that model files of earlier versions carry as `ga_params`, any subset
 # of its keys. `MatcherConfig.from_json` still reads that key, but refuses any other
 # value, so a custom schedule is never silently dropped.
@@ -151,7 +152,7 @@ class MatcherConfig:
     @classmethod
     def from_json(cls, doc: dict) -> "MatcherConfig":
         config_value(doc, "ga_params", _fixed_schedule, None)
-        return cls(**config_fields(doc, cls))
+        return cls(**config_fields(doc, cls, extra=("ga_params",)))
 
 
 @dataclass(frozen=True)
@@ -341,28 +342,21 @@ def _ga_soft(affinities) -> np.ndarray:
     soft matrix, give the kernel exponents
     E = beta * (Q - shift), shift = max(max Q, 0), with -beta * shift in the
     slack row and column (0 in their corner); the kernel exp(E) is
-    Sinkhorn-balanced over the real rows and columns, and beta grows
-    geometrically (`_GA_SCHEDULE`; the README's GA note has the stopping
-    rules). A beta step's assignment rounds end once a round's pass moves no
-    real entry by more than `assignment_tol` (Gold & Rangarajan's loop B).
-    Every pass is warm-started: it starts from the last pass's balanced
-    matrix times exp(min(E - E_last, 700)), which is the new kernel under the
-    last pass's row and column scalings; a call's first pass starts from ones
-    under zero exponents, which is exp(E) bit for bit, as E <= 0. After a pass
-    no entry exceeds 1, so the cap keeps every sum finite. Each sweep's row
-    sums test it and divide the next sweep's rows; columns need no test, as
-    each sums to one within a few ulps after the column division.
+    Sinkhorn-balanced over the real rows and columns. The schedule is fixed:
+    `_ROUNDS` passes at each beta of `_BETAS`, `_SWEEPS` sweeps a pass (a row
+    division, then a column division), and nothing in it depends on the data,
+    so no pair ever waits for another. Every pass is warm-started: it starts
+    from the last pass's balanced matrix times exp(min(E - E_last, 700)),
+    which is the new kernel under the last pass's row and column scalings; a
+    call's first pass starts from ones under zero exponents, which is exp(E)
+    bit for bit, as E <= 0. After a sweep no entry exceeds 1, so the cap keeps
+    every sum finite.
 
-    A stack shares the beta schedule, and each numpy call serves all its
-    pairs: one `np.matmul` forms every Q, and four calls divide and sum a
-    sweep. A pair that has stopped (its beta step's rounds, its pass's sweeps
-    or, after a NaN, its schedule) is held by the `where=` masks of the calls
-    that write the soft matrix, and its last exponents by one `copyto` per
-    pass, so it resumes, or ends, exactly as alone. The stop tests read each
-    pair's row sums and largest move as Python floats, and a NaN ends every
-    test it meets: a pass's sweeps end at its first NaN row sum, and its
-    pair's schedule ends with that pass, whose move is NaN, since no later
-    pass can clear it. A lone pair is a stack of one.
+    Each numpy call serves the whole stack: one `np.matmul` forms every Q, and
+    two calls divide a sweep's rows and two its columns, each pair reading
+    only its own slices. A NaN, as when attribute products overflow, stays in
+    its pair's slices and runs the whole schedule. A lone pair is a stack of
+    one.
     """
     batch, m, n = affinities.shape[:3]
     # rows (i, r), columns (j, s); the node terms dot(x_ii, y_rr) are its diagonal
@@ -376,72 +370,33 @@ def _ga_soft(affinities) -> np.ndarray:
     # the factor between them; the slack corner, which no sweep reads, keeps
     # exponent 0 and entry 1
     expo, last, factor = np.zeros((3,) + soft.shape)
-    expo_real, last_real = expo[:, :m, :n], last[:, :m, :n]
     # the real soft matrix a round starts from (uniform at first), as a column
-    # for the product, and Q, then the round's move
-    start, q = np.full((2,) + real.shape, 1.0 / (max(m, n) + 1.0))
+    # for the product, and Q
+    start = np.full(real.shape, 1.0 / (max(m, n) + 1.0))
+    q = np.empty(real.shape)
     start_col, q_col = start.reshape(batch, m * n, 1), q.reshape(batch, m * n, 1)
     shift = np.empty((batch, 1, 1))
-    # per-pair views of Q (and the moves) and the shifts, for reductions over each pair
+    # per-pair views of Q and the shifts, for the reduction over each pair
     q_pairs, peaks = q.reshape(batch, -1), shift.reshape(batch)
-    row_sums, col_sums = np.empty((batch, m)), np.empty((batch, 1, n))
-    divisors = row_sums[..., None]
-    tol = _GA_SCHEDULE["sinkhorn_tol"]
-    round_tol = _GA_SCHEDULE["assignment_tol"]
-    beta = _GA_SCHEDULE["beta_start"]
-    # the pairs whose schedule goes on, and those running this beta step's
-    # rounds, as `_kept` masks
-    live = True
-    while beta <= _GA_SCHEDULE["beta_max"] * (1 + 1e-12):
-        act = live
-        for _ in range(_GA_SCHEDULE["assignment_rounds_max"]):
+    row_sums, col_sums = np.empty((batch, m, 1)), np.empty((batch, 1, n))
+    for beta in _BETAS:
+        for _ in range(_ROUNDS):
             np.matmul(compat, start_col, out=q_col)
             q += node_comp
             np.maximum(np.maximum.reduce(q_pairs, 1, None, peaks), 0.0, out=peaks)
             q -= shift
-            expo, last, expo_real, last_real = last, expo, last_real, expo_real
-            np.multiply(q, beta, out=expo_real)
+            expo, last = last, expo
+            np.multiply(q, beta, out=expo[:, :m, :n])
             expo[:, m:, :n] = expo[:, :m, n:] = -beta * shift
-            if act is not True:  # held pairs keep their last exponents through the swap
-                np.copyto(expo, last, where=~act)
             np.subtract(expo, last, out=factor)
             np.minimum(factor, 700.0, out=factor)
-            np.multiply(soft, np.exp(factor, out=factor), out=soft, where=act)
-            np.maximum(soft, 1e-300, out=soft, where=act)
-            np.add.reduce(rows, -1, None, row_sums)
-            run = act  # the pairs still sweeping
-            for _ in range(_GA_SCHEDULE["sinkhorn_max_iters"]):
-                np.divide(rows, divisors, rows, where=run)
-                np.divide(cols, np.add.reduce(cols, -2, None, col_sums, True), cols, where=run)
-                np.add.reduce(rows, -1, None, row_sums)
-                run = _kept(run, [any(abs(v - 1.0) > tol for v in sums)
-                                  for sums in row_sums.tolist()])
-                if run is None:
-                    break
-            np.abs(np.subtract(real, start, out=q), out=q)
+            soft *= np.exp(factor, out=factor)
+            np.maximum(soft, 1e-300, out=soft)
+            for _ in range(_SWEEPS):
+                np.divide(rows, np.add.reduce(rows, -1, None, row_sums, True), rows)
+                np.divide(cols, np.add.reduce(cols, -2, None, col_sums, True), cols)
             np.copyto(start, real)
-            moved = np.maximum.reduce(q_pairs, 1).tolist()
-            act = _kept(act, [v > round_tol for v in moved])
-            if act is None:
-                break
-        # a NaN pass ends its pair's rounds and, as no later pass can clear it,
-        # its schedule: its move stays NaN through the beta step's last round
-        live = _kept(live, [v == v for v in moved])
-        if live is None:
-            return real
-        beta *= _GA_SCHEDULE["beta_rate"]
     return real
-
-
-def _kept(mask, going):
-    """The pairs of a stack's (B, 1, 1) `mask` (True: all B) that the list of B
-    bools `going` marks, as such a mask: True when that is every pair, None when
-    it is none."""
-    if mask is not True:
-        going = [g and k for g, k in zip(going, mask.ravel().tolist())]
-    if all(going):
-        return True
-    return np.array(going)[:, None, None] if any(going) else None
 
 
 def _ga_soft_pairs(cells) -> list:
@@ -449,34 +404,45 @@ def _ga_soft_pairs(cells) -> list:
     of `cells`, raw cell arrays all of one shape (m, n) with m, n >= 1 and no
     side all zero.
 
-    The pairs are annealed by one `_ga_soft` stack, each soft matrix is
-    discretized by greedy maximum selection down to min(m, n) pairs, and each
-    greedy match is polished by `_swap_search` over the same affinities.
+    The pairs are annealed by one `_ga_soft` stack, and every soft matrix is
+    discretized at once by greedy maximum selection down to min(m, n) pairs:
+    each of the min(m, n) steps takes every pair's first largest entry (a NaN
+    counts as largest, as in `np.argmax`) and strikes out its row and column.
+    Each greedy match, completed to a permutation of N = max(m, n) nodes with
+    the free rows taking the free columns in ascending order, is polished by
+    `_swap_search` over the same affinities.
     """
     affinities = _affinities(cells)
-    found = []
-    for pick in _ga_soft(affinities):
-        pairs = []
-        for _ in range(min(pick.shape)):
-            i, r = np.unravel_index(int(np.argmax(pick)), pick.shape)
-            pairs.append((int(i), int(r)))
-            pick[i, :] = -np.inf
-            pick[:, r] = -np.inf
-        found.append(pairs)
-    return _swap_search(affinities, cells, found)
+    batch, m, n = affinities.shape[:3]
+    # a copy unless the soft view is contiguous already; only these steps read it
+    pick = _ga_soft(affinities).reshape(batch, m * n)
+    grid = pick.reshape(batch, m, n)
+    stack = np.arange(batch)
+    perm = np.empty((batch, max(m, n)), dtype=np.intp)
+    taken = np.zeros((2,) + perm.shape, dtype=bool)  # the matched rows and columns
+    for _ in range(min(m, n)):
+        rows, cols = np.divmod(pick.argmax(1), n)
+        perm[stack, rows] = cols
+        taken[0, stack, rows] = taken[1, stack, cols] = True
+        grid[stack, rows] = -np.inf
+        grid[stack, :, cols] = -np.inf
+    # both masks hold max(m, n) - min(m, n) free nodes a pair, in C order
+    perm[~taken[0]] = np.nonzero(~taken[1])[1]
+    return _swap_search(affinities, cells, perm)
 
 
-def _swap_search(affinities, cells, found) -> list:
-    """Each match of `found` (lists of (row, col) pairs) polished by pairwise
-    swaps, the 2-opt local search for the quadratic assignment problem
-    (Burkard, Cela, Pardalos & Pitsoulis 1998), for the (cx, cy) of `cells` and
-    their (B, m, n, m, n) `_affinities`; returns each pair's sorted pairs.
+def _swap_search(affinities, cells, perm) -> list:
+    """Each pair's match polished by pairwise swaps, the 2-opt local search
+    for the quadratic assignment problem (Burkard, Cela, Pardalos & Pitsoulis
+    1998), for the (cx, cy) of `cells` and their (B, m, n, m, n)
+    `_affinities`; returns each pair's sorted pairs.
 
     Both graphs are padded with zero nodes to N = max(m, n), so a match is a
-    permutation p of N nodes (free rows take free columns in ascending order),
-    and a swap of the columns of rows a < c can move a node to an unmatched
-    one. With G_ir = sum_js M_js dot(x_ij, y_rs) at the hard match M (one
-    product of the affinities, as GA's Q), the swap changes the objective by
+    permutation p of N nodes: row b of the (B, N) integer array `perm`, which
+    the search updates in place. A swap of the columns of rows a < c can move
+    a node to an unmatched one. With G_ir = sum_js M_js dot(x_ij, y_rs) at
+    the hard match M (one product of the affinities, as GA's Q), the swap
+    changes the objective by
     2 (G_a,p(c) + G_c,p(a) - G_a,p(a) - G_c,p(c)) + dot(x_aa + x_cc - 2 x_ac,
     y_uu + y_vv - 2 y_uv), u = p(a), v = p(c). Each sweep takes, for every
     pair at once, the swap of largest gain, the lowest (a, c) among equal ones,
@@ -490,11 +456,6 @@ def _swap_search(affinities, cells, found) -> list:
     """
     batch, m, n = affinities.shape[:3]
     size = max(m, n)
-    perm = np.empty((batch, size), dtype=np.intp)
-    for row, pairs in zip(perm, found):
-        taken = dict(pairs)
-        free = iter(sorted(set(range(size)) - set(taken.values())))
-        row[:] = [taken[a] if a in taken else next(free) for a in range(size)]
     if size > 1:
         padded = np.zeros((2, batch, size, size, cells[0][0].shape[2]))
         padded[0, :, :m, :m] = [cx for cx, _ in cells]

@@ -10,9 +10,9 @@ from sublin import (AttributedGraph, LabeledExample, Representation, from_repres
 FIRST_GA_SCHEDULE = {"beta_start": 0.5, "beta_rate": 1.075, "beta_max": 10.0,
                      "sinkhorn_max_iters": 30, "sinkhorn_tol": 0.005, "assignment_rounds_max": 4,
                      "assignment_tol": 1e-3}
-# The schedule graduated assignment runs (5 beta steps), what the reference loop
-# in test_matching runs.
-GA_SCHEDULE = {**FIRST_GA_SCHEDULE, "beta_rate": 2.5, "beta_max": 20.0}
+# The schedule graduated assignment runs, what the reference loop in
+# test_matching runs: 4 passes at each of 5 beta values, 2 Sinkhorn sweeps a pass.
+GA_SCHEDULE = {"betas": (0.5, 1.25, 3.125, 7.8125, 19.53125), "rounds": 4, "sweeps": 2}
 
 
 def rand_graph(rng, order, attr_dim, density=0.5, scale=1.0, distinct_nodes=False):

@@ -611,6 +611,35 @@ class TestCli:
         assert repr(field) in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("reader", ["train", "protocol", "synth", "gxl", "matcher"])
+    def test_config_unknown_key_is_refused(self, tmp_path, dataset_dir, reader):
+        # a misspelled key is refused and named before anything runs: `etaa` is
+        # not `eta`, and the fit would otherwise run at the default rate
+        spec = {"n_examples": {"train": 4}, "order_range": [2, 3], "attr_dim": 1,
+                "planted_order": 2, "planted_margin": 0.1, "edge_density": 0.5}
+        proto = {"dataset": str(dataset_dir), "algorithm": "perceptron", "repeats": 1,
+                 "max_epochs": 1}
+        data = {"data": str(dataset_dir), "max_epochs": 1}
+        command, flag, doc, key = {  # reader: (command, flag, document, its unknown key)
+            "train": ("train", "--config", {**data, "etaa": 0.3}, "etaa"),
+            "protocol": ("protocol", "--config", {**proto, "repeat": 2}, "repeat"),
+            "synth": ("synth", "--spec", {**spec, "scale": 2.0}, "scale"),
+            "gxl": ("dot", "--gxl-config", {"node_attr_names": ["x"], "edge_attr_name": ["w"]},
+                    "edge_attr_name"),
+            "matcher": ("train", "--config",
+                        {**data, "matcher": {"method": "graduated", "exact_max": 5}}, "exact_max"),
+        }[reader]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        if command == "dot":  # the schema is read before either graph file
+            proc = run_cli("dot", "a.gxl", "b.gxl", flag, str(cfg_path))
+        else:
+            proc = run_cli(command, flag, str(cfg_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1
+        assert f"unknown key {key!r}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_numeric_classes_read_and_evaluate(self, tmp_path):
         # meta.json classes are read as strings, as each line's class is
         data = tmp_path / "data"
