@@ -136,7 +136,7 @@ def _cmd_eval(args) -> int:
         raise ValidationError(f"split {args.split!r} is empty")
     classes = list(dataset.class_set)
     if not isinstance(loaded, OvaModel):
-        positive = loaded.metadata.get("positive_class", str(classes[0]))
+        positive = str(loaded.metadata.get("positive_class", classes[0]))
         negative = next((str(c) for c in classes if str(c) != positive), positive)
     confusion = {str(t): {str(p): 0 for p in classes} for t in classes}
     for cls in loaded.classes if isinstance(loaded, OvaModel) else [positive]:
@@ -291,9 +291,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # overflow is reported as a "finite" ValidationError where the value is checked
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+        return args.func(args)
     except InfeasibleSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -350,18 +350,13 @@ def parse_cxl(document, base_dir, cfg: GxlAttrConfig, path="<cxl>"):
     if not entries:
         raise DatasetFormatError("collection lists no (file, class) entries", path)
     examples = []
-    classes = []
     for el in entries:
         filename = el.get("file")
-        cls = el.get("class")
         gxl_path = os.path.join(base_dir, filename)
         if not os.path.exists(gxl_path):
             raise DatasetFormatError(f"referenced graph file {filename!r} not found", path)
-        graph = parse_gxl_file(gxl_path, cfg)
-        examples.append(LabeledExample(graph, cls))
-        if cls not in classes:
-            classes.append(cls)
-    return examples, classes
+        examples.append(LabeledExample(parse_gxl_file(gxl_path, cfg), el.get("class")))
+    return examples, list(dict.fromkeys(ex.y for ex in examples))
 
 
 def parse_cxl_file(path, base_dir, cfg: GxlAttrConfig):
@@ -371,18 +366,13 @@ def parse_cxl_file(path, base_dir, cfg: GxlAttrConfig):
 def read_cxl_dataset(dirpath, cfg: GxlAttrConfig, name=None) -> Dataset:
     """Load a repository-style dataset directory with one CXL listing per split:
     `train.cxl`, `validation.cxl` and `test.cxl`."""
-    splits = {}
-    classes: List[str] = []
-    for split in ("train", "validation", "test"):
-        examples, listed = parse_cxl_file(os.path.join(dirpath, f"{split}.cxl"), dirpath, cfg)
-        splits[split] = examples
-        for c in listed:
-            if c not in classes:
-                classes.append(c)
+    splits = {split: parse_cxl_file(os.path.join(dirpath, f"{split}.cxl"), dirpath, cfg)[0]
+              for split in ("train", "validation", "test")}
     return Dataset(
         name or os.path.basename(os.path.normpath(dirpath)),
         splits,
-        classes,
+        # every listed entry is an example, so this is the listings' class order
+        dict.fromkeys(ex.y for exs in splits.values() for ex in exs),
         provenance={"source": "cxl", "dir": str(dirpath),
                     "attr_config": {
                         "node_attr_names": list(cfg.node_attr_names),
@@ -574,15 +564,14 @@ def generate_synthetic(spec: SyntheticSpec):
         if filler.place(LabeledExample(g, cls)):
             certificate = min(certificate, abs(score) / w_norm)
 
-    splits = {k: v for k, v in filler.members.items()}
     balance = {
         s: {POSITIVE_CLASS: sum(ex.y == POSITIVE_CLASS for ex in exs),
             NEGATIVE_CLASS: sum(ex.y == NEGATIVE_CLASS for ex in exs)}
-        for s, exs in splits.items()
+        for s, exs in filler.members.items()
     }
     dataset = Dataset(
         name=f"synthetic-{spec.seed}",
-        splits=splits,
+        splits=filler.members,
         class_set=(POSITIVE_CLASS, NEGATIVE_CLASS),
         provenance={
             "source": "synthetic",

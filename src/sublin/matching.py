@@ -26,8 +26,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 import numpy as np
 
-from .exceptions import (CapacityError, ValidationError, check_count, config_fields, config_value,
-                         sized)
+from .exceptions import CapacityError, ValidationError, check_count, config_fields, sized
 from .graphs import AttributedGraph, Representation, to_representation
 
 DEFAULT_EXACT_MAX_ORDER = 8
@@ -113,24 +112,11 @@ class MatchMatrix:
 _BETAS = (0.5, 1.25, 3.125, 7.8125, 19.53125)
 _ROUNDS = 4
 _SWEEPS = 2
-# The schedule that model files of earlier versions carry as `ga_params`, any subset
-# of its keys. `MatcherConfig.from_json` still reads that key, but refuses any other
-# value, so a custom schedule is never silently dropped.
-_WRITTEN_GA_PARAMS = {"beta_start": 0.5, "beta_rate": 1.075, "beta_max": 10.0,
-                      "sinkhorn_max_iters": 30, "sinkhorn_tol": 0.005,
-                      "assignment_rounds_max": 4, "assignment_tol": 1e-3}
 # A swap of the swap search is taken only when its gain exceeds this share of the
 # pair's absolute product mass plus the smallest normal float, which bound every
 # gain's rounding error many times over (the second where products are
 # subnormal), so each swap raises the true value and the search cannot cycle.
 _SWAP_SLACK = 1e-12
-
-
-def _fixed_schedule(doc) -> None:
-    if {**_WRITTEN_GA_PARAMS, **doc} != _WRITTEN_GA_PARAMS:
-        raise ValueError(f"graduated assignment runs one fixed schedule; ga_params may hold "
-                         f"only the values earlier versions wrote, {_WRITTEN_GA_PARAMS}, "
-                         f"got {doc!r}")
 
 
 @dataclass(frozen=True)
@@ -151,8 +137,7 @@ class MatcherConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "MatcherConfig":
-        config_value(doc, "ga_params", _fixed_schedule, None)
-        return cls(**config_fields(doc, cls, extra=("ga_params",)))
+        return cls(**config_fields(doc, cls))
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ import numpy as np
 from sublin import (AttributedGraph, LabeledExample, Representation, from_representation,
                     to_representation)
 
-# Graduated assignment's first fixed schedule (42 beta steps). Model files of
-# earlier versions carry it as `matcher_config.ga_params`, the first six keys
-# only: the round tolerance `assignment_tol` came later.
+# Graduated assignment's first fixed schedule (42 beta steps). Model files of the
+# earliest versions carry it as `matcher_config.ga_params`, the first six keys
+# only: the round tolerance `assignment_tol` came later. No matcher reader knows
+# that key, so the tests use it as a document that must be refused.
 FIRST_GA_SCHEDULE = {"beta_start": 0.5, "beta_rate": 1.075, "beta_max": 10.0,
                      "sinkhorn_max_iters": 30, "sinkhorn_tol": 0.005, "assignment_rounds_max": 4,
                      "assignment_tol": 1e-3}

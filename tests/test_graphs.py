@@ -200,6 +200,22 @@ class TestRepresentation:
         with pytest.raises(ValidationError, match=r"^cells must be an \(n, n, d\) array of numbers$"):
             Representation(cells)
 
+    @pytest.mark.parametrize("make, arg, message", [
+        (AttributedGraph, np.ones(2),
+         "node attributes must be a 2-D (order x attr_dim) array, got shape (2,)"),
+        (AttributedGraph, np.ones((2, 2, 1)),
+         "node attributes must be a 2-D (order x attr_dim) array, got shape (2, 2, 1)"),
+        (AttributedGraph, np.ones((2, 0)), "attribute dimension must be at least 1"),
+        (Representation, np.ones((2, 2)), "cells must have shape (n, n, d), got (2, 2)"),
+        (Representation, np.ones((2, 3, 1)), "cells must have shape (n, n, d), got (2, 3, 1)"),
+        (Representation, np.ones((2, 2, 0)), "attribute dimension must be at least 1"),
+        (Representation, np.full((1, 1, 2), [1.0, np.nan]), "graph attributes must be finite"),
+    ], ids=["graph-1d", "graph-3d", "graph-zero-dim", "cells-2d", "cells-not-square",
+            "cells-zero-dim", "cells-nan"])
+    def test_shape_and_finiteness_refusals_named(self, make, arg, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make(arg)
+
     @pytest.mark.parametrize("cells", [[[[2]]], np.array([[[2]]], dtype=np.int64)],
                              ids=["int-list", "int-array"])
     def test_integer_cells_read_as_floats(self, cells):
