@@ -20,9 +20,8 @@ from .learning import (EpochStats, LabeledExample, TrainConfig, TrainTrace, deri
                        empirical_risk, hinge_loss, knn_classify, subgradient_step,
                        train_binary, train_one_vs_all, write_trace_jsonl)
 from .data_io import (Dataset, GXL_PRESETS, GxlAttrConfig, SyntheticSpec, binary_examples,
-                      generate_synthetic, margin_certificate, parse_cxl, parse_cxl_file,
-                      parse_gxl, parse_gxl_file, read_cxl_dataset, read_examples_jsonl,
-                      read_jsonl, write_jsonl)
+                      generate_synthetic, margin_certificate, parse_cxl_file, parse_gxl_file,
+                      read_cxl_dataset, read_examples_jsonl, read_jsonl, write_jsonl)
 from .protocol import (ALGORITHMS, DEFAULT_ETA_GRID, DEFAULT_LAMBDA_GRID, ProtocolConfig,
                        ProtocolReport, run_protocol)
 

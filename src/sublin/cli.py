@@ -136,8 +136,11 @@ def _cmd_eval(args) -> int:
         raise ValidationError(f"split {args.split!r} is empty")
     classes = list(dataset.class_set)
     if not isinstance(loaded, OvaModel):
+        if len(classes) != 2:
+            raise ValidationError("a binary model needs a dataset of exactly 2 classes; "
+                                  f"{dataset.name!r} has {len(classes)}")
         positive = str(loaded.metadata.get("positive_class", classes[0]))
-        negative = next((str(c) for c in classes if str(c) != positive), positive)
+        negative = next(str(c) for c in classes if str(c) != positive)
     confusion = {str(t): {str(p): 0 for p in classes} for t in classes}
     for cls in loaded.classes if isinstance(loaded, OvaModel) else [positive]:
         if str(cls) not in confusion:

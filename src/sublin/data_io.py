@@ -24,8 +24,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .exceptions import (DatasetFormatError, InfeasibleSpecError, ValidationError, check_count,
-                         check_number, checked, config_fields, config_value, integer, name_list,
-                         sized)
+                         check_number, checked, config_fields, config_value, integer, known_keys,
+                         name_list, sized)
 from .files import atomic_write
 from .graphs import AttributedGraph
 from .learning import LabeledExample, _signed
@@ -112,6 +112,7 @@ def _graph_from_doc(doc: dict, path, line: int) -> Tuple[str, LabeledExample]:
         cls = doc["class"]
         rows = doc["nodes"]
         edges = [(integer(i), integer(j), vec) for i, j, vec in doc.get("edges", [])]
+        known_keys(doc, ("id", "class", "nodes", "edges"))
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"malformed graph record ({exc})", path, line) from exc
     if rows == []:
@@ -191,6 +192,7 @@ def read_jsonl(dirpath) -> Dataset:
         meta = json.loads(_read_text(meta_path))
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"invalid JSON ({exc.msg})", meta_path) from exc
+    known_keys(meta, ("name", "classes", "splits", "provenance"))
     splits = {name: read_examples_jsonl(os.path.join(dirpath, filename))
               for name, filename in config_value(meta, "splits", _split_files, {}).items()}
     # each line's class is read as a string, so the class list is too
@@ -274,27 +276,27 @@ def _collect_attrs(element, names, what, path) -> List[float]:
     return [found[n] for n in names]
 
 
-def _xml_root(document, path):
+def _xml_root(path):
     try:
-        return ET.fromstring(document)
+        return ET.fromstring(_read_text(path))
     except ET.ParseError as exc:
         raise DatasetFormatError(f"invalid XML ({exc})", path) from exc
 
 
-def parse_gxl(document, cfg: GxlAttrConfig, path="<gxl>") -> AttributedGraph:
-    """Parse one GXL document (a string) into a graph.
+def parse_gxl_file(path, cfg: GxlAttrConfig) -> AttributedGraph:
+    """Read one GXL file into a graph.
 
     Nodes are numbered in document order; unknown attributes are ignored;
-    undirected duplicate edges are dropped.
+    undirected duplicate edges are dropped. A node row is its attributes then
+    zeros; an edge vector is zeros, its attributes, then the edge flag if on.
     """
-    root = _xml_root(document, path)
+    root = _xml_root(path)
     graph_el = root if root.tag == "graph" else root.find(".//graph")
     if graph_el is None:
         raise DatasetFormatError("document contains no <graph> element", path)
-
-    n_node = len(cfg.node_attr_names)
-    n_edge = len(cfg.edge_attr_names)
-    d = cfg.attr_dim
+    node_pad = [0.0] * (cfg.attr_dim - len(cfg.node_attr_names))
+    edge_lead = [0.0] * len(cfg.node_attr_names)
+    edge_flag = [1.0] if cfg.append_edge_flag else []
 
     node_ids = {}
     node_rows = []
@@ -302,11 +304,8 @@ def parse_gxl(document, cfg: GxlAttrConfig, path="<gxl>") -> AttributedGraph:
         nid = el.get("id")
         if nid is None or nid in node_ids:
             raise DatasetFormatError(f"missing or duplicate node id {nid!r}", path)
-        values = _collect_attrs(el, cfg.node_attr_names, f"node {nid!r}", path)
-        row = np.zeros(d)
-        row[:n_node] = values
         node_ids[nid] = len(node_rows)
-        node_rows.append(row)
+        node_rows.append(_collect_attrs(el, cfg.node_attr_names, f"node {nid!r}", path) + node_pad)
 
     edges = {}
     for el in graph_el.iter("edge"):
@@ -319,33 +318,21 @@ def parse_gxl(document, cfg: GxlAttrConfig, path="<gxl>") -> AttributedGraph:
         if i == j:
             raise DatasetFormatError(f"self-loop on node {src!r} is not supported", path)
         key = (min(i, j), max(i, j))
-        if key in edges:
-            continue
-        values = _collect_attrs(el, cfg.edge_attr_names, f"edge {src!r}->{dst!r}", path)
-        vec = np.zeros(d)
-        vec[n_node : n_node + n_edge] = values
-        if cfg.append_edge_flag:
-            vec[-1] = 1.0
-        edges[key] = vec
+        if key not in edges:
+            values = _collect_attrs(el, cfg.edge_attr_names, f"edge {src!r}->{dst!r}", path)
+            edges[key] = edge_lead + values + edge_flag
 
-    nodes = np.stack(node_rows) if node_rows else np.zeros((0, d))
     try:
-        return AttributedGraph(nodes, [(i, j, v) for (i, j), v in edges.items()])
+        # a graph without nodes keeps the configured dimension
+        return AttributedGraph(node_rows or np.empty((0, cfg.attr_dim)), edges)
     except ValidationError as exc:
         raise DatasetFormatError(str(exc), path) from exc
 
 
-def parse_gxl_file(path, cfg: GxlAttrConfig) -> AttributedGraph:
-    return parse_gxl(_read_text(path), cfg, path=str(path))
-
-
-def parse_cxl(document, base_dir, cfg: GxlAttrConfig, path="<cxl>"):
-    """Parse a collection listing (a string) of (file, class) pairs into labeled examples.
-
-    Referenced GXL files are resolved relative to `base_dir`. Returns the
-    examples plus the class ids in listing order.
-    """
-    entries = [el for el in _xml_root(document, path).iter()
+def parse_cxl_file(path, base_dir, cfg: GxlAttrConfig) -> List[LabeledExample]:
+    """Read a collection listing of (file, class) pairs as labeled examples, in
+    listing order. Referenced GXL files are resolved relative to `base_dir`."""
+    entries = [el for el in _xml_root(path).iter()
                if el.get("file") is not None and el.get("class") is not None]
     if not entries:
         raise DatasetFormatError("collection lists no (file, class) entries", path)
@@ -356,17 +343,13 @@ def parse_cxl(document, base_dir, cfg: GxlAttrConfig, path="<cxl>"):
         if not os.path.exists(gxl_path):
             raise DatasetFormatError(f"referenced graph file {filename!r} not found", path)
         examples.append(LabeledExample(parse_gxl_file(gxl_path, cfg), el.get("class")))
-    return examples, list(dict.fromkeys(ex.y for ex in examples))
-
-
-def parse_cxl_file(path, base_dir, cfg: GxlAttrConfig):
-    return parse_cxl(_read_text(path), base_dir, cfg, path=str(path))
+    return examples
 
 
 def read_cxl_dataset(dirpath, cfg: GxlAttrConfig, name=None) -> Dataset:
     """Load a repository-style dataset directory with one CXL listing per split:
     `train.cxl`, `validation.cxl` and `test.cxl`."""
-    splits = {split: parse_cxl_file(os.path.join(dirpath, f"{split}.cxl"), dirpath, cfg)[0]
+    splits = {split: parse_cxl_file(os.path.join(dirpath, f"{split}.cxl"), dirpath, cfg)
               for split in ("train", "validation", "test")}
     return Dataset(
         name or os.path.basename(os.path.normpath(dirpath)),

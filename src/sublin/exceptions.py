@@ -23,7 +23,7 @@ class DegenerateModelError(ValidationError):
 
 
 class DatasetFormatError(ValidationError):
-    """Malformed dataset file; carries file path and line number when known."""
+    """Malformed dataset file; carries file path (as a string) and line number when known."""
 
     def __init__(self, message, path=None, line=None):
         loc = ""
@@ -32,7 +32,7 @@ class DatasetFormatError(ValidationError):
         if line is not None:
             loc = f"{loc}line {line}: "
         super().__init__(f"{loc}{message}")
-        self.path = path
+        self.path = None if path is None else str(path)
         self.line = line
 
 
@@ -73,6 +73,18 @@ def config_value(doc, key, kind, default=_REQUIRED):
     return checked(key, kind, doc[key])
 
 
+def known_keys(doc, known):
+    """ValidationError unless `doc` is a JSON object whose every key is in `known`:
+    the one unknown-key rule of the documents sublin reads (configs, dataset
+    records and `meta.json`, model files), so a misspelled key is never
+    silently ignored."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"expected a JSON object, got {doc!r}")
+    for key in doc:
+        if key not in known:
+            raise ValidationError(f"unknown key {key!r}; expected one of {sorted(known)}")
+
+
 def config_fields(doc, cls, keys=None, defaults=None, extra=()) -> dict:
     """The keyword arguments that the JSON object `doc` gives the dataclass `cls`,
     unjudged (`cls.__post_init__` judges them): each field's value at its key,
@@ -80,15 +92,9 @@ def config_fields(doc, cls, keys=None, defaults=None, extra=()) -> dict:
     `defaults`. A field with neither keeps the class's default, or is a missing
     required key when the class has none. The one reader of user-written JSON
     configs: a key that is neither a field's nor one of the `extra` keys that
-    its caller reads itself raises ValidationError naming it, so a misspelled
-    key is never silently ignored."""
+    its caller reads itself is refused by `known_keys`."""
     keys, defaults = keys or {}, defaults or {}
-    if not isinstance(doc, dict):
-        raise ValidationError(f"expected a JSON object, got {doc!r}")
-    known = {keys.get(f.name, f.name) for f in fields(cls)}.union(extra)
-    for key in doc:
-        if key not in known:
-            raise ValidationError(f"unknown key {key!r}; expected one of {sorted(known)}")
+    known_keys(doc, {keys.get(f.name, f.name) for f in fields(cls)}.union(extra))
     found = {}
     for f in fields(cls):
         required = f.default is MISSING and f.default_factory is MISSING

@@ -13,7 +13,7 @@ from typing import Tuple
 import numpy as np
 
 from .exceptions import (DegenerateModelError, ValidationError, check_number, config_value, integer,
-                         name_list, sized)
+                         known_keys, name_list, sized)
 from .files import atomic_write, read_json
 from .graphs import AttributedGraph, Representation, _number_array, to_representation
 from .matching import MatcherConfig, _aligned, _encodings, _finite, _solve
@@ -189,6 +189,8 @@ def _model_from_doc(doc: dict) -> SublinearModel:
     version = config_value(doc, "format_version", lambda v: v, None)
     if version != MODEL_FORMAT_VERSION:
         raise ValidationError(f"unsupported model format version {version!r}")
+    known_keys(doc, ("format_version", "kind", "attr_dim", "order", "weight_cells", "bias",
+                     "matcher_config", "training_metadata"))
     config_value(doc, "kind", lambda v: _kind(v, ("binary",)), None)
     order = config_value(doc, "order", integer)
     attr_dim = config_value(doc, "attr_dim", integer)
@@ -238,6 +240,7 @@ def load_model(path):
     """Load a model document written by :func:`save_model`."""
     doc = read_json(path)
     if config_value(doc, "kind", _kind, "binary") == "ova":
+        known_keys(doc, ("format_version", "kind", "classes", "members"))
         members = config_value(doc, "members", lambda docs: tuple(map(_model_from_doc, docs)))
         return OvaModel(config_value(doc, "classes", name_list), members)
     return _model_from_doc(doc)

@@ -1,4 +1,4 @@
-import re
+import json
 import sys
 
 import numpy as np
@@ -8,10 +8,10 @@ from sublin import (AttributedGraph, Dataset, DatasetFormatError, DegenerateMode
                     GXL_PRESETS, GxlAttrConfig, InfeasibleSpecError, LabeledExample,
                     MatcherConfig, Representation, SublinearModel, SyntheticSpec,
                     ValidationError, binary_examples, classify, evaluate,
-                    generate_synthetic, margin_certificate, parse_cxl, parse_gxl,
+                    generate_synthetic, margin_certificate, parse_cxl_file, parse_gxl_file,
                     read_cxl_dataset, read_examples_jsonl, read_jsonl, weight_norm,
                     write_jsonl)
-from sublin.data_io import random_graph
+from sublin.data_io import _SplitFiller, random_graph
 
 EXACT = MatcherConfig()
 NOT_NUMBERS = r"edge \(0, 1\) attribute is not a vector of numbers"
@@ -89,6 +89,27 @@ class TestJsonl:
                         f'{{"id": "g1", "class": "a", {record}}}\n')
         with pytest.raises(DatasetFormatError, match=f"^{path}: line 2: {message}$"):
             read_examples_jsonl(path)
+
+    def test_unknown_record_key_reports_line_number(self, tmp_path):
+        # read as absent, a misspelled "edges" would load as a graph without edges
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "g0", "class": "a", "nodes": [[1.0]], "edges": []}\n'
+                        '{"id": "g1", "class": "a", "nodes": [[1.0], [2.0]], '
+                        '"egdes": [[0, 1, [1.0]]]}\n')
+        with pytest.raises(DatasetFormatError) as refused:
+            read_examples_jsonl(path)
+        assert str(refused.value) == (
+            f"{path}: line 2: malformed graph record (unknown key 'egdes'; "
+            "expected one of ['class', 'edges', 'id', 'nodes'])")
+
+    def test_unknown_meta_key_refused(self, tmp_path):
+        write_jsonl(small_dataset(), tmp_path / "ds")
+        meta = json.loads((tmp_path / "ds" / "meta.json").read_text())
+        (tmp_path / "ds" / "meta.json").write_text(json.dumps({**meta, "clases": ["a", "b"]}))
+        with pytest.raises(ValidationError) as refused:
+            read_jsonl(tmp_path / "ds")
+        assert str(refused.value) == ("unknown key 'clases'; "
+                                      "expected one of ['classes', 'name', 'provenance', 'splits']")
 
     def test_duplicate_id_rejected(self, tmp_path):
         line = '{"id": "g0", "class": "a", "nodes": [[1.0]], "edges": []}\n'
@@ -176,59 +197,73 @@ MINIMAL_GXL = """
 """
 
 
+def parse_gxl(tmp_path, doc, cfg=GXL_PRESETS["letter"]):
+    """`doc` written as the GXL file g.gxl and read back."""
+    path = tmp_path / "g.gxl"
+    path.write_text(doc)
+    return parse_gxl_file(path, cfg)
+
+
 class TestGxl:
-    def test_minimal_document(self):
-        g = parse_gxl(MINIMAL_GXL, GXL_PRESETS["letter"])
+    def test_minimal_document(self, tmp_path):
+        g = parse_gxl(tmp_path, MINIMAL_GXL)
         assert g.order == 2
         assert g.attr_dim == 3
         np.testing.assert_array_equal(g.node_attrs, [[0.5, 1.5, 0.0], [2.0, 0.0, 0.0]])
         np.testing.assert_array_equal(g.edge_attrs[(0, 1)], [0.0, 0.0, 1.0])
 
-    def test_no_edges(self):
+    def test_no_edges(self, tmp_path):
         doc = '<gxl><graph id="g"><node id="a"><attr name="x"><float>1</float></attr>' \
               '<attr name="y"><float>2</float></attr></node></graph></gxl>'
-        g = parse_gxl(doc, GXL_PRESETS["letter"])
+        g = parse_gxl(tmp_path, doc)
         assert g.order == 1
         assert g.n_edges == 0
 
-    def test_unknown_edge_endpoint(self):
+    def test_no_nodes_keeps_the_configured_dimension(self, tmp_path):
+        g = parse_gxl(tmp_path, '<gxl><graph id="g"></graph></gxl>')
+        assert (g.order, g.attr_dim, g.n_edges) == (0, 3, 0)
+
+    def test_unknown_edge_endpoint(self, tmp_path):
         doc = MINIMAL_GXL.replace('to="n1"', 'to="zzz"')
         with pytest.raises(DatasetFormatError, match="unknown node"):
-            parse_gxl(doc, GXL_PRESETS["letter"])
+            parse_gxl(tmp_path, doc)
 
-    def test_missing_declared_attribute(self):
+    def test_missing_declared_attribute(self, tmp_path):
         cfg = GxlAttrConfig(node_attr_names=("x", "y", "z"))
         with pytest.raises(DatasetFormatError, match="missing declared"):
-            parse_gxl(MINIMAL_GXL, cfg)
+            parse_gxl(tmp_path, MINIMAL_GXL, cfg)
 
     @pytest.mark.parametrize("old, new, message", [
         ('to="n1"', 'to="n0"', "self-loop on node 'n0' is not supported"),
         ('<node id="n1">', '<node id="n0">', "missing or duplicate node id 'n0'"),
         ('<node id="n1">', "<node>", "missing or duplicate node id None"),
     ], ids=["self-loop", "duplicate-id", "missing-id"])
-    def test_gxl_faults_named_by_their_ids(self, old, new, message):
+    def test_gxl_faults_named_by_their_ids(self, tmp_path, old, new, message):
         # the file's own ids, which AttributedGraph cannot know, name these faults
-        with pytest.raises(DatasetFormatError, match=f"^{re.escape(f'g.gxl: {message}')}$"):
-            parse_gxl(MINIMAL_GXL.replace(old, new), GXL_PRESETS["letter"], path="g.gxl")
+        path = tmp_path / "g.gxl"
+        with pytest.raises(DatasetFormatError) as refused:
+            parse_gxl(tmp_path, MINIMAL_GXL.replace(old, new))
+        assert str(refused.value) == f"{path}: {message}"
+        assert refused.value.path == str(path)
 
-    def test_non_numeric_value(self):
+    def test_non_numeric_value(self, tmp_path):
         doc = MINIMAL_GXL.replace("<float>0.5</float>", "<string>abc</string>")
         with pytest.raises(DatasetFormatError, match="non-numeric"):
-            parse_gxl(doc, GXL_PRESETS["letter"])
+            parse_gxl(tmp_path, doc)
 
-    def test_duplicate_undirected_edge_dropped(self):
+    def test_duplicate_undirected_edge_dropped(self, tmp_path):
         doc = MINIMAL_GXL.replace(
             '<edge from="n0" to="n1"/>', '<edge from="n0" to="n1"/><edge from="n1" to="n0"/>'
         )
-        g = parse_gxl(doc, GXL_PRESETS["letter"])
+        g = parse_gxl(tmp_path, doc)
         assert g.n_edges == 1
 
-    def test_parse_determinism(self):
-        a = parse_gxl(MINIMAL_GXL, GXL_PRESETS["letter"])
-        b = parse_gxl(MINIMAL_GXL, GXL_PRESETS["letter"])
+    def test_parse_determinism(self, tmp_path):
+        a = parse_gxl(tmp_path, MINIMAL_GXL)
+        b = parse_gxl(tmp_path, MINIMAL_GXL)
         assert a == b
 
-    def test_edge_attr_names_consume_values(self):
+    def test_edge_attr_names_consume_values(self, tmp_path):
         doc = """
         <gxl><graph id="g">
           <node id="a"><attr name="x"><float>1</float></attr></node>
@@ -237,7 +272,7 @@ class TestGxl:
         </graph></gxl>
         """
         cfg = GxlAttrConfig(node_attr_names=("x",), edge_attr_names=("w",))
-        g = parse_gxl(doc, cfg)
+        g = parse_gxl(tmp_path, doc, cfg)
         assert g.attr_dim == 2  # no implicit flag when edge attrs exist
         np.testing.assert_array_equal(g.edge_attrs[(0, 1)], [0.0, 0.7])
 
@@ -262,33 +297,32 @@ class TestCxl:
             f'<attr name="y"><float>0</float></attr></node></graph></gxl>'
         )
 
+    def _parse(self, tmp_path, prints):
+        (tmp_path / "x.cxl").write_text(f"<GraphCollection><x>{prints}</x></GraphCollection>")
+        return parse_cxl_file(tmp_path / "x.cxl", tmp_path, GXL_PRESETS["letter"])
+
     def test_single_entry(self, tmp_path):
         self._write_gxl(tmp_path, "a.gxl", 1.0)
-        doc = '<GraphCollection><letters><print file="a.gxl" class="A"/></letters></GraphCollection>'
-        examples, classes = parse_cxl(doc, tmp_path, GXL_PRESETS["letter"])
+        examples = self._parse(tmp_path, '<print file="a.gxl" class="A"/>')
         assert len(examples) == 1
         assert examples[0].y == "A"
-        assert classes == ["A"]
 
     def test_classes_in_listing_order(self, tmp_path):
-        for name in ("a.gxl", "b.gxl", "c.gxl"):
-            self._write_gxl(tmp_path, name, 1.0)
-        doc = ('<GraphCollection><x>'
-               '<print file="a.gxl" class="Z"/>'
-               '<print file="b.gxl" class="A"/>'
-               '<print file="c.gxl" class="Z"/>'
-               '</x></GraphCollection>')
-        _, classes = parse_cxl(doc, tmp_path, GXL_PRESETS["letter"])
-        assert classes == ["Z", "A"]
+        for name, x in (("a.gxl", 1.0), ("b.gxl", 2.0), ("c.gxl", 3.0)):
+            self._write_gxl(tmp_path, name, x)
+        examples = self._parse(tmp_path, '<print file="a.gxl" class="Z"/>'
+                                         '<print file="b.gxl" class="A"/>'
+                                         '<print file="c.gxl" class="Z"/>')
+        assert [ex.y for ex in examples] == ["Z", "A", "Z"]
+        assert [ex.graph.node_attrs[0, 0] for ex in examples] == [1.0, 2.0, 3.0]
 
     def test_missing_file_names_it(self, tmp_path):
-        doc = '<GraphCollection><x><print file="nope.gxl" class="A"/></x></GraphCollection>'
         with pytest.raises(DatasetFormatError, match="nope.gxl"):
-            parse_cxl(doc, tmp_path, GXL_PRESETS["letter"])
+            self._parse(tmp_path, '<print file="nope.gxl" class="A"/>')
 
     def test_empty_collection(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="no .file, class."):
-            parse_cxl("<GraphCollection/>", tmp_path, GXL_PRESETS["letter"])
+            self._parse(tmp_path, "")
 
     def _write_listings(self, tmp_path, listings):
         for split, entries in listings.items():
@@ -424,6 +458,18 @@ class TestSyntheticGenerator:
             SyntheticSpec.from_json({**doc, key: value})
 
 
+class TestSplitFiller:
+    def test_last_place_is_kept_for_the_missing_class(self):
+        g = AttributedGraph([[1.0]])
+        filler = _SplitFiller({"train": 2, "test": 0})
+        assert filler.place(LabeledExample(g, "pos"))
+        assert not filler.place(LabeledExample(g, "pos"))
+        assert filler.place(LabeledExample(g, "neg"))
+        assert not filler.place(LabeledExample(g, "neg"))
+        assert filler.done()
+        assert [ex.y for ex in filler.members["train"]] == ["pos", "neg"]
+
+
 class TestDataset:
     def test_class_membership_validated(self):
         g = AttributedGraph([[1.0]])
@@ -496,7 +542,7 @@ class TestRefusalMessages:
         }[case])
         read = {"meta-not-json": lambda: read_jsonl(tmp_path),
                 "jsonl-no-nodes": lambda: read_examples_jsonl(path)}.get(
-                    case, lambda: parse_gxl(path.read_text(), letter, path=str(path)))
+                    case, lambda: parse_gxl_file(path, letter))
         with pytest.raises(DatasetFormatError) as refused:
             read()
         assert str(refused.value) == f"{path}: {message}"

@@ -953,7 +953,7 @@ class TestMatcherConfig:
         {k: v for k, v in FIRST_GA_SCHEDULE.items() if k != "assignment_tol"},
         {"assignment_tol": 1e-3},
     ], ids=["full", "subset", "empty", "first-six-keys", "assignment_tol"])
-    def test_fixed_schedule_is_accepted(self, ga_params):
+    def test_fixed_schedule_is_refused(self, ga_params):
         # the first schedule's key, as files of the earliest versions carry it, is an
         # unknown key like any other: GA runs one schedule that no key describes
         doc = {"method": "graduated", "exact_max_order": 6, "ga_params": ga_params}

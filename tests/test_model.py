@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -227,7 +228,7 @@ class TestPersistence:
         assert evaluate(loaded.__class__(loaded.weight_rep, loaded.bias, EXACT), g) == evaluate(
             SublinearModel(m.weight_rep, m.bias, EXACT), g)
 
-    def test_model_with_fixed_ga_params_loads(self, tmp_path):
+    def test_model_with_fixed_ga_params_is_refused(self, tmp_path):
         # the document the earliest versions wrote: `matcher_config` carries the first
         # schedule as `ga_params`, which no longer describes what GA runs
         rng = np.random.default_rng(32)
@@ -242,6 +243,34 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="^'matcher_config': unknown key 'ga_params'"):
             load_model(path)
+
+    @pytest.mark.parametrize("where, message", [
+        ("binary", "unknown key 'matcher_confg'"),
+        ("ova", "unknown key 'member'"),
+        ("member", "'members': unknown key 'matcher_confg'"),
+    ], ids=["binary", "ova", "member"])
+    def test_unknown_key_refused(self, tmp_path, where, message):
+        # read as absent, a misspelled matcher_config would load the default exact matcher
+        member = {"format_version": 1, "kind": "binary", "attr_dim": 1, "order": 1,
+                  "weight_cells": [[[0.5]]], "bias": 0.0,
+                  "matcher_config": {"method": "graduated", "exact_max_order": 6}}
+        doc = {"format_version": 1, "kind": "ova", "classes": ["x", "y"],
+               "members": [member, member]}
+        misspelled = {"matcher_confg": member.pop("matcher_config")}
+        doc = {"binary": {**member, **misspelled},
+               "ova": {**doc, "member": member},
+               "member": {**doc, "members": [member, {**member, **misspelled}]}}[where]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}; expected one of "):
+            load_model(path)
+
+    def test_order_0_model_loads(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(SublinearModel(Representation.zeros(0, 2), bias=0.25), path)
+        loaded = load_model(path)
+        assert (loaded.order, loaded.attr_dim) == (0, 2)
+        assert evaluate(loaded, AttributedGraph([[1.0, 2.0]])) == 0.25
 
     @pytest.mark.parametrize("bias", ["0.5", True, float("nan"), float("-inf"), None],
                              ids=["string", "bool", "nan", "inf", "null"])

@@ -9,9 +9,9 @@ import pytest
 import sublin
 from conftest import FIRST_GA_SCHEDULE, rand_graph, three_class_examples
 from sublin import (AttributedGraph, CapacityError, Dataset, LabeledExample, MatcherConfig,
-                    OvaModel, SyntheticSpec, ValidationError, binary_examples, classify,
-                    generate_synthetic, knn_classify, matcher_call_count, predict_multiclass,
-                    read_jsonl, save_model, train_binary,
+                    OvaModel, Representation, SublinearModel, SyntheticSpec, ValidationError,
+                    binary_examples, classify, generate_synthetic, knn_classify,
+                    matcher_call_count, predict_multiclass, read_jsonl, save_model, train_binary,
                     train_one_vs_all, TrainConfig, write_jsonl)
 from sublin.protocol import ProtocolConfig, run_protocol
 
@@ -370,6 +370,19 @@ class TestCli:
         assert doc["accuracy"] == 1.0
         assert doc["confusion"] == {"5": {"5": 1, "7": 0}, "7": {"5": 0, "7": 1}}
 
+    def test_eval_refuses_a_binary_model_on_three_classes(self, tmp_path):
+        # each -1 prediction goes to the one class that is not the positive one
+        test = [LabeledExample(AttributedGraph([[float(k)]]), c) for k, c in enumerate("abc")]
+        write_jsonl(Dataset("three", {"test": test}, "abc"), tmp_path / "data")
+        model = SublinearModel(Representation.zeros(1, 1), 0.5, metadata={"positive_class": "a"})
+        save_model(model, tmp_path / "model.json")
+        proc = run_cli("eval", "--model", str(tmp_path / "model.json"),
+                       "--data", str(tmp_path / "data"))
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: a binary model needs a dataset of exactly 2 classes; "
+                               "'three' has 3\n")
+        assert proc.stdout == ""
+
     def test_protocol_command(self, dataset_dir, tmp_path):
         cfg = {"dataset": str(dataset_dir), "algorithm": "perceptron",
                "eta_grid": [0.1, 0.5], "repeats": 2, "seed": 4, "max_epochs": 10}
@@ -712,6 +725,7 @@ class TestCli:
         "ova-classes-string",
         "model-attr_dim-huge", "model-ga_params-custom", "model-order-bool",
         "model-attr_dim-bool", "model-kind", "model-kind-number", "ova-kind",
+        "model-matcher_confg", "ova-matcher_confg", "meta-clases",
     ])
     def test_malformed_model_or_meta_is_validation_error(self, tmp_path, dataset_dir, case):
         model = {"format_version": 1, "kind": "binary", "attr_dim": 1, "order": 1,
@@ -743,6 +757,11 @@ class TestCli:
             # a member's own kind is checked too: members are binary
             "ova-kind": {"format_version": 1, "kind": "ova", "classes": ["a", "b"],
                          "members": [model, {**model, "kind": "ova"}]},
+            # a misspelled key is refused, not read as absent: this model would run under
+            # the default exact matcher
+            "model-matcher_confg": {**model, "matcher_confg": {"method": "graduated"}},
+            "ova-matcher_confg": {"format_version": 1, "kind": "ova", "classes": ["a", "b"],
+                                  "members": [model, {**model, "matcher_confg": {}}]},
             "model-ga_params-custom": {**model, "matcher_config": {
                 "method": "graduated", "exact_max_order": 8,
                 "ga_params": {**FIRST_GA_SCHEDULE, "sinkhorn_max_iters": 3}}},
@@ -755,6 +774,7 @@ class TestCli:
             "meta-classes-string": {"classes": "posneg"},
             "meta-classes-unhashable": {"classes": [["pos"], "neg"]},
             "meta-splits-number": {"splits": {"train": 5}},
+            "meta-clases": {"clases": ["pos", "neg"]},
         }
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(models.get(case, model)))
