@@ -110,6 +110,8 @@ def _cmd_train(args) -> int:
     task = config_value(cfg_doc, "task", _task, "auto")
     if task == "auto":
         task = "binary" if len(dataset.class_set) == 2 else "ova"
+    if task == "ova" and "positive_class" in cfg_doc:
+        raise ValidationError("'positive_class': a one-against-all task has no positive class")
     os.makedirs(args.out, exist_ok=True)
     if task == "binary":
         positive = config_value(cfg_doc, "positive_class", text, dataset.class_set[0])
@@ -194,7 +196,6 @@ def _cmd_bench(args) -> int:
 
     gaps = []
     times = {"exact": 0.0, "graduated": 0.0}
-    attained = 0
     for _ in range(args.pairs):
         a, b = graph(), graph()
         t0 = time.perf_counter()
@@ -203,9 +204,8 @@ def _cmd_bench(args) -> int:
         t0 = time.perf_counter()
         heur = ga_sdp(a, b)
         times["graduated"] += time.perf_counter() - t0
-        gap = exact.value - heur.value
-        gaps.append(gap)
-        attained += gap <= 1e-9
+        gaps.append(exact.value - heur.value)
+    attained = sum(gap <= 1e-9 for gap in gaps)
     doc = {
         "pairs": args.pairs,
         "orders": [args.min_order, args.max_order],

@@ -186,19 +186,26 @@ def _read_text(path) -> str:
 
 
 def read_jsonl(dirpath) -> Dataset:
-    """Read a dataset directory written by :func:`write_jsonl`."""
+    """Read a dataset directory written by :func:`write_jsonl`. A `meta.json`
+    that is not JSON, or whose keys break their rules, raises DatasetFormatError
+    naming it, before any split file is read."""
     meta_path = os.path.join(dirpath, META_FILENAME)
+    text = _read_text(meta_path)
     try:
-        meta = json.loads(_read_text(meta_path))
+        meta = json.loads(text)
+        known_keys(meta, ("name", "classes", "splits", "provenance"))
+        files = config_value(meta, "splits", _split_files, {})
+        # each line's class is read as a string, so the class list is too
+        classes = [str(c) for c in config_value(meta, "classes", name_list, ())]
+        name = config_value(meta, "name", str, os.path.basename(os.path.normpath(dirpath)))
+        provenance = config_value(meta, "provenance", dict, {})
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"invalid JSON ({exc.msg})", meta_path) from exc
-    known_keys(meta, ("name", "classes", "splits", "provenance"))
-    splits = {name: read_examples_jsonl(os.path.join(dirpath, filename))
-              for name, filename in config_value(meta, "splits", _split_files, {}).items()}
-    # each line's class is read as a string, so the class list is too
-    classes = [str(c) for c in config_value(meta, "classes", name_list, ())]
-    return Dataset(config_value(meta, "name", str, os.path.basename(os.path.normpath(dirpath))),
-                   splits, classes, config_value(meta, "provenance", dict, {}))
+    except ValidationError as exc:
+        raise DatasetFormatError(str(exc), meta_path) from exc
+    splits = {split: read_examples_jsonl(os.path.join(dirpath, filename))
+              for split, filename in files.items()}
+    return Dataset(name, splits, classes, provenance)
 
 
 def _split_files(doc) -> Dict[str, str]:

@@ -8,7 +8,7 @@ permutes the representation without changing the graph.
 from __future__ import annotations
 
 import numbers
-from typing import Iterable, Mapping, Tuple
+from typing import Mapping, Tuple
 
 import numpy as np
 
@@ -106,11 +106,8 @@ class AttributedGraph:
             raise ValidationError("attribute dimension must be at least 1")
         order, dim = nodes.shape
 
-        items: Iterable
-        if isinstance(edges, Mapping):
-            items = ((i, j, vec) for (i, j), vec in edges.items())
-        else:
-            items = edges
+        items = (((i, j, vec) for (i, j), vec in edges.items()) if isinstance(edges, Mapping)
+                 else edges)
         keys, vecs = [], []
         for i, j, vec in items:
             i, j = int(i), int(j)

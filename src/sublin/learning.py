@@ -19,8 +19,8 @@ import numpy as np
 from .exceptions import ValidationError, check_count, check_number, integer, sized
 from .files import atomic_write
 from .graphs import AttributedGraph, Representation
-from .matching import MatcherConfig, _distances
-from .model import OvaModel, SublinearModel, _checked, _discriminants, _score, _split_scores
+from .matching import MatcherConfig, _distances, _encodings
+from .model import OvaModel, SublinearModel, _discriminants, _split_scores
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,9 @@ def subgradient_step(w: Representation, b: float, example: LabeledExample,
     loss is the hinge value at the incoming state. An update that overflows the
     float range raises ValidationError.
     """
-    y = int(example.y)
-    y_hat, aligned = _score(w, b, example.graph, matcher)
+    y, matcher = int(example.y), matcher or MatcherConfig()
+    rx, = _encodings([w], [example.graph], matcher)
+    y_hat, aligned = next(_discriminants([(w, b, rx)], matcher))
     return (*_update(w, b, y_hat, aligned, y, learning_rate, margin),
             hinge_loss(y_hat, y, margin))
 
@@ -148,7 +149,7 @@ class _Fit:
     """One binary fit of a stage: its own labels, config, rng, visit order,
     weights, bias, epoch count and per-epoch stats."""
 
-    __slots__ = ("labels", "cfg", "rng", "visit", "reps", "w", "b", "epoch", "updates", "stats")
+    __slots__ = ("labels", "cfg", "rng", "visit", "w", "b", "epoch", "updates", "stats")
 
     def __init__(self, labels, cfg: TrainConfig, graphs):
         self.labels = labels
@@ -186,20 +187,20 @@ def _epochs(graphs, fits: List[_Fit], traced: bool) -> None:
     """Run every fit of `fits`, all of one matcher, over the shared list `graphs`
     in lockstep.
 
-    Each graph is checked once, in order, against each distinct weight order
-    before any fit starts (attribute dimension, encoding, exact cap), so
-    the first bad graph raises the error it raises alone and no solver call is
-    counted. Every epoch, each running fit shuffles its own visit order; at step
-    t, each running fit scores the t-th graph of its own order, and all these
-    alignments go to the matcher as one batch (`model._discriminants`), after
-    which each fit takes its own `_update`. An epoch without updates (the sample
-    separated at the margin) or the fit's `max_epochs`-th is its last; the other
-    fits go on. With `traced`, each fit's risk and errors are measured with its
-    end-of-epoch weights, the running fits' in one batch per epoch.
+    Each graph is checked once, in order, against every fit's weights before any
+    fit starts (`matching._encodings`: attribute dimension, encoding, exact cap
+    against the largest weight order), so the first bad graph raises the error
+    it raises alone and no solver call is counted. Every epoch, each running fit
+    shuffles its own visit order; at step t, each running fit scores the t-th
+    graph of its own order, and all these alignments go to the matcher as one
+    batch (`model._discriminants`), after which each fit takes its own
+    `_update`. An epoch without updates (the sample separated at the margin) or
+    the fit's `max_epochs`-th is its last; the other fits go on. With `traced`,
+    each fit's risk and errors are measured with its end-of-epoch weights, the
+    running fits' in one batch per epoch.
     """
     matcher = fits[0].cfg.matcher
-    for fit, reps in zip(fits, _checked([fit.w for fit in fits], graphs, matcher)):
-        fit.reps = reps
+    reps = _encodings([fit.w for fit in fits], graphs, matcher)
     running = list(fits)
     while running:
         orders = []
@@ -209,8 +210,8 @@ def _epochs(graphs, fits: List[_Fit], traced: bool) -> None:
             fit.rng.shuffle(fit.visit)
             orders.append(fit.visit.tolist())
         for step in zip(*orders):
-            scored = _discriminants([(fit.w, fit.b, fit.reps[i])
-                                     for fit, i in zip(running, step)], matcher)
+            scored = _discriminants([(fit.w, fit.b, reps[i]) for fit, i in zip(running, step)],
+                                    matcher)
             for fit, i, (y_hat, aligned) in zip(running, step, scored):
                 cfg = fit.cfg
                 fit.w, fit.b, updated = _update(fit.w, fit.b, y_hat, aligned, fit.labels[i],

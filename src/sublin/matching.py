@@ -481,23 +481,23 @@ def _solve(pairs, cfg: MatcherConfig) -> list:
     """Assigned (row, col) pairs of a best correspondence for each (cx, cy) of
     `pairs`, two cell arrays, all solved by the one matcher `cfg`.
 
-    Callers check every pair first (attribute dimensions, encodings, then the
-    exact cap: see `_encodings`), so nothing is solved for a batch with a bad
-    pair. A pair with an all-zero or empty side (the zero weights of a fit's
-    first step) takes the diagonal pairs (i, i) unsolved, which is what either
-    solver gives there: every exact score is +-0, so the first injection, the
-    identity's, wins, and GA's soft matrix stays uniform, so greedy selection
-    takes the diagonal and no swap gains. Both solvers take the other arrays as
-    they are, grouped by shape (m, n), and each group goes to its solver in
-    consecutive batches of at most `_PAIRS` pairs and `_CELLS` compatibility
-    cells (m*m*n*n a pair), but at least one pair, the one cap on either
-    solver's batch: an exact batch is scored by one `_best_pairs` call, a
-    graduated one annealed in lockstep and polished by one `_ga_soft_pairs`
-    call, and each pair gets the pairs it gets alone. numpy's floating-point
-    warnings are silenced for the call (one `np.errstate` entry): a value that
-    overflows is refused where it is computed. A pair whose arrays numpy will not
-    allocate raises ValidationError naming its orders. Each pair counts as one
-    solver call.
+    Callers check every graph first, once, against every first side of the call
+    (attribute dimensions, encodings, then the exact cap: see `_encodings`), so
+    nothing is solved for a batch with a bad pair. A pair with an all-zero or
+    empty side (the zero weights of a fit's first step) takes the diagonal pairs
+    (i, i) unsolved, which is what either solver gives there: every exact score
+    is +-0, so the first injection, the identity's, wins, and GA's soft matrix
+    stays uniform, so greedy selection takes the diagonal and no swap gains.
+    Both solvers take the other arrays as they are, grouped by shape (m, n), and
+    each group goes to its solver in consecutive batches of at most `_PAIRS`
+    pairs and `_CELLS` compatibility cells (m*m*n*n a pair), but at least one
+    pair, the one cap on either solver's batch: an exact batch is scored by one
+    `_best_pairs` call, a graduated one annealed in lockstep and polished by one
+    `_ga_soft_pairs` call, and each pair gets the pairs it gets alone. numpy's
+    floating-point warnings are silenced for the call (one `np.errstate` entry):
+    a value that overflows is refused where it is computed. A pair whose arrays
+    numpy will not allocate raises ValidationError naming its orders. Each pair
+    counts as one solver call.
     """
     global _SOLVER_CALLS
     _SOLVER_CALLS += len(pairs)
@@ -518,19 +518,26 @@ def _solve(pairs, cfg: MatcherConfig) -> list:
     return found
 
 
-def _encodings(side: Representation, graphs, cfg: MatcherConfig) -> list:
+def _encodings(sides, graphs, cfg: MatcherConfig) -> list:
     """The encoding of each graph of `graphs` as the second side of a pair with
-    the encoded `side`, each checked in order before any pair is solved:
-    attribute dimensions, the graph's encoding, then the exact cap. The first
-    bad graph raises the error it raises alone. Every matcher entry checks its
-    pairs here, after encoding its first side."""
+    every encoded first side of `sides`, one list that all sides share. Sides
+    that disagree on attribute dimension are refused first; then each graph is
+    checked once, in order, before any pair is solved: its attribute dimension
+    against the sides' one dimension, its encoding, then the exact cap against
+    the largest side's order. The first bad graph raises the error it raises
+    alone. Every matcher entry checks its pairs here, after encoding its first
+    sides."""
+    dims = list(dict.fromkeys(side.attr_dim for side in sides))
+    if len(dims) > 1:
+        raise ValidationError(f"attribute dimensions differ: {dims[0]} vs {dims[1]}")
+    order = max(side.order for side in sides)
     reps = []
     for g in graphs:
-        if side.attr_dim != g.attr_dim:
-            raise ValidationError(f"attribute dimensions differ: {side.attr_dim} vs {g.attr_dim}")
+        if dims[0] != g.attr_dim:
+            raise ValidationError(f"attribute dimensions differ: {dims[0]} vs {g.attr_dim}")
         reps.append(to_representation(g))
-        if cfg.method == "exact" and max(side.order, g.order) > cfg.exact_max_order:
-            raise CapacityError(f"orders ({side.order}, {g.order}) exceed the exact cap "
+        if cfg.method == "exact" and max(order, g.order) > cfg.exact_max_order:
+            raise CapacityError(f"orders ({order}, {g.order}) exceed the exact cap "
                                 f"{cfg.exact_max_order}; use the graduated matcher")
     return reps
 
@@ -599,7 +606,7 @@ def optimal_align(rw: Representation, x: AttributedGraph, cfg: MatcherConfig | N
     product of `rw` with the result equals the (dispatched) dot product value.
     """
     cfg = cfg or MatcherConfig()
-    rx, = _encodings(rw, [x], cfg)
+    rx, = _encodings([rw], [x], cfg)
     return _aligned(rw.order, rx, _solve([(rw.cells, rx.cells)], cfg)[0])
 
 
@@ -630,14 +637,14 @@ def _results(x: AttributedGraph, ys, cfg: MatcherConfig) -> list:
     """`sdp(x, y, cfg)` for each y of `ys`, solved together, each as a cross
     product (a y that is x is solved, not taken in closed form).
 
-    x is encoded first, then every y is checked (`_encodings`), in order and
-    before any is solved, so the first bad y raises the error it raises alone.
-    The pairs are solved in one `_solve` batch, whose winners are those of
-    solving each pair alone; each counts as one solver call, and every value is
-    recomputed from its correspondence by `kernel_value`.
+    x is encoded first, then every y is checked against it (`_encodings`), in
+    order and before any is solved, so the first bad y raises the error it
+    raises alone. The pairs are solved in one `_solve` batch, whose winners are
+    those of solving each pair alone; each counts as one solver call, and every
+    value is recomputed from its correspondence by `kernel_value`.
     """
     rx = to_representation(x)
-    reps = _encodings(rx, ys, cfg)
+    reps = _encodings([rx], ys, cfg)
     results = []
     for ry, pairs in zip(reps, _solve([(rx.cells, ry.cells) for ry in reps], cfg)):
         match = MatchMatrix._own(rx.order, ry.order, pairs)

@@ -74,11 +74,12 @@ class OvaModel:
 
 def _discriminants(problems, matcher: MatcherConfig):
     """Yield (w.aligned + b, aligned) for each (w, b, rx) of `problems`, where rx
-    is the encoding of a graph already checked against w (`matching._encodings`)
-    and aligned is that graph optimally aligned against w by `matcher`, as
-    `optimal_align` gives it. All pairs are solved in one `matching._solve` batch
-    before the first is yielded. Every discriminant in the package is this one.
-    Raises ValidationError when finite attributes give a value outside the float
+    is the encoding of a graph already checked against every first side of its
+    batch, w among them (`matching._encodings`), and aligned is that graph
+    optimally aligned against w by `matcher`, as `optimal_align` gives it. All
+    pairs are solved in one `matching._solve` batch before the first is
+    yielded. Every discriminant in the package is this one. Raises
+    ValidationError when finite attributes give a value outside the float
     range."""
     found = _solve([(w.cells, rx.cells) for w, _, rx in problems], matcher)
     for (w, b, rx), pairs in zip(problems, found):
@@ -86,32 +87,16 @@ def _discriminants(problems, matcher: MatcherConfig):
         yield _finite(float(np.vdot(w.cells, aligned.cells)) + b), aligned
 
 
-def _score(w: Representation, b: float, x: AttributedGraph, matcher: MatcherConfig | None):
-    """(w.aligned + b, aligned): the discriminant of weights (w, b) at `x`, with `x`
-    optimally aligned against `w`; `x` is checked as `optimal_align` checks it."""
-    matcher = matcher or MatcherConfig()
-    return next(_discriminants([(w, b, _encodings(w, [x], matcher)[0])], matcher))
-
-
-def _checked(ws, graphs, matcher: MatcherConfig) -> list:
-    """For each weight representation of `ws`, the encodings of `graphs` checked
-    against it under `matcher` as `matching._encodings` checks them: once per
-    distinct weight order and attribute dimension, in the order of `ws`."""
-    firsts = {(w.order, w.attr_dim): w for w in ws}  # keys in order of first appearance
-    reps = {key: _encodings(w, graphs, matcher) for key, w in firsts.items()}
-    return [reps[w.order, w.attr_dim] for w in ws]
-
-
 def _split_scores(weights, graphs, matcher: MatcherConfig):
     """Yield, for each graph of `graphs` in order, the discriminant of each (w, b)
-    of `weights` at it under `matcher`, as `_score` gives them one at a time.
-    Every graph is checked (`_checked`) before any pair is solved. Each graph's
-    pairs are one `_discriminants` batch, so a pass over a split holds
-    len(weights) pairs at a time, whatever the split's size."""
-    encoded = _checked([w for w, _ in weights], graphs, matcher)
-    for index in range(len(graphs)):
-        yield [value for value, _ in _discriminants(
-            [(w, b, reps[index]) for (w, b), reps in zip(weights, encoded)], matcher)]
+    of `weights` at it under `matcher`, as `evaluate` gives them one at a time.
+    Every graph is checked once, in order, against all the weights
+    (`matching._encodings`) before any pair is solved, so the first bad graph
+    raises the error it raises alone. Each graph's pairs are one
+    `_discriminants` batch, so a pass over a split holds len(weights) pairs at
+    a time, whatever the split's size."""
+    for rx in _encodings([w for w, _ in weights], graphs, matcher):
+        yield [value for value, _ in _discriminants([(w, b, rx) for w, b in weights], matcher)]
 
 
 def _predictions(models, graphs):
@@ -135,7 +120,7 @@ def _predictions(models, graphs):
 
 def evaluate(model: SublinearModel, x: AttributedGraph) -> float:
     """Discriminant value W.X + b via optimal alignment against the stored weights."""
-    return _score(model.weight_rep, model.bias, x, model.matcher)[0]
+    return next(_split_scores([(model.weight_rep, model.bias)], [x], model.matcher))[0]
 
 
 def classify(model: SublinearModel, x: AttributedGraph) -> int:
@@ -183,13 +168,19 @@ def _model_doc(model: SublinearModel) -> dict:
     }
 
 
+def _versioned(doc, keys) -> None:
+    """ValidationError unless the model document `doc` (a file's top level or a
+    one-against-all member) is of this format version and knows only `keys`."""
+    version = config_value(doc, "format_version", integer, None)
+    if version != MODEL_FORMAT_VERSION:
+        raise ValidationError(f"unsupported model format version {version!r}")
+    known_keys(doc, keys)
+
+
 def _model_from_doc(doc: dict) -> SublinearModel:
     """A binary model, read from a file's top level or from one of its
     one-against-all members, whose `kind`, when present, must be "binary"."""
-    version = config_value(doc, "format_version", lambda v: v, None)
-    if version != MODEL_FORMAT_VERSION:
-        raise ValidationError(f"unsupported model format version {version!r}")
-    known_keys(doc, ("format_version", "kind", "attr_dim", "order", "weight_cells", "bias",
+    _versioned(doc, ("format_version", "kind", "attr_dim", "order", "weight_cells", "bias",
                      "matcher_config", "training_metadata"))
     config_value(doc, "kind", lambda v: _kind(v, ("binary",)), None)
     order = config_value(doc, "order", integer)
@@ -240,7 +231,7 @@ def load_model(path):
     """Load a model document written by :func:`save_model`."""
     doc = read_json(path)
     if config_value(doc, "kind", _kind, "binary") == "ova":
-        known_keys(doc, ("format_version", "kind", "classes", "members"))
+        _versioned(doc, ("format_version", "kind", "classes", "members"))
         members = config_value(doc, "members", lambda docs: tuple(map(_model_from_doc, docs)))
         return OvaModel(config_value(doc, "classes", name_list), members)
     return _model_from_doc(doc)

@@ -106,10 +106,27 @@ class TestJsonl:
         write_jsonl(small_dataset(), tmp_path / "ds")
         meta = json.loads((tmp_path / "ds" / "meta.json").read_text())
         (tmp_path / "ds" / "meta.json").write_text(json.dumps({**meta, "clases": ["a", "b"]}))
-        with pytest.raises(ValidationError) as refused:
+        with pytest.raises(DatasetFormatError) as refused:
             read_jsonl(tmp_path / "ds")
-        assert str(refused.value) == ("unknown key 'clases'; "
+        path = str(tmp_path / "ds" / "meta.json")
+        assert str(refused.value) == (f"{path}: unknown key 'clases'; "
                                       "expected one of ['classes', 'name', 'provenance', 'splits']")
+        assert refused.value.path == path
+
+    @pytest.mark.parametrize("meta, message", [
+        ({"classes": "ab"}, "'classes': expected a list of hashable names, got 'ab'"),
+        (["a", "b"], "expected a JSON object, got ['a', 'b']"),
+        ({"splits": ["train.jsonl"]}, "'splits': expected an object mapping split names to "
+                                      "file names, got ['train.jsonl']"),
+        ({"splits": {"train": 5}}, "'splits': expected an object mapping split names to "
+                                   "file names, got {'train': 5}"),
+    ], ids=["classes-string", "not-an-object", "splits-list", "splits-number"])
+    def test_bad_meta_refused_naming_the_file(self, tmp_path, meta, message):
+        # named as invalid JSON in the same file is, before any split file is read
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DatasetFormatError) as refused:
+            read_jsonl(tmp_path)
+        assert str(refused.value) == f"{tmp_path / 'meta.json'}: {message}"
 
     def test_duplicate_id_rejected(self, tmp_path):
         line = '{"id": "g0", "class": "a", "nodes": [[1.0]], "edges": []}\n'

@@ -198,7 +198,11 @@ class TestRefusalMessages:
     @pytest.mark.parametrize("change, message", [
         ({"format_version": 2}, "unsupported model format version 2"),
         ({"order": 2}, "weight cell array does not match the declared order/attr_dim"),
-    ], ids=["format_version-2", "order-disagrees"])
+        # the integer rule: never read from a boolean or a float
+        ({"format_version": True}, "'format_version': expected an integer, got True"),
+        ({"format_version": 1.0},
+         "'format_version': 'float' object cannot be interpreted as an integer"),
+    ], ids=["format_version-2", "order-disagrees", "format_version-true", "format_version-float"])
     def test_model_file(self, tmp_path, change, message):
         doc = {"format_version": 1, "kind": "binary", "attr_dim": 1, "order": 1,
                "weight_cells": [[[0.5]]], "bias": 0.0}
@@ -263,6 +267,19 @@ class TestPersistence:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}; expected one of "):
+            load_model(path)
+
+    @pytest.mark.parametrize("version", [2, None], ids=["version-2", "no-version"])
+    def test_ova_top_level_version_judged(self, tmp_path, version):
+        # judged as a binary file's version is, whatever its members' versions
+        member = {"format_version": 1, "kind": "binary", "attr_dim": 1, "order": 1,
+                  "weight_cells": [[[0.5]]], "bias": 0.0}
+        doc = {"kind": "ova", "classes": ["x", "y"], "members": [member, member]}
+        if version is not None:
+            doc["format_version"] = version
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"^unsupported model format version {version}$"):
             load_model(path)
 
     def test_order_0_model_loads(self, tmp_path):

@@ -383,6 +383,21 @@ class TestCli:
                                "'three' has 3\n")
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("task", ["ova", "auto"])
+    def test_train_refuses_positive_class_for_one_against_all(self, tmp_path, task):
+        # an "ova" task on two classes, or "auto" on three: the key would be ignored
+        classes = "ab" if task == "ova" else "abc"
+        train = [LabeledExample(AttributedGraph([[float(k)]]), c) for k, c in enumerate(classes)]
+        write_jsonl(Dataset("few", {"train": train}, classes), tmp_path / "data")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"data": str(tmp_path / "data"), "task": task,
+                                        "positive_class": "a", "max_epochs": 1}))
+        proc = run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: 'positive_class': a one-against-all task has no "
+                               "positive class\n")
+        assert not (tmp_path / "o").exists()
+
     def test_protocol_command(self, dataset_dir, tmp_path):
         cfg = {"dataset": str(dataset_dir), "algorithm": "perceptron",
                "eta_grid": [0.1, 0.5], "repeats": 2, "seed": 4, "max_epochs": 10}
@@ -787,6 +802,8 @@ class TestCli:
         assert proc.returncode == 1
         top_level = case in ("model-list", "meta-list")
         assert ("expected a JSON object" if top_level else repr(case.split("-")[1])) in proc.stderr
+        if case in metas:  # the dataset file at fault is named
+            assert proc.stderr.startswith(f"error: {data / 'meta.json'}: ")
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("reader, code", [

@@ -7,8 +7,9 @@ import pytest
 
 import sublin.model
 from conftest import rand_graph, three_class_examples
-from sublin import (AttributedGraph, Dataset, LabeledExample, MatcherConfig, Representation,
-                    SyntheticSpec, TrainConfig, ValidationError, classify, derive_seed,
+from sublin import (AttributedGraph, CapacityError, Dataset, LabeledExample, MatcherConfig,
+                    OvaModel, Representation, SublinearModel, SyntheticSpec, TrainConfig,
+                    ValidationError, classify, derive_seed,
                     generate_synthetic, matcher_call_count, optimal_align, predict_multiclass,
                     train_binary, train_one_vs_all, write_jsonl)
 from sublin.learning import _fit_stage
@@ -241,3 +242,32 @@ def test_first_bad_training_graph_named_by_cli(tmp_path, faults):
     assert proc.returncode == 1
     assert str(_first_error(ds, 5)) in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_first_bad_graph_named_for_members_of_different_orders():
+    # each graph is checked once against every member, the exact cap against the
+    # largest member's order: the first graph's CapacityError for orders (9, 3),
+    # not the second graph's attribute dimension, and no solver call is counted
+    rng = np.random.default_rng(41)
+    members = tuple(SublinearModel.from_weight_graph(rand_graph(rng, n, 2), 0.0, EXACT)
+                    for n in (2, 9))
+    ova = OvaModel(("a", "b"), members)
+    g_ok, g_bad_dim = rand_graph(rng, 3, 2), rand_graph(rng, 3, 3)
+    with pytest.raises(CapacityError) as alone:
+        predict_multiclass(ova, g_ok)
+    assert str(alone.value).startswith("orders (9, 3) exceed the exact cap 8")
+    calls = matcher_call_count()
+    with pytest.raises(CapacityError, match=f"^{re.escape(str(alone.value))}$"):
+        next(sublin.model._predictions([ova], [g_ok, g_bad_dim]))
+    assert matcher_call_count() == calls
+
+
+def test_models_of_different_dimensions_refused_before_any_graph():
+    # the first sides of one batch share one attribute dimension; a graph that
+    # agrees with the first of them is not judged against the second
+    rng = np.random.default_rng(43)
+    models = [SublinearModel.from_weight_graph(rand_graph(rng, 3, d), 0.0, EXACT) for d in (2, 3)]
+    calls = matcher_call_count()
+    with pytest.raises(ValidationError, match=r"^attribute dimensions differ: 2 vs 3$"):
+        next(sublin.model._predictions(models, [rand_graph(rng, 3, 2)]))
+    assert matcher_call_count() == calls
