@@ -29,7 +29,7 @@ from .exceptions import (DatasetFormatError, InfeasibleSpecError, ValidationErro
 from .files import atomic_write
 from .graphs import AttributedGraph
 from .learning import LabeledExample, _signed
-from .matching import _HARD_ENUM_LIMIT, DEFAULT_EXACT_MAX_ORDER, MatcherConfig, sdp
+from .matching import _HARD_ENUM_LIMIT, DEFAULT_EXACT_MAX_ORDER, MatcherConfig, _results, sdp
 from .model import SublinearModel, margin_lower_bound
 
 META_FILENAME = "meta.json"
@@ -187,8 +187,11 @@ def _read_text(path) -> str:
 
 def read_jsonl(dirpath) -> Dataset:
     """Read a dataset directory written by :func:`write_jsonl`. A `meta.json`
-    that is not JSON, or whose keys break their rules, raises DatasetFormatError
-    naming it, before any split file is read."""
+    that is not JSON, or whose keys break their rules (duplicate classes too),
+    raises DatasetFormatError naming it, before any split file is read. Each
+    split file is then read in turn, and one that holds a class `meta.json` does
+    not list, or graphs of another attribute dimension than the files before
+    it, raises DatasetFormatError naming that file."""
     meta_path = os.path.join(dirpath, META_FILENAME)
     text = _read_text(meta_path)
     try:
@@ -199,13 +202,20 @@ def read_jsonl(dirpath) -> Dataset:
         classes = [str(c) for c in config_value(meta, "classes", name_list, ())]
         name = config_value(meta, "name", str, os.path.basename(os.path.normpath(dirpath)))
         provenance = config_value(meta, "provenance", dict, {})
+        dataset = Dataset(name, {}, classes, provenance)
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"invalid JSON ({exc.msg})", meta_path) from exc
     except ValidationError as exc:
         raise DatasetFormatError(str(exc), meta_path) from exc
-    splits = {split: read_examples_jsonl(os.path.join(dirpath, filename))
-              for split, filename in files.items()}
-    return Dataset(name, splits, classes, provenance)
+    splits = {}
+    for split, filename in files.items():
+        path = os.path.join(dirpath, filename)
+        splits[split] = read_examples_jsonl(path)
+        try:  # the files before this one passed, so a fault Dataset finds is in it
+            dataset = Dataset(name, splits, classes, provenance)
+        except ValidationError as exc:
+            raise DatasetFormatError(str(exc), path) from exc
+    return dataset
 
 
 def _split_files(doc) -> Dict[str, str]:
@@ -450,35 +460,23 @@ def random_graph(rng, order, attr_dim, density, scale) -> AttributedGraph:
     return AttributedGraph(nodes, edges)
 
 
-class _SplitFiller:
-    """Route accepted examples so each split reaches its quota with both classes."""
+def _place(members: Dict[str, List[LabeledExample]], quotas: Mapping[str, int],
+           example: LabeledExample) -> bool:
+    """Route an accepted example to a split of `members` still short of its quota
+    in `quotas`, so that every split fills with both classes; returns whether one
+    took it. The first open split that lacks the example's class takes it, else
+    the first with more free places than the other class still needs there. A
+    split lacks a class while its quota is at least 2 and no member has it."""
+    def lacks(split, cls) -> bool:
+        return quotas[split] >= 2 and all(ex.y != cls for ex in members[split])
 
-    def __init__(self, quotas: Mapping[str, int]):
-        self.quota = {k: v for k, v in quotas.items() if v > 0}
-        self.members: Dict[str, List[LabeledExample]] = {k: [] for k in self.quota}
-
-    def _lacking(self, split, cls) -> bool:
-        return (self.quota[split] >= 2
-                and not any(ex.y == cls for ex in self.members[split]))
-
-    def place(self, ex: LabeledExample) -> bool:
-        open_splits = [s for s in self.quota if len(self.members[s]) < self.quota[s]]
-        for s in open_splits:
-            if self._lacking(s, ex.y):
-                self.members[s].append(ex)
-                return True
-        for s in open_splits:
-            free = self.quota[s] - len(self.members[s])
-            still_lacking = sum(
-                self._lacking(s, c) for c in (POSITIVE_CLASS, NEGATIVE_CLASS) if c != ex.y
-            )
-            if free > still_lacking:
-                self.members[s].append(ex)
-                return True
-        return False
-
-    def done(self) -> bool:
-        return all(len(self.members[s]) == self.quota[s] for s in self.quota)
+    other = NEGATIVE_CLASS if example.y == POSITIVE_CLASS else POSITIVE_CLASS
+    open_splits = [s for s, exs in members.items() if len(exs) < quotas[s]]
+    for split in ([s for s in open_splits if lacks(s, example.y)]
+                  + [s for s in open_splits if quotas[s] - len(members[s]) > lacks(s, other)]):
+        members[split].append(example)
+        return True
+    return False
 
 
 def generate_synthetic(spec: SyntheticSpec):
@@ -489,6 +487,15 @@ def generate_synthetic(spec: SyntheticSpec):
     achieved normalized margin is stored in provenance as `margin_certificate`.
     Raises `InfeasibleSpecError` when the margin filter rejects more than 99.9%
     of candidates over the sampling budget.
+
+    Raw scores W*.X are solved in batches against the planted graph (one
+    `_results` call each): the 120-graph pilot that centers the bias, then the
+    candidates in chunks of as many graphs as the splits still lack. A graph
+    fills at most one place, so no chunk draws past the earliest graph that can
+    complete the dataset: the graphs, their random draws and their solver calls
+    are those of scoring one candidate at a time (on a refusal, the rest of the
+    refused candidate's chunk has been scored too). Each candidate that clears
+    the margin is routed to a split by `_place`.
     """
     rng = np.random.default_rng(spec.seed)
     matcher = MatcherConfig(method="exact",
@@ -505,11 +512,9 @@ def generate_synthetic(spec: SyntheticSpec):
         planted_graph = sample_graph(spec.planted_order)
         w_norm = math.sqrt(sdp(planted_graph, planted_graph, matcher).value)
 
-    def raw_score(g: AttributedGraph) -> float:
-        return sdp(planted_graph, g, matcher).value
-
     # Recenters the bias on a pilot of raw scores so both classes stay frequent.
-    pilot = [raw_score(sample_graph()) for _ in range(120)]
+    pilot = [r.value for r in _results(planted_graph, [sample_graph() for _ in range(120)],
+                                       matcher)]
     center = float(np.median(pilot))
     threshold = spec.planted_margin * w_norm
     best_bias, best_minority = None, -1.0
@@ -528,51 +533,47 @@ def generate_synthetic(spec: SyntheticSpec):
     planted = SublinearModel.from_weight_graph(planted_graph, bias, matcher,
                                                metadata={"role": "planted"})
 
-    need = sum(v for v in spec.n_examples.values() if v > 0)
-    filler = _SplitFiller(spec.n_examples)
-    attempts = 0
-    accepted = 0
-    budget_cap = max(1000 * need, 100000)
+    quotas = spec.n_examples
+    members = {s: [] for s, n in quotas.items() if n > 0}
+    attempts = accepted = 0
+    budget_cap = max(1000 * sum(quotas.values()), 100000)
     certificate = math.inf
-    while not filler.done():
-        attempts += 1
-        if attempts % 1000 == 0 and accepted < attempts / 1000:
-            raise InfeasibleSpecError(
-                f"margin filter rejected {attempts - accepted}/{attempts} candidates; "
-                "lower planted_margin or raise attribute_scale"
-            )
-        if attempts > budget_cap:
-            raise InfeasibleSpecError(
-                "sampling budget exhausted before all splits were filled with both classes"
-            )
-        g = sample_graph()
-        score = raw_score(g) + bias
-        if abs(score) / w_norm < spec.planted_margin:
-            continue
-        accepted += 1
-        cls = POSITIVE_CLASS if score >= 0 else NEGATIVE_CLASS
-        if filler.place(LabeledExample(g, cls)):
-            certificate = min(certificate, abs(score) / w_norm)
+    while lack := sum(quotas[s] - len(exs) for s, exs in members.items()):
+        graphs = [sample_graph() for _ in range(lack)]
+        for g, result in zip(graphs, _results(planted_graph, graphs, matcher)):
+            attempts += 1
+            if attempts % 1000 == 0 and accepted < attempts / 1000:
+                raise InfeasibleSpecError(
+                    f"margin filter rejected {attempts - accepted}/{attempts} candidates; "
+                    "lower planted_margin or raise attribute_scale"
+                )
+            if attempts > budget_cap:
+                raise InfeasibleSpecError(
+                    "sampling budget exhausted before all splits were filled with both classes"
+                )
+            score = result.value + bias
+            if abs(score) / w_norm < spec.planted_margin:
+                continue
+            accepted += 1
+            cls = POSITIVE_CLASS if score >= 0 else NEGATIVE_CLASS
+            if _place(members, quotas, LabeledExample(g, cls)):
+                certificate = min(certificate, abs(score) / w_norm)
 
-    balance = {
-        s: {POSITIVE_CLASS: sum(ex.y == POSITIVE_CLASS for ex in exs),
-            NEGATIVE_CLASS: sum(ex.y == NEGATIVE_CLASS for ex in exs)}
-        for s, exs in filler.members.items()
-    }
-    dataset = Dataset(
+    return Dataset(
         name=f"synthetic-{spec.seed}",
-        splits=filler.members,
+        splits=members,
         class_set=(POSITIVE_CLASS, NEGATIVE_CLASS),
         provenance={
             "source": "synthetic",
             "spec": spec.to_json(),
             "seed": spec.seed,
-            "class_balance": balance,
+            "class_balance": {s: {c: sum(ex.y == c for ex in exs)
+                                  for c in (POSITIVE_CLASS, NEGATIVE_CLASS)}
+                              for s, exs in members.items()},
             "margin_certificate": certificate,
             "planted_bias": bias,
         },
-    )
-    return dataset, planted
+    ), planted
 
 
 def margin_certificate(dataset: Dataset, planted: SublinearModel) -> float:

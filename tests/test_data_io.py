@@ -11,7 +11,7 @@ from sublin import (AttributedGraph, Dataset, DatasetFormatError, DegenerateMode
                     generate_synthetic, margin_certificate, parse_cxl_file, parse_gxl_file,
                     read_cxl_dataset, read_examples_jsonl, read_jsonl, weight_norm,
                     write_jsonl)
-from sublin.data_io import _SplitFiller, random_graph
+from sublin.data_io import _place, random_graph
 
 EXACT = MatcherConfig()
 NOT_NUMBERS = r"edge \(0, 1\) attribute is not a vector of numbers"
@@ -120,7 +120,9 @@ class TestJsonl:
                                       "file names, got ['train.jsonl']"),
         ({"splits": {"train": 5}}, "'splits': expected an object mapping split names to "
                                    "file names, got {'train': 5}"),
-    ], ids=["classes-string", "not-an-object", "splits-list", "splits-number"])
+        ({"classes": ["a", "b", "a"]}, "duplicate entries in class_set"),
+    ], ids=["classes-string", "not-an-object", "splits-list", "splits-number",
+            "classes-duplicate"])
     def test_bad_meta_refused_naming_the_file(self, tmp_path, meta, message):
         # named as invalid JSON in the same file is, before any split file is read
         (tmp_path / "meta.json").write_text(json.dumps(meta))
@@ -154,8 +156,27 @@ class TestJsonl:
         (tmp_path / "test.jsonl").write_text(
             '{"id": "g1", "class": "a", "nodes": [[1.0, 2.0]], "edges": []}\n'
         )
-        with pytest.raises(ValidationError, match="attr_dim"):
+        with pytest.raises(DatasetFormatError) as refused:
             read_jsonl(tmp_path)
+        path = str(tmp_path / "test.jsonl")
+        assert str(refused.value) == f"{path}: graphs disagree on attr_dim: [1, 2]"
+        assert refused.value.path == path
+
+    def test_class_missing_from_meta_names_the_split_file(self, tmp_path):
+        (tmp_path / "meta.json").write_text(
+            '{"classes": ["a", "b"], "splits": {"train": "train.jsonl", "test": "test.jsonl"}}'
+        )
+        (tmp_path / "train.jsonl").write_text(
+            '{"id": "g0", "class": "a", "nodes": [[1.0]], "edges": []}\n'
+        )
+        (tmp_path / "test.jsonl").write_text(
+            '{"id": "g1", "class": "z", "nodes": [[1.0]], "edges": []}\n'
+        )
+        with pytest.raises(DatasetFormatError) as refused:
+            read_jsonl(tmp_path)
+        path = str(tmp_path / "test.jsonl")
+        assert str(refused.value) == f"{path}: split 'test' contains class 'z' not in class_set"
+        assert refused.value.path == path
 
     def test_edge_index_order_enforced(self, tmp_path):
         path = tmp_path / "order.jsonl"
@@ -475,16 +496,33 @@ class TestSyntheticGenerator:
             SyntheticSpec.from_json({**doc, key: value})
 
 
-class TestSplitFiller:
+class TestPlace:
     def test_last_place_is_kept_for_the_missing_class(self):
         g = AttributedGraph([[1.0]])
-        filler = _SplitFiller({"train": 2, "test": 0})
-        assert filler.place(LabeledExample(g, "pos"))
-        assert not filler.place(LabeledExample(g, "pos"))
-        assert filler.place(LabeledExample(g, "neg"))
-        assert not filler.place(LabeledExample(g, "neg"))
-        assert filler.done()
-        assert [ex.y for ex in filler.members["train"]] == ["pos", "neg"]
+        quotas, members = {"train": 2, "test": 0}, {"train": []}
+        assert _place(members, quotas, LabeledExample(g, "pos"))
+        assert not _place(members, quotas, LabeledExample(g, "pos"))
+        assert _place(members, quotas, LabeledExample(g, "neg"))
+        assert not _place(members, quotas, LabeledExample(g, "neg"))
+        assert all(len(members[s]) == quotas[s] for s in members)
+        assert [ex.y for ex in members["train"]] == ["pos", "neg"]
+
+    def test_a_later_split_lacking_the_class_comes_first(self):
+        g = AttributedGraph([[1.0]])
+        quotas, members = {"train": 3, "test": 2}, {"train": [], "test": []}
+        assert _place(members, quotas, LabeledExample(g, "pos"))
+        assert _place(members, quotas, LabeledExample(g, "pos"))
+        assert [ex.y for ex in members["train"]] == ["pos"]
+        assert [ex.y for ex in members["test"]] == ["pos"]
+
+    def test_split_refuses_when_its_last_place_is_held(self):
+        g = AttributedGraph([[1.0]])
+        quotas, members = {"train": 3}, {"train": []}
+        assert _place(members, quotas, LabeledExample(g, "pos"))
+        assert _place(members, quotas, LabeledExample(g, "pos"))
+        assert not _place(members, quotas, LabeledExample(g, "pos"))
+        assert _place(members, quotas, LabeledExample(g, "neg"))
+        assert [ex.y for ex in members["train"]] == ["pos", "pos", "neg"]
 
 
 class TestDataset:
